@@ -1,0 +1,180 @@
+"""Golden-output guard: SHA-256 digests of what the CLI writes.
+
+Each case runs one CLI command on fixed inputs and hashes its output files
+and standard output. Manifest lines are stripped first, because they record
+temporary paths. JSON reports are checked to be in their canonical form and
+then hashed with the manifest removed and ``mean_power_watts`` popped, so
+the guard covers every other byte. A digest changes only when an output
+changes. To accept an intended change, run
+``GOLDEN_PRINT=1 pytest -s tests/test_golden.py`` and copy the printed digests.
+"""
+
+import hashlib
+import json
+import os
+from importlib import resources
+
+import pytest
+
+from kvroof.cli import EXIT_OK, main
+
+
+def fixture_path(name: str) -> str:
+    return str(resources.files("kvroof").joinpath(f"data/fixtures/{name}"))
+
+
+def strip_manifest(data: bytes) -> bytes:
+    """Drop manifest lines: ``# manifest ...`` comments and ``{"_manifest": ...}`` records."""
+    lines = data.split(b"\n")
+    return b"\n".join(
+        line for line in lines if not line.startswith((b"# manifest", b'{"_manifest"'))
+    )
+
+
+def canonical_report(data: bytes) -> bytes:
+    """A report or comparison JSON without its manifest and power figure."""
+    doc = json.loads(data)
+    assert json.dumps(doc, indent=2, sort_keys=True).encode() + b"\n" == data
+    doc.pop("manifest")
+    if "report" in doc:
+        doc["report"].pop("mean_power_watts")
+    return json.dumps(doc, indent=2, sort_keys=True).encode()
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(args, capsys) -> bytes:
+    assert main(args) == EXIT_OK
+    return strip_manifest(capsys.readouterr().out.encode())
+
+
+def digests_of(tmp_path, files: list, stdout: bytes = None) -> dict:
+    out = {}
+    for name in files:
+        data = (tmp_path / name).read_bytes()
+        out[name] = sha(canonical_report(data) if name.endswith(".json") else strip_manifest(data))
+    if stdout is not None:
+        out["stdout"] = sha(stdout)
+    return out
+
+
+def check(case: str, got: dict) -> None:
+    if os.environ.get("GOLDEN_PRINT"):
+        print(f"\n{case!r}: {json.dumps(got, indent=4, sort_keys=True)},")
+    assert got == GOLDEN[case]
+
+
+CONVERSATIONS = "".join(
+    json.dumps(
+        {
+            "conversation_id": f"c{i}",
+            "turns": [
+                {"query_tokens": 5 + 7 * i + 3 * j, "response_tokens": 11 * j + i}
+                for j in range(1 + i % 4)
+            ],
+        }
+    )
+    + "\n"
+    for i in range(12)
+)
+
+DOCUMENTS = "".join(
+    json.dumps(
+        {
+            "doc_id": f"d{i}",
+            "doc_tokens": 1000 * (i + 1) + 17,
+            "question_tokens": [3 + i + q for q in range(1 + i % 3)],
+        }
+    )
+    + "\n"
+    for i in range(9)
+)
+
+
+def test_kappa(tmp_path, capsys):
+    stdout = run(["kappa", "--out", str(tmp_path / "kappa.csv")], capsys)
+    check("kappa", digests_of(tmp_path, ["kappa.csv"], stdout))
+
+
+@pytest.mark.parametrize("model", ["Qwen3-235B-A22B", "DeepSeek-V3"])
+def test_roofline(tmp_path, capsys, model):
+    run(["roofline", "--model", model, "--out", str(tmp_path / "roof.csv")], capsys)
+    check(f"roofline-{model}", digests_of(tmp_path, ["roof.csv"]))
+
+
+@pytest.mark.parametrize("kind, text", [("conversation", CONVERSATIONS), ("document", DOCUMENTS)])
+def test_analyze(tmp_path, capsys, kind, text):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(text)
+    stdout = run(["analyze", str(trace), "--kind", kind, "--out", str(tmp_path / "a.csv")], capsys)
+    check(f"analyze-{kind}", digests_of(tmp_path, ["a.csv"], stdout))
+
+
+@pytest.mark.parametrize("profile", ["sharegpt", "finqa"])
+def test_synth(tmp_path, capsys, profile):
+    run(["synth", "--profile", profile, "--rps", "40", "--duration", "3", "--seed", "11",
+         "--out", str(tmp_path / "s.jsonl")], capsys)
+    check(f"synth-{profile}", digests_of(tmp_path, ["s.jsonl"]))
+
+
+def test_simulate_compare_fixture(tmp_path, capsys):
+    stdout = run(["simulate", "--config", fixture_path("scheduling_fixture_config.json"),
+                  "--stream", fixture_path("scheduling_fixture_stream.jsonl"),
+                  "--compare", "--out", str(tmp_path)], capsys)
+    files = ["comparison.json", "report_fifo.json", "report_utilization.json",
+             "iterations_fifo.csv", "iterations_utilization.csv"]
+    check("simulate-compare", digests_of(tmp_path, files, stdout))
+
+
+def test_simulate_fifo_synth_stream(tmp_path, capsys):
+    stream = tmp_path / "stream.jsonl"
+    run(["synth", "--profile", "sharegpt", "--rps", "200", "--duration", "2", "--seed", "3",
+         "--out", str(stream)], capsys)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": "Qwen3-30B-A3B", "hardware": "Unified-HBM"}))
+    stdout = run(["simulate", "--config", str(config), "--stream", str(stream),
+                  "--policy", "fifo", "--out", str(tmp_path)], capsys)
+    check("simulate-fifo", digests_of(tmp_path, ["report.json", "iterations.csv"], stdout))
+
+
+GOLDEN = {
+    "kappa": {
+        "kappa.csv": "6b01c5e9ef7d988be69f8be312c769443e86a1191e07b07cfbb372a6c886ba0f",
+        "stdout": "29fa473118a34bcfdeded800367eb8d81e060c56d03846f84e04427887da2c3d",
+    },
+    "roofline-Qwen3-235B-A22B": {
+        "roof.csv": "b97d63e4f84d6c4dd171c6e40a9139d1888eea9a758077f35900600598205e75",
+    },
+    "roofline-DeepSeek-V3": {
+        "roof.csv": "d117d7620bc57133db5d593f643764421fd993d8aa5d2b4237cec92a5cb0e5ae",
+    },
+    "analyze-conversation": {
+        "a.csv": "e2980e75379c4ed14d8fafd101f343aa2eedbf522661db04fb3718e94aca93ee",
+        "stdout": "729087b54102fe1b83309b7b356a9d95bdf19a2428147724d7a1046e6f3a93a3",
+    },
+    "analyze-document": {
+        "a.csv": "395c14b13bb898948f177efec40deb8f69b0b95c16a31a1b4c227b533b23bd76",
+        "stdout": "e8907c5f1d5537ca3eee9118dbb5239cbf461effc846a2ace235007ddaed30bf",
+    },
+    "synth-sharegpt": {
+        "s.jsonl": "e1a512e16c8317ae0fec54ec5709bf8c553ce465747d724c65a5e61b84d9a4a9",
+    },
+    "synth-finqa": {
+        "s.jsonl": "832de362c8e4f46db3b957496f6af98ecb0a4b3a62521f37ecbda7214c8ef284",
+    },
+    "simulate-compare": {
+        "comparison.json": "cdc6e3f731ade3e16e45217f117c8d2e56e9fde4e974fbd5e1bff54d6dd29dce",
+        "iterations_fifo.csv": "011e8b7a6a19a1243f99b75776bba926690edbfb39b9296cc753292ce891933b",
+        "iterations_utilization.csv": "a1bb54a1be0a252eb6cf9a4a7979d5967ab7c2370f0d9b846ca82262a5c5c59c",
+        "report_fifo.json": "c4b6fbfb3990ae0fab0980e84dbda8dcd5a55403f362b8619c27a892046588d4",
+        "report_utilization.json": "a005e1cb7f803ca65a1747303c180d7bafe18936157a5dec062912738a69a594",
+        "stdout": "f29005add3de771b67e71cc3d667da6a1dceac9a774d80d85f6ecb34050421e0",
+    },
+    "simulate-fifo": {
+        "iterations.csv": "82de3cb2e69e7706a82f988427470adde956473d2093e5b027de2ad512c4d7d7",
+        "report.json": "55383be2206160b4fbd754d8991faac3c791c4d7db5d5fcfcc58d25cfb16c0f7",
+        "stdout": "f77a7e843795b3028e5a2dc7ffd9ad461d59754a768495ec7cee72a491dea70f",
+    },
+}
