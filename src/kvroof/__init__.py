@@ -4,8 +4,9 @@ The package is organized around five layers:
 
 * :mod:`kvroof.catalog` holds model and hardware specifications and derives
   KV bytes and FLOPs per token.
-* :mod:`kvroof.analytics` provides the closed-form latency, utilization,
-  concurrency, and critical-ratio formulas.
+* :mod:`kvroof.analytics` provides the closed-form latency, concurrency,
+  and critical-ratio formulas; :func:`ttft` returns the latency split with
+  its utilization and transfer overhead.
 * :mod:`kvroof.roofline` sweeps attainable throughput over the
   cached-to-new token ratio.
 * :mod:`kvroof.workload` expands traces to request records and synthesizes
@@ -27,10 +28,8 @@ from .analytics import (
     kappa_model,
     max_concurrent,
     memory_bound,
-    pcie_overhead,
     sched_tokens,
     ttft,
-    utilization,
 )
 from .catalog import (
     HardwareSpec,
@@ -55,7 +54,6 @@ from .simulator import (
     SimReport,
     SimRequest,
     compare_policies,
-    power_proxy,
     run_sim,
     schedule_fifo,
     schedule_utilization_aware,

@@ -111,24 +111,6 @@ def ttft(
     )
 
 
-def utilization(
-    shape: RequestShape, model: ModelSpec, hw: HardwareSpec, use_sustained: bool = True
-) -> float:
-    """Fraction of sequential TTFT spent computing, in (0, 1]."""
-    t_pcie = shape.cached_tokens * kv_bytes_per_token(model) / hw.bandwidth(use_sustained)
-    t_prefill = shape.prefill_tokens * flops_per_token(model) / hw.compute_throughput
-    return t_prefill / (t_pcie + t_prefill)
-
-
-def pcie_overhead(
-    shape: RequestShape, model: ModelSpec, hw: HardwareSpec, use_sustained: bool = True
-) -> float:
-    """Transfer-to-compute time ratio; 1.0 at the critical ratio."""
-    t_pcie = shape.cached_tokens * kv_bytes_per_token(model) / hw.bandwidth(use_sustained)
-    t_prefill = shape.prefill_tokens * flops_per_token(model) / hw.compute_throughput
-    return t_pcie / t_prefill
-
-
 def max_concurrent(shape: RequestShape, model: ModelSpec, vram_effective: float) -> ConcurrencyLimit:
     """How many requests of this shape fit in the KV VRAM pool at once.
 

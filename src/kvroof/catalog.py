@@ -12,7 +12,6 @@ All catalog data is immutable after load and safe to share across threads.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from importlib import resources
@@ -168,7 +167,8 @@ _MODEL_FIELDS = {f.name for f in fields(ModelSpec)}
 _HW_FIELDS = {f.name for f in fields(HardwareSpec)}
 
 
-def _build_model(entry: dict, where: str) -> ModelSpec:
+def build_model(entry: dict, where: str) -> ModelSpec:
+    """A validated ModelSpec from a JSON object; ``where`` prefixes error messages."""
     unknown = set(entry) - _MODEL_FIELDS
     if unknown:
         raise CatalogError(f"{where}: unknown model field(s) {sorted(unknown)}")
@@ -178,7 +178,8 @@ def _build_model(entry: dict, where: str) -> ModelSpec:
         raise CatalogError(f"{where}: {exc}") from exc
 
 
-def _build_hardware(entry: dict, where: str) -> HardwareSpec:
+def build_hardware(entry: dict, where: str) -> HardwareSpec:
+    """A validated HardwareSpec from a JSON object; ``where`` prefixes error messages."""
     unknown = set(entry) - _HW_FIELDS
     if unknown:
         raise CatalogError(f"{where}: unknown hardware field(s) {sorted(unknown)}")
@@ -202,12 +203,12 @@ def loads_catalog(text: str, source: str = "<string>") -> tuple[list[ModelSpec],
     for i, entry in enumerate(doc.get("models", [])):
         if not isinstance(entry, dict):
             raise CatalogError(f"{source}: models[{i}] must be an object")
-        models.append(_build_model(entry, f"{source}: models[{i}]"))
+        models.append(build_model(entry, f"{source}: models[{i}]"))
     hardware = []
     for i, entry in enumerate(doc.get("hardware", [])):
         if not isinstance(entry, dict):
             raise CatalogError(f"{source}: hardware[{i}] must be an object")
-        hardware.append(_build_hardware(entry, f"{source}: hardware[{i}]"))
+        hardware.append(build_hardware(entry, f"{source}: hardware[{i}]"))
     for kind, entries in (("model", models), ("hardware", hardware)):
         seen: set[str] = set()
         for e in entries:

@@ -10,6 +10,22 @@ line, catalog hash, and seed, so re-running with the recorded inputs
 reproduces byte-identical files. Internals are SI units; tables display
 KB/GFLOP and GFLOP/KB unless ``--si`` is given.
 
+``simulate --config`` takes a JSON object with these keys; any other key is
+a data error:
+
+* ``model``, ``hardware`` (required): a catalog name, or an inline object
+  with the catalog's fields;
+* ``vram_effective``: KV pool bytes, replacing the platform's figure;
+* ``bandwidth_mode``: ``"sustained"`` (default) or ``"peak"``;
+* ``token_budget``: prefill tokens per iteration (default 4000);
+* ``overlap_alpha``: transfer/compute overlap in [0, 1] (default 0);
+* ``allow_chunked_prefill``: default true;
+* ``aging``: an object with ``credit_per_second`` and ``credit_weight``
+  (default 1 each), used by the utilization-aware policy.
+
+A report's ``mean_power_watts`` comes from the platform's ``idle_watts`` and
+``tdp_watts``; it is null when the platform lacks either.
+
 Exit codes: 0 success, 2 usage error, 3 data error.
 """
 
@@ -17,24 +33,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import __version__
 from . import analytics, roofline, workload
-from .catalog import (
-    HardwareSpec,
-    ModelSpec,
-    by_name,
-    default_catalog,
-    default_catalog_text,
-    load_catalog,
-)
+from .catalog import build_hardware, build_model, by_name, default_catalog_text, loads_catalog
 from .errors import KvroofError
 from .simulator import (
     AgingCredits,
@@ -50,6 +60,13 @@ ENV_CATALOG = "KVROOF_CATALOG"
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
+
+
+class Catalog(NamedTuple):
+    """The active catalog, keyed by name."""
+
+    models: dict
+    hardware: dict
 
 
 @dataclass(frozen=True)
@@ -77,28 +94,27 @@ class RunManifest:
         return "manifest " + json.dumps(self.as_dict(), sort_keys=True)
 
 
-def _load_active_catalog(path_arg: Optional[str]):
+def _load_active_catalog(path_arg: Optional[str], argv: list[str], seed: Optional[int]):
+    """The active catalog and the manifest that records its hash."""
     path = path_arg or os.environ.get(ENV_CATALOG)
     if path:
-        models, hardware = load_catalog(path)
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise KvroofError(f"cannot read catalog '{path}': {exc}") from exc
         label = str(path)
     else:
-        models, hardware = default_catalog()
         text = default_catalog_text()
         label = "<bundled>"
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    return models, hardware, label, digest
-
-
-def _manifest(args, label: str, digest: str, seed: Optional[int] = None) -> RunManifest:
-    return RunManifest(
+    models, hardware = loads_catalog(text, source=label)
+    manifest = RunManifest(
         tool=f"kvroof {__version__}",
-        command=list(args._argv),
+        command=argv,
         catalog=label,
-        catalog_sha256=digest,
+        catalog_sha256=hashlib.sha256(text.encode()).hexdigest(),
         seed=seed,
     )
+    return Catalog(by_name(models), by_name(hardware)), manifest
 
 
 def _pick(pool: dict, names: Optional[str], kind: str) -> list:
@@ -114,12 +130,20 @@ def _pick(pool: dict, names: Optional[str], kind: str) -> list:
     return chosen
 
 
+def _write_csv(path, manifest: RunManifest, header: Sequence[str], rows) -> None:
+    """CSV with the manifest as a leading comment line."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# {manifest.as_comment()}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 # --- kappa ------------------------------------------------------------------
 
-def _cmd_kappa(args) -> int:
-    models, hardware, label, digest = _load_active_catalog(args.catalog)
-    chosen_models = _pick(by_name(models), args.models, "model")
-    chosen_hw = _pick(by_name(hardware), args.hw, "hardware")
+def _cmd_kappa(args, catalog: Catalog, manifest: RunManifest) -> int:
+    chosen_models = _pick(catalog.models, args.models, "model")
+    chosen_hw = _pick(catalog.hardware, args.hw, "hardware")
     use_sustained = args.bandwidth == "sustained"
     rows = []
     for m in chosen_models:
@@ -135,26 +159,20 @@ def _cmd_kappa(args) -> int:
     kh_unit = "kappa_hw[B/FLOP]" if args.si else "kappa_hw[KB/GFLOP]"
     header = ("model", "hardware", km_unit, kh_unit, "kappa_crit")
     widths = [max(len(str(r[i])) for r in rows + [header]) for i in range(5)]
-    out = sys.stdout
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)), file=out)
+    print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
     for r in rows:
-        print("  ".join(str(v).ljust(w) for v, w in zip(r, widths)), file=out)
-    print(f"# {_manifest(args, label, digest).as_comment()}", file=out)
+        print("  ".join(str(v).ljust(w) for v, w in zip(r, widths)))
+    print(f"# {manifest.as_comment()}")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(f"# {_manifest(args, label, digest).as_comment()}\n")
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+        _write_csv(args.out, manifest, header, rows)
     return EXIT_OK
 
 
 # --- roofline ----------------------------------------------------------------
 
-def _cmd_roofline(args) -> int:
-    models, hardware, label, digest = _load_active_catalog(args.catalog)
-    model = _pick(by_name(models), args.model, "model")[0]
-    chosen_hw = _pick(by_name(hardware), args.hw, "hardware")
+def _cmd_roofline(args, catalog: Catalog, manifest: RunManifest) -> int:
+    model = _pick(catalog.models, args.model, "model")[0]
+    chosen_hw = _pick(catalog.hardware, args.hw, "hardware")
     series = roofline.roofline_sweep(
         model,
         chosen_hw,
@@ -163,18 +181,14 @@ def _cmd_roofline(args) -> int:
         points_per_decade=args.points_per_decade,
         use_sustained=args.bandwidth == "sustained",
     )
-    try:
-        roofline.write_series_csv(series, args.out, _manifest(args, label, digest).as_comment())
-    except OSError as exc:
-        raise KvroofError(f"cannot write '{args.out}': {exc}") from exc
+    roofline.write_series_csv(series, args.out, manifest.as_comment())
     print(f"wrote {sum(len(s.points) for s in series)} points for {len(series)} series to {args.out}")
     return EXIT_OK
 
 
 # --- analyze ------------------------------------------------------------------
 
-def _cmd_analyze(args) -> int:
-    _, _, label, digest = _load_active_catalog(args.catalog)
+def _cmd_analyze(args, catalog: Catalog, manifest: RunManifest) -> int:
     if args.kind == "conversation":
         traces = workload.read_conversations(args.trace)
         records = [r for tr in traces for r in workload.expand_conversation(tr)]
@@ -192,28 +206,27 @@ def _cmd_analyze(args) -> int:
     ):
         pcts = "  ".join(f"p{p}={stats.percentiles[p]:g}" for p in workload.PERCENTILES)
         print(f"{title}: mean={stats.mean:.4g}  min={stats.minimum:g}  max={stats.maximum:g}  {pcts}")
-    print(f"# {_manifest(args, label, digest).as_comment()}")
+    print(f"# {manifest.as_comment()}")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(f"# {_manifest(args, label, digest).as_comment()}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["source_id", "cached_tokens", "prefill_tokens", "kappa_ratio"])
-            for r in records:
-                writer.writerow([r.source_id, r.cached_tokens, r.prefill_tokens, repr(r.kappa_ratio)])
+        _write_csv(
+            args.out,
+            manifest,
+            ["source_id", "cached_tokens", "prefill_tokens", "kappa_ratio"],
+            ([r.source_id, r.cached_tokens, r.prefill_tokens, repr(r.kappa_ratio)] for r in records),
+        )
     return EXIT_OK
 
 
 # --- synth --------------------------------------------------------------------
 
-def _cmd_synth(args) -> int:
-    _, _, label, digest = _load_active_catalog(args.catalog)
-    profile = workload.PROFILE_ALIASES.get(args.profile)
+def _cmd_synth(args, catalog: Catalog, manifest: RunManifest) -> int:
+    profile = workload.PROFILES.get(args.profile) or workload.PROFILES.get(args.profile + "-like")
     if profile is None:
         raise KvroofError(
-            f"unknown profile '{args.profile}'; available: {', '.join(sorted(workload.PROFILE_ALIASES))}"
+            f"unknown profile '{args.profile}'; available: {', '.join(sorted(workload.PROFILES))} "
+            f"(the '-like' suffix may be omitted)"
         )
     records = workload.synthesize_stream(profile, rps=args.rps, duration_s=args.duration, seed=args.seed)
-    manifest = _manifest(args, label, digest, seed=args.seed)
     workload.write_stream(records, args.out, manifest=manifest.as_dict())
     print(f"wrote {len(records)} requests to {args.out}")
     return EXIT_OK
@@ -221,74 +234,87 @@ def _cmd_synth(args) -> int:
 
 # --- simulate -----------------------------------------------------------------
 
-def _resolve_spec(value, pool: dict, builder, kind: str):
+CONFIG_KEYS = ("model", "hardware", "vram_effective", "bandwidth_mode", "token_budget",
+               "overlap_alpha", "allow_chunked_prefill", "aging")
+AGING_KEYS = ("credit_per_second", "credit_weight")
+
+
+def _resolve_spec(value, pool: dict, builder, kind: str, where: str):
     if isinstance(value, str):
         if value not in pool:
             available = ", ".join(sorted(pool))
             raise KvroofError(f"config references unknown {kind} '{value}'; available: {available}")
         return pool[value]
     if isinstance(value, dict):
-        return builder(**value)
+        return builder(value, f"{where}: {kind}")
     raise KvroofError(f"config field '{kind}' must be a catalog name or an inline object")
 
 
-def _load_sim_config(path: str, models: dict, hardware: dict) -> tuple[SimConfig, AgingCredits]:
+def _check_keys(obj, allowed: Sequence[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise KvroofError(f"{where} must be a JSON object")
+    unknown = set(obj) - set(allowed)
+    if unknown:
+        raise KvroofError(f"{where}: unknown key(s) {sorted(unknown)}; accepted: {', '.join(allowed)}")
+
+
+def _load_sim_config(path: str, catalog: Catalog) -> tuple[SimConfig, AgingCredits]:
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
         raise KvroofError(f"cannot read config '{path}': {exc}") from exc
     except json.JSONDecodeError as exc:
         raise KvroofError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    _check_keys(doc, CONFIG_KEYS, f"{path}: config")
     if "model" not in doc or "hardware" not in doc:
         raise KvroofError(f"{path}: config needs 'model' and 'hardware' entries")
-    model = _resolve_spec(doc["model"], models, ModelSpec, "model")
-    hw = _resolve_spec(doc["hardware"], hardware, HardwareSpec, "hardware")
-    if "vram_effective" in doc:
-        import dataclasses
-
-        hw = dataclasses.replace(hw, vram_effective=float(doc["vram_effective"]))
-    power = doc.get("power", {})
-    config = SimConfig(
-        model=model,
-        hardware=hw,
-        bandwidth_mode=doc.get("bandwidth_mode", "sustained"),
-        token_budget=int(doc.get("token_budget", 4000)),
-        overlap_alpha=float(doc.get("overlap_alpha", 0.0)),
-        allow_chunked_prefill=bool(doc.get("allow_chunked_prefill", True)),
-        idle_watts=power.get("idle_watts"),
-        peak_watts=power.get("peak_watts"),
-    )
     aging_doc = doc.get("aging", {})
-    aging = AgingCredits(
-        credit_per_second=float(aging_doc.get("credit_per_second", 1.0)),
-        credit_weight=float(aging_doc.get("credit_weight", 1.0)),
-    )
+    _check_keys(aging_doc, AGING_KEYS, f"{path}: config 'aging'")
+    chunking = doc.get("allow_chunked_prefill", True)
+    if not isinstance(chunking, bool):
+        raise KvroofError(f"{path}: allow_chunked_prefill must be true or false, got {chunking!r}")
+    model = _resolve_spec(doc["model"], catalog.models, build_model, "model", path)
+    hw = _resolve_spec(doc["hardware"], catalog.hardware, build_hardware, "hardware", path)
+    try:
+        if "vram_effective" in doc:
+            hw = dataclasses.replace(hw, vram_effective=float(doc["vram_effective"]))
+        config = SimConfig(
+            model=model,
+            hardware=hw,
+            bandwidth_mode=doc.get("bandwidth_mode", "sustained"),
+            token_budget=int(doc.get("token_budget", 4000)),
+            overlap_alpha=float(doc.get("overlap_alpha", 0.0)),
+            allow_chunked_prefill=chunking,
+        )
+        aging = AgingCredits(
+            credit_per_second=float(aging_doc.get("credit_per_second", 1.0)),
+            credit_weight=float(aging_doc.get("credit_weight", 1.0)),
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise KvroofError(f"{path}: {exc}") from exc
     return config, aging
 
 
+def _write_json(path: Path, manifest: RunManifest, key: str, body: dict) -> None:
+    doc = {"manifest": manifest.as_dict(), key: body}
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def _write_report(report: SimReport, out_dir: Path, suffix: str, manifest: RunManifest) -> None:
-    doc = {"manifest": manifest.as_dict(), "report": report.to_dict()}
-    (out_dir / f"report{suffix}.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    with open(out_dir / f"iterations{suffix}.csv", "w", newline="") as fh:
-        fh.write(f"# {manifest.as_comment()}\n")
-        writer = csv.writer(fh)
-        writer.writerow(ITERATION_CSV_COLUMNS)
-        writer.writerows(report.iteration_rows())
+    _write_json(out_dir / f"report{suffix}.json", manifest, "report", report.to_dict())
+    _write_csv(out_dir / f"iterations{suffix}.csv", manifest, ITERATION_CSV_COLUMNS, report.iteration_rows())
 
 
-def _cmd_simulate(args) -> int:
-    models, hardware, label, digest = _load_active_catalog(args.catalog)
-    config, aging = _load_sim_config(args.config, by_name(models), by_name(hardware))
+def _cmd_simulate(args, catalog: Catalog, manifest: RunManifest) -> int:
+    config, aging = _load_sim_config(args.config, catalog)
     records = workload.read_stream(args.stream)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _manifest(args, label, digest, seed=args.seed)
     if args.compare:
         comparison = compare_policies(config, records, ("fifo", "utilization"), aging)
         for name, rep in comparison.reports:
             _write_report(rep, out_dir, f"_{name}", manifest)
-        doc = {"manifest": manifest.as_dict(), "comparison": comparison.to_dict()}
-        (out_dir / "comparison.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _write_json(out_dir / "comparison.json", manifest, "comparison", comparison.to_dict())
         counts = comparison.iteration_counts()
         print("iterations per policy: " + ", ".join(f"{k}={v}" for k, v in counts.items()))
     else:
@@ -376,10 +402,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
-    args._argv = ["kvroof"] + argv
     try:
-        return args.func(args)
-    except KvroofError as exc:
+        catalog, manifest = _load_active_catalog(
+            args.catalog, ["kvroof"] + argv, getattr(args, "seed", None)
+        )
+        return args.func(args, catalog, manifest)
+    except (KvroofError, OSError) as exc:  # OSError: an output could not be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -100,13 +100,12 @@ def roofline_sweep(
     series = []
     for hw in hw_list:
         ceiling = hw.compute_throughput
-        bw = hw.bandwidth(use_sustained)
         marker = kappa_crit(model, hw, use_sustained)
         points = []
         for k in grid:
             ai = arithmetic_intensity(float(k), model)
-            attain = min(ceiling, ai * bw)
-            regime = Regime.COMPUTE_BOUND if ai * bw >= ceiling else Regime.BANDWIDTH_BOUND
+            attain = attainable_flops(ai, hw, use_sustained)
+            regime = Regime.COMPUTE_BOUND if attain == ceiling else Regime.BANDWIDTH_BOUND
             points.append(
                 RooflinePoint(
                     kappa_ratio=float(k),

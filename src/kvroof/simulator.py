@@ -34,9 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .analytics import RequestShape
 from .catalog import HardwareSpec, ModelSpec, flops_per_token, kv_bytes_per_token
 from .errors import SimulationError
 from .workload import RequestRecord, nearest_rank_percentile
@@ -52,6 +51,10 @@ ITERATION_CSV_COLUMNS = [
 ]
 
 REPORT_PERCENTILES = (50, 90, 99)
+
+# The utilization-aware policy packs leftover budget by exhaustive subset
+# search when at most this many candidates remain, greedily otherwise.
+EXACT_SEARCH_LIMIT = 12
 
 
 class RequestState(Enum):
@@ -99,8 +102,6 @@ class SimConfig:
     token_budget: int = 4000
     overlap_alpha: float = 0.0
     allow_chunked_prefill: bool = True
-    idle_watts: Optional[float] = None
-    peak_watts: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.bandwidth_mode not in ("peak", "sustained"):
@@ -109,12 +110,6 @@ class SimConfig:
             raise SimulationError("token_budget must be >= 1")
         if not 0.0 <= self.overlap_alpha <= 1.0:
             raise SimulationError("overlap_alpha must be in [0, 1]")
-        if (
-            self.idle_watts is not None
-            and self.peak_watts is not None
-            and self.peak_watts < self.idle_watts
-        ):
-            raise SimulationError("peak_watts must be >= idle_watts")
 
 
 @dataclass(frozen=True)
@@ -200,6 +195,27 @@ class ScheduleCandidate:
 Selection = list[tuple[SimRequest, int]]
 
 
+def _continue_residents(
+    queue: Sequence[ScheduleCandidate], token_budget: int, allow_chunking: bool
+) -> tuple[Selection, int]:
+    """Continue partially-run residents in arrival order.
+
+    Returns their picks and the budget left for new admissions, which is 0
+    once a resident cannot be chunked into what is left.
+    """
+    picks: Selection = []
+    budget = token_budget
+    for cand in sorted((c for c in queue if c.resident), key=lambda c: c.arrival_key):
+        if budget <= 0:
+            break
+        n = min(cand.remaining, budget)
+        if n < cand.remaining and not allow_chunking:
+            return picks, 0
+        picks.append((cand.request, n))
+        budget -= n
+    return picks, budget
+
+
 def schedule_fifo(
     queue: Sequence[ScheduleCandidate],
     token_budget: int,
@@ -214,16 +230,7 @@ def schedule_fifo(
     request that does not fit VRAM stops the scan rather than being
     skipped.
     """
-    picks: Selection = []
-    budget = token_budget
-    for cand in sorted((c for c in queue if c.resident), key=lambda c: c.arrival_key):
-        if budget <= 0:
-            return picks
-        n = min(cand.remaining, budget)
-        if n < cand.remaining and not allow_chunking:
-            return picks
-        picks.append((cand.request, n))
-        budget -= n
+    picks, budget = _continue_residents(queue, token_budget, allow_chunking)
     free = vram_free_tokens
     for cand in sorted((c for c in queue if not c.resident), key=lambda c: c.arrival_key):
         if budget <= 0:
@@ -314,7 +321,6 @@ def schedule_utilization_aware(
     vram_free_tokens: float,
     aging: AgingCredits = AgingCredits(),
     allow_chunking: bool = True,
-    exact_search_limit: int = 12,
 ) -> Selection:
     """Token-budget-maximizing admission with aging credits.
 
@@ -324,17 +330,8 @@ def schedule_utilization_aware(
     exhaustive search when few are left, otherwise greedy largest-first,
     finally chunking one more request into any leftover budget.
     """
-    picks: Selection = []
-    budget = token_budget
+    picks, budget = _continue_residents(queue, token_budget, allow_chunking)
     free = vram_free_tokens
-    for cand in sorted((c for c in queue if c.resident), key=lambda c: c.arrival_key):
-        if budget <= 0:
-            return picks
-        n = min(cand.remaining, budget)
-        if n < cand.remaining and not allow_chunking:
-            return picks
-        picks.append((cand.request, n))
-        budget -= n
     pending = [c for c in queue if not c.resident and c.remaining > 0]
     credited = [c for c in pending if _credit(c, aging) > 0]
     credited.sort(key=lambda c: (-_credit(c, aging),) + c.arrival_key)
@@ -347,7 +344,7 @@ def schedule_utilization_aware(
             admitted.add(id(cand))
     rest = [c for c in pending if id(c) not in admitted]
     if budget > 0 and rest:
-        if len(rest) <= exact_search_limit:
+        if len(rest) <= EXACT_SEARCH_LIMIT:
             fill = _best_subset_fill(rest, budget, free, allow_chunking)
             picks.extend(fill)
         else:
@@ -368,13 +365,10 @@ def schedule_utilization_aware(
     return picks
 
 
-_POLICIES: dict[str, Callable] = {}
-
-
 def _policy_fn(name: str, aging: AgingCredits, chunking: bool):
     if name == "fifo":
         return lambda cands, budget, free: schedule_fifo(cands, budget, free, chunking)
-    if name in ("utilization", "utilization-aware", "ua"):
+    if name == "utilization":
         return lambda cands, budget, free: schedule_utilization_aware(
             cands, budget, free, aging, chunking
         )
@@ -402,27 +396,29 @@ def run_sim(
     alpha = config.overlap_alpha
     budget = config.token_budget
 
-    sim_requests: list[SimRequest] = []
-    prev = -math.inf
+    rejected: list[RejectedRequest] = []
+    accepted: list[SimRequest] = []
+    seen: set[str] = set()
+    prev = 0.0
     for i, rec in enumerate(requests):
         if rec.arrival_time is None:
             raise SimulationError(f"request '{rec.source_id}' has no arrival_time")
-        if rec.arrival_time < prev:
-            raise SimulationError("requests must be sorted by arrival time")
-        prev = rec.arrival_time
-        sim_requests.append(
-            SimRequest(
-                id=rec.source_id,
-                arrival_time=float(rec.arrival_time),
-                cached_tokens=rec.cached_tokens,
-                prefill_tokens=rec.prefill_tokens,
-                order=i,
+        if not (prev <= rec.arrival_time < math.inf):
+            raise SimulationError(
+                f"request '{rec.source_id}': arrival_time {rec.arrival_time!r} must be finite, "
+                f">= 0 and sorted (not before {prev!r})"
             )
+        if rec.source_id in seen:
+            raise SimulationError(f"duplicate source_id '{rec.source_id}'")
+        seen.add(rec.source_id)
+        prev = rec.arrival_time
+        r = SimRequest(
+            id=rec.source_id,
+            arrival_time=float(rec.arrival_time),
+            cached_tokens=rec.cached_tokens,
+            prefill_tokens=rec.prefill_tokens,
+            order=i,
         )
-
-    rejected: list[RejectedRequest] = []
-    accepted: list[SimRequest] = []
-    for r in sim_requests:
         if r.vram_tokens > capacity_tokens:
             r.state = RequestState.REJECTED
             rejected.append(RejectedRequest(id=r.id, vram_bytes=r.vram_tokens * b_kv))
@@ -431,20 +427,6 @@ def run_sim(
 
     iterations: list[IterationStats] = []
     ttfts: dict[str, float] = {}
-    if not accepted:
-        return SimReport(
-            iterations=[],
-            request_ttft={},
-            rejected=rejected,
-            mean_scheduled_tokens=0.0,
-            scheduled_token_percentiles={p: 0.0 for p in REPORT_PERCENTILES},
-            compute_busy_fraction=0.0,
-            transfer_busy_fraction=0.0,
-            simulated_seconds=0.0,
-            completed=0,
-            mean_power_watts=_maybe_power(config, 0.0),
-        )
-
     pending = list(accepted)  # consumed front to back
     head = 0
     xwait: list[SimRequest] = []
@@ -454,7 +436,7 @@ def run_sim(
     ready: list[SimRequest] = []
     partials: list[SimRequest] = []
     used_tokens = 0  # VRAM held, in token-equivalents
-    t = accepted[0].arrival_time
+    t = accepted[0].arrival_time if accepted else 0.0
     t_begin = t
     chan_active = 0.0
     compute_active = 0.0
@@ -521,27 +503,17 @@ def run_sim(
 
     while True:
         advance(t, 1.0)  # settle zero-time events at the boundary
-        candidates: list[ScheduleCandidate] = []
-        for r in partials:
-            candidates.append(
-                ScheduleCandidate(
-                    request=r,
-                    remaining=r.remaining_prefill,
-                    vram_tokens=r.vram_tokens,
-                    resident=True,
-                    wait_seconds=t - r.arrival_time,
-                )
+        candidates = [
+            ScheduleCandidate(
+                request=r,
+                remaining=r.remaining_prefill,
+                vram_tokens=r.vram_tokens,
+                resident=resident,
+                wait_seconds=t - r.arrival_time,
             )
-        for r in ready:
-            candidates.append(
-                ScheduleCandidate(
-                    request=r,
-                    remaining=r.remaining_prefill,
-                    vram_tokens=r.vram_tokens,
-                    resident=False,
-                    wait_seconds=t - r.arrival_time,
-                )
-            )
+            for group, resident in ((partials, True), (ready, False))
+            for r in group
+        ]
         selection: Selection = []
         if candidates:
             selection = select(candidates, budget, capacity_tokens - used_tokens)
@@ -627,16 +599,11 @@ def run_sim(
 
 
 def _maybe_power(config: SimConfig, busy_fraction: float) -> Optional[float]:
-    if config.idle_watts is None or config.peak_watts is None:
+    """Linear busy-fraction power: idle + (tdp - idle) * busy, if the platform rates both."""
+    hw = config.hardware
+    if hw.idle_watts is None or hw.tdp_watts is None:
         return None
-    return config.idle_watts + (config.peak_watts - config.idle_watts) * busy_fraction
-
-
-def power_proxy(report: SimReport, idle_watts: float, peak_watts: float) -> float:
-    """Linear busy-fraction power estimate: idle + (peak - idle) * busy."""
-    if peak_watts < idle_watts:
-        raise ValueError("peak_watts must be >= idle_watts")
-    return idle_watts + (peak_watts - idle_watts) * report.compute_busy_fraction
+    return hw.idle_watts + (hw.tdp_watts - hw.idle_watts) * busy_fraction
 
 
 @dataclass

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -237,13 +237,6 @@ FINQA_LIKE = StreamProfile(
 )
 
 PROFILES = {p.name: p for p in (SHAREGPT_LIKE, NARRATIVEQA_LIKE, FINQA_LIKE)}
-# Short aliases accepted by the CLI.
-PROFILE_ALIASES = {
-    "sharegpt": SHAREGPT_LIKE,
-    "narrativeqa": NARRATIVEQA_LIKE,
-    "finqa": FINQA_LIKE,
-    **PROFILES,
-}
 
 
 def synthesize_stream(
@@ -290,52 +283,6 @@ def synthesize_stream(
 
 # --- JSON Lines readers/writers -------------------------------------------
 
-def _parse_line(line: str, lineno: int, path: str):
-    try:
-        return json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise WorkloadError(f"{path}: line {lineno}: invalid JSON: {exc.msg}") from exc
-
-
-def read_conversations(path: str | Path) -> list[ConversationTrace]:
-    traces = []
-    for lineno, line in enumerate(_iter_lines(path), start=1):
-        obj = _parse_line(line, lineno, str(path))
-        try:
-            turns = tuple(
-                ConversationTurn(
-                    query_tokens=int(t["query_tokens"]),
-                    response_tokens=int(t.get("response_tokens", 0)),
-                )
-                for t in obj["turns"]
-            )
-            traces.append(ConversationTrace(conversation_id=str(obj["conversation_id"]), turns=turns))
-        except (KeyError, TypeError) as exc:
-            raise WorkloadError(f"{path}: line {lineno}: bad conversation object: {exc}") from exc
-        except WorkloadError as exc:
-            raise WorkloadError(f"{path}: line {lineno}: {exc}") from exc
-    return traces
-
-
-def read_documents(path: str | Path) -> list[DocumentTrace]:
-    traces = []
-    for lineno, line in enumerate(_iter_lines(path), start=1):
-        obj = _parse_line(line, lineno, str(path))
-        try:
-            traces.append(
-                DocumentTrace(
-                    doc_id=str(obj["doc_id"]),
-                    doc_tokens=int(obj["doc_tokens"]),
-                    question_tokens=tuple(int(q) for q in obj["question_tokens"]),
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            raise WorkloadError(f"{path}: line {lineno}: bad document object: {exc}") from exc
-        except WorkloadError as exc:
-            raise WorkloadError(f"{path}: line {lineno}: {exc}") from exc
-    return traces
-
-
 def _iter_lines(path: str | Path):
     try:
         text = Path(path).read_text()
@@ -344,6 +291,63 @@ def _iter_lines(path: str | Path):
     for line in text.splitlines():
         if line.strip():
             yield line
+
+
+def _read_jsonl(path: str | Path, what: str, build: Callable[[object], object]) -> list:
+    """Apply ``build`` to each non-blank line's JSON value, dropping ``None`` results.
+
+    Malformed JSON, missing keys, wrong types and bad values all surface as
+    ``WorkloadError("<path>: line N: ...")``.
+    """
+    out = []
+    for lineno, line in enumerate(_iter_lines(path), start=1):
+        try:
+            item = build(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise WorkloadError(f"{path}: line {lineno}: invalid JSON: {exc.msg}") from exc
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise WorkloadError(f"{path}: line {lineno}: bad {what}: {exc}") from exc
+        if item is not None:
+            out.append(item)
+    return out
+
+
+def _conversation(obj) -> ConversationTrace:
+    turns = tuple(
+        ConversationTurn(
+            query_tokens=int(t["query_tokens"]),
+            response_tokens=int(t.get("response_tokens", 0)),
+        )
+        for t in obj["turns"]
+    )
+    return ConversationTrace(conversation_id=str(obj["conversation_id"]), turns=turns)
+
+
+def _document(obj) -> DocumentTrace:
+    return DocumentTrace(
+        doc_id=str(obj["doc_id"]),
+        doc_tokens=int(obj["doc_tokens"]),
+        question_tokens=tuple(int(q) for q in obj["question_tokens"]),
+    )
+
+
+def _request(obj) -> Optional[RequestRecord]:
+    if "_manifest" in obj:
+        return None
+    return RequestRecord(
+        source_id=str(obj["source_id"]),
+        cached_tokens=int(obj["cached_tokens"]),
+        prefill_tokens=int(obj["prefill_tokens"]),
+        arrival_time=float(obj["arrival_time"]) if obj.get("arrival_time") is not None else None,
+    )
+
+
+def read_conversations(path: str | Path) -> list[ConversationTrace]:
+    return _read_jsonl(path, "conversation object", _conversation)
+
+
+def read_documents(path: str | Path) -> list[DocumentTrace]:
+    return _read_jsonl(path, "document object", _document)
 
 
 def record_to_dict(record: RequestRecord) -> dict:
@@ -369,22 +373,4 @@ def write_stream(records: Iterable[RequestRecord], path: str | Path, manifest: O
 
 def read_stream(path: str | Path) -> list[RequestRecord]:
     """Read a JSON Lines stream file, skipping any manifest line."""
-    records = []
-    for lineno, line in enumerate(_iter_lines(path), start=1):
-        obj = _parse_line(line, lineno, str(path))
-        if "_manifest" in obj:
-            continue
-        try:
-            records.append(
-                RequestRecord(
-                    source_id=str(obj["source_id"]),
-                    cached_tokens=int(obj["cached_tokens"]),
-                    prefill_tokens=int(obj["prefill_tokens"]),
-                    arrival_time=(
-                        float(obj["arrival_time"]) if obj.get("arrival_time") is not None else None
-                    ),
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            raise WorkloadError(f"{path}: line {lineno}: bad request record: {exc}") from exc
-    return records
+    return _read_jsonl(path, "request record", _request)

@@ -12,10 +12,8 @@ from kvroof.analytics import (
     kappa_model,
     max_concurrent,
     memory_bound,
-    pcie_overhead,
     sched_tokens,
     ttft,
-    utilization,
 )
 from kvroof.catalog import (
     HardwareSpec,
@@ -176,39 +174,39 @@ class TestTtft:
 
 class TestUtilizationAndOverhead:
     def test_no_offload(self):
-        assert utilization(RequestShape(0, 10), EXACT_MODEL, EXACT_HW) == 1.0
+        assert ttft(RequestShape(0, 10), EXACT_MODEL, EXACT_HW).utilization == 1.0
 
     def test_half_at_critical_ratio(self):
         shape = RequestShape(8, 2)  # ratio 4 == EXACT_KCRIT
         assert shape.kappa_ratio == EXACT_KCRIT == kappa_crit(EXACT_MODEL, EXACT_HW)
-        assert utilization(shape, EXACT_MODEL, EXACT_HW) == 0.5
-        assert pcie_overhead(shape, EXACT_MODEL, EXACT_HW) == 1.0
+        assert ttft(shape, EXACT_MODEL, EXACT_HW).utilization == 0.5
+        assert ttft(shape, EXACT_MODEL, EXACT_HW).pcie_overhead == 1.0
 
     def test_double_critical_ratio(self):
         shape = RequestShape(16, 2)
-        assert pcie_overhead(shape, EXACT_MODEL, EXACT_HW) == 2.0
+        assert ttft(shape, EXACT_MODEL, EXACT_HW).pcie_overhead == 2.0
 
     def test_qwen_65k_order_of_magnitude(self):
         # Empirical reference points: overhead near 86, utilization near 0.011
         # on real hardware. The ideal-compute model lands within one order of
         # magnitude; exact reproduction is out of scope.
         shape = RequestShape(65_536, 64)
-        poh = pcie_overhead(shape, M["Qwen3-235B-A22B"], H["H100-PCIe5-measured"])
-        u = utilization(shape, M["Qwen3-235B-A22B"], H["H100-PCIe5-measured"])
+        poh = ttft(shape, M["Qwen3-235B-A22B"], H["H100-PCIe5-measured"]).pcie_overhead
+        u = ttft(shape, M["Qwen3-235B-A22B"], H["H100-PCIe5-measured"]).utilization
         assert 86 / 10 <= poh <= 86 * 10
         assert 0.011 / 10 <= u <= 0.011 * 10
 
     @given(shape=rand_shape, model=rand_model, hw=rand_hw)
     @settings(max_examples=150, deadline=None)
     def test_overhead_identity(self, shape, model, hw):
-        poh = pcie_overhead(shape, model, hw)
+        poh = ttft(shape, model, hw).pcie_overhead
         assert poh == pytest.approx(shape.kappa_ratio / kappa_crit(model, hw), rel=1e-9)
 
     @given(shape=rand_shape, model=rand_model, hw=rand_hw)
     @settings(max_examples=150, deadline=None)
     def test_utilization_identity(self, shape, model, hw):
-        u = utilization(shape, model, hw)
-        poh = pcie_overhead(shape, model, hw)
+        u = ttft(shape, model, hw).utilization
+        poh = ttft(shape, model, hw).pcie_overhead
         assert u == pytest.approx(1.0 / (1.0 + poh), rel=1e-9)
 
     @given(shape=rand_shape, model=rand_model, hw=rand_hw)

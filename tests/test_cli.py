@@ -1,11 +1,16 @@
 import csv
 import json
+import math
+import os
 import shutil
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import kvroof
 from kvroof.analytics import kappa_crit, kappa_hw, kappa_model
 from kvroof.catalog import by_name, default_catalog, serialize_catalog
 from kvroof.cli import EXIT_DATA, EXIT_OK, main
@@ -313,3 +318,65 @@ class TestCatalogSelection:
         assert code == EXIT_OK
         rows = [line for line in out.splitlines() if line and not line.startswith(("#", "model"))]
         assert len(rows) == 6
+
+
+PLATFORM = {"model": "Qwen3-30B-A3B", "hardware": "Unified-HBM"}
+GOOD_LINE = '{"source_id": "a", "cached_tokens": 10, "prefill_tokens": 5, "arrival_time": 0.0}\n'
+INLINE_HW = {"name": "x", "compute_throughput": 1e15, "link_bandwidth_peak": 1e11,
+             "vram_effective": 1e10, "bogus": 1}
+
+# (config, input text, command kind): each must be refused with exit 3.
+BAD_INPUTS = {
+    "non-numeric token_budget": ({**PLATFORM, "token_budget": "lots"}, GOOD_LINE, "simulate"),
+    "typo key": ({**PLATFORM, "tokn_budget": 100}, GOOD_LINE, "simulate"),
+    "power block": ({**PLATFORM, "power": {"idle_watts": 1, "peak_watts": 2}}, GOOD_LINE, "simulate"),
+    "inline hardware unknown field": ({**PLATFORM, "hardware": INLINE_HW}, GOOD_LINE, "simulate"),
+    "non-integer cached_tokens": (
+        PLATFORM,
+        '{"source_id": "a", "cached_tokens": "abc", "prefill_tokens": 5, "arrival_time": 0.0}\n',
+        "simulate",
+    ),
+    "non-integer query_tokens": (None, '{"conversation_id": "c", "turns": [{"query_tokens": "x"}]}\n', "analyze"),
+    "NaN arrival": (
+        PLATFORM,
+        GOOD_LINE + '{"source_id": "b", "cached_tokens": 10, "prefill_tokens": 5, "arrival_time": NaN}\n',
+        "simulate",
+    ),
+    "infinite arrival": (
+        PLATFORM,
+        GOOD_LINE + '{"source_id": "b", "cached_tokens": 10, "prefill_tokens": 5, "arrival_time": Infinity}\n',
+        "simulate",
+    ),
+    "duplicate id": (PLATFORM, GOOD_LINE + GOOD_LINE, "simulate"),
+    "output directory is a file": (PLATFORM, GOOD_LINE, "simulate into a file"),
+    "non-object config root": ([PLATFORM], GOOD_LINE, "simulate"),
+    "non-numeric vram_effective": ({**PLATFORM, "vram_effective": "big"}, GOOD_LINE, "simulate"),
+    "infinite token_budget": ({**PLATFORM, "token_budget": math.inf}, GOOD_LINE, "simulate"),
+    "string allow_chunked_prefill": ({**PLATFORM, "allow_chunked_prefill": "false"}, GOOD_LINE, "simulate"),
+}
+
+
+class TestErrorContract:
+    """Bad input exits 3 with an ``error:`` line, never a traceback or a hang."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_bad_input_exits_3(self, tmp_path, case):
+        config, text, kind = BAD_INPUTS[case]
+        data = tmp_path / "input.jsonl"
+        data.write_text(text)
+        if kind == "analyze":
+            args = ["analyze", str(data), "--kind", "conversation"]
+        else:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            if kind == "simulate into a file":
+                (tmp_path / "out").write_text("")
+            args = ["simulate", "--config", "config.json", "--stream", str(data), "--out", "out"]
+        src = str(Path(kvroof.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "kvroof.cli", *args],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == EXIT_DATA, proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr + proc.stdout

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -13,7 +14,6 @@ from kvroof.simulator import (
     SimConfig,
     SimRequest,
     compare_policies,
-    power_proxy,
     run_sim,
     schedule_fifo,
     schedule_utilization_aware,
@@ -325,6 +325,17 @@ class TestRunSimInvariants:
         with pytest.raises(SimulationError):
             run_sim(unit_config(), stream, "fifo")
 
+    def test_negative_arrival_rejected(self):
+        # NaN and infinite arrivals once hung the loop; tests/test_cli.py
+        # checks them in a subprocess under a timeout.
+        with pytest.raises(SimulationError, match="'a'"):
+            run_sim(unit_config(), [RequestRecord("a", 1, 1, arrival_time=-1.0)], "fifo")
+
+    def test_duplicate_source_id_rejected(self):
+        stream = [RequestRecord("a", 1, 1, arrival_time=0.0), RequestRecord("a", 2, 1, arrival_time=1.0)]
+        with pytest.raises(SimulationError, match="duplicate source_id 'a'"):
+            run_sim(unit_config(), stream, "fifo")
+
     def test_missing_arrival_rejected(self):
         with pytest.raises(SimulationError):
             run_sim(unit_config(), [RequestRecord("a", 1, 1)], "fifo")
@@ -425,33 +436,46 @@ class TestTransferChannel:
         assert slow.compute_busy_fraction < fast.compute_busy_fraction
 
 
+def powered_config(idle_watts, tdp_watts):
+    hw = dataclasses.replace(UNIT_HW, idle_watts=idle_watts, tdp_watts=tdp_watts)
+    return SimConfig(model=UNIT_MODEL, hardware=hw, bandwidth_mode="peak", token_budget=5)
+
+
 class TestPowerProxy:
+    """The report's power figure: idle + (tdp - idle) * compute_busy_fraction."""
+
     def test_endpoints_and_midpoint(self):
-        report = run_sim(unit_config(), FOUR_REQUESTS, "fifo")
-        assert power_proxy(report, 100.0, 100.0) == 100.0
-        idle_report = run_sim(unit_config(), [], "fifo")
-        assert power_proxy(idle_report, 100.0, 700.0) == 100.0
+        report = run_sim(powered_config(100.0, 100.0), FOUR_REQUESTS, "fifo")
+        assert report.mean_power_watts == 100.0
+        idle_report = run_sim(powered_config(100.0, 700.0), [], "fifo")
+        assert idle_report.mean_power_watts == 100.0
 
     def test_linear_interpolation(self):
-        report = run_sim(unit_config(), [], "fifo")
-        report.compute_busy_fraction = 0.25
-        assert power_proxy(report, 100.0, 700.0) == 250.0
+        # one token per second: busy [0, 1] and [7, 8] over an 8 s span
+        stream = [RequestRecord("a", 0, 1, arrival_time=0.0), RequestRecord("b", 0, 1, arrival_time=7.0)]
+        report = run_sim(powered_config(100.0, 700.0), stream, "fifo")
+        assert report.compute_busy_fraction == 0.25
+        assert report.mean_power_watts == 250.0
 
     def test_peak_below_idle_rejected(self):
-        report = run_sim(unit_config(), [], "fifo")
         with pytest.raises(ValueError):
-            power_proxy(report, 200.0, 100.0)
+            powered_config(200.0, 100.0)
 
     def test_configured_power_in_report(self):
-        config = SimConfig(
-            model=UNIT_MODEL,
-            hardware=UNIT_HW,
-            bandwidth_mode="peak",
-            token_budget=5,
-            idle_watts=100.0,
-            peak_watts=700.0,
-        )
+        config = powered_config(100.0, 700.0)
         report = run_sim(config, FOUR_REQUESTS, "fifo")
         assert report.mean_power_watts == pytest.approx(
             100.0 + 600.0 * report.compute_busy_fraction
         )
+
+    def test_catalog_platform_power_and_inline_none(self):
+        stream = [RequestRecord(f"q{i}", 4000, 64, arrival_time=0.01 * i) for i in range(20)]
+        hw = H["Unified-HBM"]
+        report = run_sim(SimConfig(model=M["Qwen3-30B-A3B"], hardware=hw), stream, "fifo")
+        assert 0 < report.compute_busy_fraction < 1
+        assert report.mean_power_watts == (
+            hw.idle_watts + (hw.tdp_watts - hw.idle_watts) * report.compute_busy_fraction
+        )
+        inline = dataclasses.replace(hw, idle_watts=None, tdp_watts=None)
+        report = run_sim(SimConfig(model=M["Qwen3-30B-A3B"], hardware=inline), stream, "fifo")
+        assert report.mean_power_watts is None

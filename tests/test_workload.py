@@ -240,3 +240,25 @@ class TestJsonLines:
         path.write_text('{"doc_id": "d", "doc_tokens": 1, "question_tokens": [1]}\n{oops\n')
         with pytest.raises(WorkloadError, match="line 2"):
             read_documents(path)
+
+    @pytest.mark.parametrize(
+        "reader, bad_line",
+        [
+            (read_stream, '{"source_id": "a", "cached_tokens": "abc", "prefill_tokens": 1}'),
+            (read_stream, '{"source_id": "a", "cached_tokens": Infinity, "prefill_tokens": 1}'),
+            (read_stream, '[1, 2]'),
+            (read_conversations, '{"conversation_id": "c", "turns": [{"query_tokens": "x"}]}'),
+            (read_conversations, '{"conversation_id": "c", "turns": [{"query_tokens": 0}]}'),
+            (read_documents, '{"doc_id": "d", "doc_tokens": 5, "question_tokens": ["q"]}'),
+        ],
+    )
+    def test_bad_values_report_line_number(self, tmp_path, reader, bad_line):
+        good = {
+            read_stream: '{"source_id": "ok", "cached_tokens": 1, "prefill_tokens": 1}',
+            read_conversations: '{"conversation_id": "ok", "turns": [{"query_tokens": 1}]}',
+            read_documents: '{"doc_id": "ok", "doc_tokens": 5, "question_tokens": [1]}',
+        }[reader]
+        path = tmp_path / "bad.jsonl"
+        path.write_text(good + "\n" + bad_line + "\n")
+        with pytest.raises(WorkloadError, match="bad.jsonl: line 2: "):
+            reader(path)
