@@ -139,6 +139,23 @@ def test_simulate_fifo_synth_stream(tmp_path, capsys):
     check("simulate-fifo", digests_of(tmp_path, ["report.json", "iterations.csv"], stdout))
 
 
+def test_simulate_compare_throttled_link_no_chunking(tmp_path, capsys):
+    # A finite link kept busy, chunking off and the utilization policy on a
+    # catalog platform: a case the two tests above do not reach.
+    stream = tmp_path / "stream.jsonl"
+    run(["synth", "--profile", "sharegpt", "--rps", "300", "--duration", "2", "--seed", "5",
+         "--out", str(stream)], capsys)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": "Qwen3-235B-A22B", "hardware": "H100-PCIe5-measured",
+                                  "bandwidth_mode": "peak", "overlap_alpha": 0.5,
+                                  "allow_chunked_prefill": False}))
+    stdout = run(["simulate", "--config", str(config), "--stream", str(stream),
+                  "--compare", "--out", str(tmp_path)], capsys)
+    files = ["comparison.json", "report_fifo.json", "report_utilization.json",
+             "iterations_fifo.csv", "iterations_utilization.csv"]
+    check("simulate-compare-throttled", digests_of(tmp_path, files, stdout))
+
+
 GOLDEN = {
     "kappa": {
         "kappa.csv": "6b01c5e9ef7d988be69f8be312c769443e86a1191e07b07cfbb372a6c886ba0f",
@@ -176,5 +193,13 @@ GOLDEN = {
         "iterations.csv": "82de3cb2e69e7706a82f988427470adde956473d2093e5b027de2ad512c4d7d7",
         "report.json": "55383be2206160b4fbd754d8991faac3c791c4d7db5d5fcfcc58d25cfb16c0f7",
         "stdout": "f77a7e843795b3028e5a2dc7ffd9ad461d59754a768495ec7cee72a491dea70f",
+    },
+    "simulate-compare-throttled": {
+        "comparison.json": "c11200127a94a4a9916434c471bd5dfdf01b4330baf6706f7ce7f15f5bece2b2",
+        "iterations_fifo.csv": "40117108dd4dad1ec3ce63bc0c41a49ecf43fdf60f814bef7e4ead86ec55881e",
+        "iterations_utilization.csv": "40117108dd4dad1ec3ce63bc0c41a49ecf43fdf60f814bef7e4ead86ec55881e",
+        "report_fifo.json": "22482ec5aa32d63b2fe7a0716766ceb59deb8107e3bac04407f7966f000a39ee",
+        "report_utilization.json": "22482ec5aa32d63b2fe7a0716766ceb59deb8107e3bac04407f7966f000a39ee",
+        "stdout": "0ea8d89c878ba44c624605c879f4b104725a810ba17d3b7c6f43895e31c205f7",
     },
 }
