@@ -48,7 +48,6 @@ from .simulator import (
     AgingCredits,
     IterationStats,
     PolicyComparison,
-    RequestState,
     ScheduleCandidate,
     SimConfig,
     SimReport,

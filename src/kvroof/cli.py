@@ -5,10 +5,14 @@ sweeps), ``analyze`` (trace expansion and distribution summaries), ``synth``
 (synthetic timed streams), ``simulate`` (scheduler simulation and policy
 comparison).
 
+Every subcommand takes ``--catalog``. Only ``kappa`` and ``roofline`` take
+``--bandwidth`` (``simulate`` reads ``bandwidth_mode`` from its config),
+and only ``synth`` takes ``--seed``; the simulator draws no random numbers.
+
 Every output carries a manifest block recording the tool version, command
-line, catalog hash, and seed, so re-running with the recorded inputs
-reproduces byte-identical files. Internals are SI units; tables display
-KB/GFLOP and GFLOP/KB unless ``--si`` is given.
+line, catalog hash, and the seed where there is one, so re-running with the
+recorded inputs reproduces byte-identical files. Internals are SI units;
+tables display KB/GFLOP and GFLOP/KB unless ``--si`` is given.
 
 ``simulate --config`` takes a JSON object with these keys; any other key is
 a data error:
@@ -338,19 +342,20 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"kvroof {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, seed: bool = False) -> None:
+    def common(p: argparse.ArgumentParser, bandwidth: bool = False, seed: bool = False) -> None:
         p.add_argument("--catalog", help=f"catalog JSON path (default: ${ENV_CATALOG} or bundled)")
-        p.add_argument(
-            "--bandwidth",
-            choices=("peak", "sustained"),
-            default="sustained",
-            help="which link bandwidth figure to use (default: sustained)",
-        )
+        if bandwidth:
+            p.add_argument(
+                "--bandwidth",
+                choices=("peak", "sustained"),
+                default="sustained",
+                help="which link bandwidth figure to use (default: sustained)",
+            )
         if seed:
             p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
 
     p = sub.add_parser("kappa", help="print model/hardware/critical ratio tables")
-    common(p)
+    common(p, bandwidth=True)
     p.add_argument("--models", default="all", help="comma-separated model names (default: all)")
     p.add_argument("--hw", default="all", help="comma-separated hardware names (default: all)")
     p.add_argument("--si", action="store_true", help="print raw byte/FLOP values instead of KB/GFLOP")
@@ -358,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_kappa)
 
     p = sub.add_parser("roofline", help="write roofline sweep CSV over the K/T ratio")
-    common(p)
+    common(p, bandwidth=True)
     p.add_argument("--model", required=True, help="model name")
     p.add_argument("--hw", default="all", help="comma-separated hardware names (default: all)")
     p.add_argument("--kappa-min", type=float, default=0.1)
@@ -387,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("simulate", help="run the iteration-level scheduler simulation")
-    common(p, seed=True)
+    common(p)
     p.add_argument("--config", required=True, help="simulation config JSON")
     p.add_argument("--stream", required=True, help="JSON Lines stream file")
     p.add_argument("--policy", choices=("fifo", "utilization"), default="fifo")

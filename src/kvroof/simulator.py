@@ -10,16 +10,26 @@ The simulated system has three coupled resources:
 * the accelerator, which runs batched iterations: compute seconds =
   scheduled_tokens * flops_per_token / compute_throughput.
 
-Event-loop semantics: arrivals enqueue (requests with no cached tokens are
-ready immediately); at each iteration boundary the policy selects ready or
-partially-run requests subject to the per-iteration token budget and free
-VRAM; iteration boundaries are compute-synchronous, so transfers completing
-mid-iteration mark requests ready for the next boundary. ``overlap_alpha``
-throttles the channel while compute is active: 0 freezes transfers during
-compute (fully serialized resources), 1 lets them proceed at full rate.
-When nothing is schedulable, time skips to the next arrival or transfer
-completion. Requests whose footprint exceeds the whole pool are rejected at
-admission and reported.
+A request's state is where it is. An accepted request is in exactly one
+place: not yet arrived, waiting for the channel, on the channel, ready,
+resident (admitted and holding VRAM until its prefill finishes), or
+finished. Arrivals with no cached tokens are ready at once. At each
+iteration boundary the policy selects residents and ready requests subject
+to the per-iteration token budget and free VRAM. Boundaries are
+compute-synchronous, so a transfer that completes mid-iteration makes its
+request ready for the next boundary. When nothing is schedulable, time skips
+to the next arrival or transfer completion.
+
+``overlap_alpha`` throttles the channel while compute is active: 0 freezes
+transfers during compute (fully serialized resources), 1 lets them proceed
+at full rate. It overlaps one request's transfer with other requests'
+compute only, never with its own: a request is not ready until its whole
+cache is on the device, so a lone request's TTFT is the closed form's at
+alpha 0 whatever alpha is.
+
+Requests whose footprint exceeds the whole pool are rejected at admission
+and reported. With chunked prefill off, an accepted request whose T exceeds
+the token budget could never be scheduled, so the run fails at once.
 
 VRAM is accounted in integer token-equivalents (K + T per request) so that
 pool arithmetic is exact; byte figures in reports are scaled back through
@@ -32,8 +42,9 @@ identical reports. Independent simulations may run concurrently.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
+from functools import partial
 from typing import Optional, Sequence
 
 from .catalog import HardwareSpec, ModelSpec, flops_per_token, kv_bytes_per_token
@@ -57,15 +68,6 @@ REPORT_PERCENTILES = (50, 90, 99)
 EXACT_SEARCH_LIMIT = 12
 
 
-class RequestState(Enum):
-    QUEUED = "queued"
-    TRANSFERRING = "transferring"
-    READY = "ready"
-    RUNNING = "running"
-    DONE = "done"
-    REJECTED = "rejected"
-
-
 @dataclass
 class SimRequest:
     id: str
@@ -73,10 +75,7 @@ class SimRequest:
     cached_tokens: int
     prefill_tokens: int
     order: int = 0
-    state: RequestState = RequestState.QUEUED
     remaining_prefill: int = field(init=False)
-    ready_time: Optional[float] = None
-    ttft: Optional[float] = None
 
     def __post_init__(self) -> None:
         self.remaining_prefill = self.prefill_tokens
@@ -367,11 +366,9 @@ def schedule_utilization_aware(
 
 def _policy_fn(name: str, aging: AgingCredits, chunking: bool):
     if name == "fifo":
-        return lambda cands, budget, free: schedule_fifo(cands, budget, free, chunking)
+        return partial(schedule_fifo, allow_chunking=chunking)
     if name == "utilization":
-        return lambda cands, budget, free: schedule_utilization_aware(
-            cands, budget, free, aging, chunking
-        )
+        return partial(schedule_utilization_aware, aging=aging, allow_chunking=chunking)
     raise SimulationError(f"unknown policy '{name}' (expected 'fifo' or 'utilization')")
 
 
@@ -386,14 +383,12 @@ def run_sim(
     ``requests`` must be sorted by arrival time and carry arrival times.
     """
     select = _policy_fn(policy, aging, config.allow_chunked_prefill)
-    model = config.model
     hw = config.hardware
-    b_kv = kv_bytes_per_token(model)
-    f_pf = flops_per_token(model)
+    b_kv = kv_bytes_per_token(config.model)
+    f_pf = flops_per_token(config.model)
     bw = hw.bandwidth(config.bandwidth_mode == "sustained")
     c_eff = hw.compute_throughput
     capacity_tokens = hw.vram_effective / b_kv
-    alpha = config.overlap_alpha
     budget = config.token_budget
 
     rejected: list[RejectedRequest] = []
@@ -412,84 +407,62 @@ def run_sim(
             raise SimulationError(f"duplicate source_id '{rec.source_id}'")
         seen.add(rec.source_id)
         prev = rec.arrival_time
-        r = SimRequest(
-            id=rec.source_id,
-            arrival_time=float(rec.arrival_time),
-            cached_tokens=rec.cached_tokens,
-            prefill_tokens=rec.prefill_tokens,
-            order=i,
-        )
+        r = SimRequest(rec.source_id, float(rec.arrival_time), rec.cached_tokens, rec.prefill_tokens, order=i)
         if r.vram_tokens > capacity_tokens:
-            r.state = RequestState.REJECTED
             rejected.append(RejectedRequest(id=r.id, vram_bytes=r.vram_tokens * b_kv))
-        else:
-            accepted.append(r)
+            continue
+        if r.prefill_tokens > budget and not config.allow_chunked_prefill:
+            raise SimulationError(
+                f"request '{r.id}': prefill_tokens {r.prefill_tokens} exceed token_budget {budget}, "
+                f"and chunked prefill is off"
+            )
+        accepted.append(r)
 
+    # Where each request is (see the module docstring): accepted[head:],
+    # waiting, chan_req, ready, residents, ttfts. ready and residents keep
+    # entry order, which the policies see as candidate order.
     iterations: list[IterationStats] = []
     ttfts: dict[str, float] = {}
-    pending = list(accepted)  # consumed front to back
     head = 0
-    xwait: list[SimRequest] = []
-    xhead = 0
+    waiting: deque[SimRequest] = deque()
     chan_req: Optional[SimRequest] = None
-    chan_left = 0.0
-    ready: list[SimRequest] = []
-    partials: list[SimRequest] = []
-    used_tokens = 0  # VRAM held, in token-equivalents
+    chan_left = 0.0  # bytes still to move for chan_req
+    ready: dict[int, SimRequest] = {}
+    residents: dict[int, SimRequest] = {}
+    used_tokens = 0  # VRAM held by residents, in token-equivalents
     t = accepted[0].arrival_time if accepted else 0.0
     t_begin = t
     chan_active = 0.0
     compute_active = 0.0
 
-    def ingest_arrivals(now: float) -> None:
-        nonlocal head
-        while head < len(pending) and pending[head].arrival_time <= now:
-            r = pending[head]
-            head += 1
-            if r.cached_tokens == 0:
-                r.state = RequestState.READY
-                r.ready_time = r.arrival_time
-                ready.append(r)
-            else:
-                xwait.append(r)
+    def next_events(rate: float) -> tuple[float, float]:
+        """The next arrival time, and when the transfer on the channel ends at ``rate``."""
+        t_arr = accepted[head].arrival_time if head < len(accepted) else math.inf
+        if chan_req is None or rate == 0:
+            return t_arr, math.inf
+        return t_arr, t + chan_left / (bw * rate)
 
     def advance(until: float, rate: float) -> None:
-        """Move time forward, progressing arrivals and the transfer channel.
-
-        ``rate`` scales channel speed (0 freezes it, used while compute is
-        active with overlap_alpha = 0).
-        """
-        nonlocal t, chan_req, chan_left, chan_active, xhead
+        """Move time to ``until``, taking in arrivals and running the channel at ``rate``."""
+        nonlocal t, head, chan_req, chan_left, chan_active
         while True:
-            ingest_arrivals(t)
-            if chan_req is None and xhead < len(xwait):
-                chan_req = xwait[xhead]
-                xhead += 1
-                chan_req.state = RequestState.TRANSFERRING
+            while head < len(accepted) and accepted[head].arrival_time <= t:
+                r = accepted[head]
+                head += 1
+                if r.cached_tokens == 0:
+                    ready[r.order] = r
+                else:
+                    waiting.append(r)
+            if chan_req is None and waiting:
+                chan_req = waiting.popleft()
                 chan_left = chan_req.cached_tokens * b_kv
-            if chan_req is not None and rate > 0 and (math.isinf(bw) or chan_left <= 0.0):
-                chan_req.state = RequestState.READY
-                chan_req.ready_time = t
-                ready.append(chan_req)
+            t_arr, t_done = next_events(rate)
+            if t_done <= t:  # instant on an infinite link, or too little left to move the clock
+                ready[chan_req.order] = chan_req
                 chan_req = None
-                chan_left = 0.0
                 continue
-            t_arr = pending[head].arrival_time if head < len(pending) else math.inf
-            t_done = (
-                t + chan_left / (bw * rate)
-                if (chan_req is not None and rate > 0)
-                else math.inf
-            )
             nxt = min(until, t_arr, t_done)
             if nxt <= t:
-                if nxt == t and (t_arr == t or t_done == t):
-                    # zero-length step with an event exactly at t
-                    if t_done == t and chan_req is not None:
-                        chan_left = 0.0
-                        continue
-                    if t_arr == t:
-                        ingest_arrivals(t)
-                        continue
                 break
             if chan_req is not None and rate > 0:
                 if nxt == t_done:
@@ -498,81 +471,48 @@ def run_sim(
                     chan_left -= (nxt - t) * bw * rate
                 chan_active += nxt - t
             t = nxt
-            if t >= until and t_arr > until and t_done > until:
-                break
 
     while True:
         advance(t, 1.0)  # settle zero-time events at the boundary
         candidates = [
-            ScheduleCandidate(
-                request=r,
-                remaining=r.remaining_prefill,
-                vram_tokens=r.vram_tokens,
-                resident=resident,
-                wait_seconds=t - r.arrival_time,
-            )
-            for group, resident in ((partials, True), (ready, False))
-            for r in group
+            ScheduleCandidate(r, r.remaining_prefill, r.vram_tokens, resident, t - r.arrival_time)
+            for group, resident in ((residents, True), (ready, False))
+            for r in group.values()
         ]
-        selection: Selection = []
-        if candidates:
-            selection = select(candidates, budget, capacity_tokens - used_tokens)
-        if selection:
-            depth = (
-                len(ready)
-                + (len(xwait) - xhead)
-                + (1 if chan_req is not None else 0)
-            )
-            for r, _ in selection:
-                if r.state is RequestState.READY:
-                    r.state = RequestState.RUNNING
-                    used_tokens += r.vram_tokens
-            ready = [r for r in ready if r.state is RequestState.READY]
-            sched = sum(n for _, n in selection)
-            duration = sched * f_pf / c_eff
-            t_start = t
-            t_end = t + duration
-            advance(t_end, alpha)
-            t = t_end
-            iterations.append(
-                IterationStats(
-                    index=len(iterations),
-                    t_start=t_start,
-                    t_end=t_end,
-                    scheduled_tokens=sched,
-                    vram_used=used_tokens * b_kv,
-                    busy=True,
-                    queue_depth=depth,
-                )
-            )
-            compute_active += duration
-            for r, n in selection:
-                r.remaining_prefill -= n
-                if r.remaining_prefill < 0:
-                    raise SimulationError(f"policy over-scheduled request '{r.id}'")
-                if r.remaining_prefill == 0:
-                    r.state = RequestState.DONE
-                    r.ttft = t_end - r.arrival_time
-                    ttfts[r.id] = r.ttft
-                    used_tokens -= r.vram_tokens
-                    if r in partials:
-                        partials.remove(r)
-                elif r not in partials:
-                    partials.append(r)
+        selection = select(candidates, budget, capacity_tokens - used_tokens) if candidates else []
+        if not selection:
+            # Nothing schedulable: jump to the next event, at full channel rate.
+            nxt = min(next_events(1.0))
+            if math.isinf(nxt):
+                break
+            advance(nxt, 1.0)
             continue
-        # Nothing schedulable: jump to the next event, at full channel rate.
-        t_arr = pending[head].arrival_time if head < len(pending) else math.inf
-        t_done = (t + chan_left / bw) if chan_req is not None else math.inf
-        nxt = min(t_arr, t_done)
-        if math.isinf(nxt):
-            break
-        advance(nxt, 1.0)
+        depth = len(ready) + len(waiting) + (chan_req is not None)
+        for r, _ in selection:
+            if ready.pop(r.order, None) is not None:
+                residents[r.order] = r
+                used_tokens += r.vram_tokens
+        sched = sum(n for _, n in selection)
+        duration = sched * f_pf / c_eff
+        iterations.append(IterationStats(
+            index=len(iterations), t_start=t, t_end=t + duration, scheduled_tokens=sched,
+            vram_used=used_tokens * b_kv, busy=True, queue_depth=depth,
+        ))
+        compute_active += duration
+        advance(t + duration, config.overlap_alpha)  # leaves t at the iteration's end
+        for r, n in selection:
+            r.remaining_prefill -= n
+            if r.remaining_prefill < 0:
+                raise SimulationError(f"policy over-scheduled request '{r.id}'")
+            if r.remaining_prefill == 0:
+                del residents[r.order]
+                used_tokens -= r.vram_tokens
+                ttfts[r.id] = t - r.arrival_time
 
-    incomplete = [r for r in accepted if r.state is not RequestState.DONE]
-    if incomplete:
+    if len(ttfts) < len(accepted):
+        first = next(r.id for r in accepted if r.id not in ttfts)
         raise SimulationError(
-            f"simulation ended with {len(incomplete)} unfinished request(s); "
-            f"first: '{incomplete[0].id}' in state {incomplete[0].state.value}"
+            f"simulation ended with {len(accepted) - len(ttfts)} unfinished request(s); first: '{first}'"
         )
 
     span = t - t_begin
@@ -582,7 +522,8 @@ def run_sim(
         p: (nearest_rank_percentile(sched_values, p) if sched_values else 0.0)
         for p in REPORT_PERCENTILES
     }
-    compute_busy = compute_active / span if span > 0 else (1.0 if compute_active > 0 else 0.0)
+    # min: the sum of iteration durations can round above the clock span
+    compute_busy = min(1.0, compute_active / span) if span > 0 else (1.0 if compute_active > 0 else 0.0)
     transfer_busy = chan_active / span if span > 0 else 0.0
     return SimReport(
         iterations=iterations,
@@ -649,9 +590,8 @@ def compare_policies(
         raise SimulationError("need at least one policy")
     reports = [(p, run_sim(config, requests, p, aging)) for p in policies]
     base = reports[0][1].request_ttft
-    deltas = []
-    for name, rep in reports[1:]:
-        deltas.append(
-            (name, {rid: rep.request_ttft[rid] - base[rid] for rid in rep.request_ttft if rid in base})
-        )
+    deltas = [
+        (name, {rid: rep.request_ttft[rid] - base[rid] for rid in rep.request_ttft if rid in base})
+        for name, rep in reports[1:]
+    ]
     return PolicyComparison(reports=reports, ttft_deltas=deltas)

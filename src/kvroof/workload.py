@@ -312,11 +312,19 @@ def _read_jsonl(path: str | Path, what: str, build: Callable[[object], object]) 
     return out
 
 
+def _tokens(value) -> int:
+    """A token count read from JSON: a whole number, never truncated."""
+    n = int(value)
+    if n != value or isinstance(value, bool):
+        raise WorkloadError(f"token count {value!r} is not a whole number")
+    return n
+
+
 def _conversation(obj) -> ConversationTrace:
     turns = tuple(
         ConversationTurn(
-            query_tokens=int(t["query_tokens"]),
-            response_tokens=int(t.get("response_tokens", 0)),
+            query_tokens=_tokens(t["query_tokens"]),
+            response_tokens=_tokens(t.get("response_tokens", 0)),
         )
         for t in obj["turns"]
     )
@@ -326,8 +334,8 @@ def _conversation(obj) -> ConversationTrace:
 def _document(obj) -> DocumentTrace:
     return DocumentTrace(
         doc_id=str(obj["doc_id"]),
-        doc_tokens=int(obj["doc_tokens"]),
-        question_tokens=tuple(int(q) for q in obj["question_tokens"]),
+        doc_tokens=_tokens(obj["doc_tokens"]),
+        question_tokens=tuple(_tokens(q) for q in obj["question_tokens"]),
     )
 
 
@@ -336,8 +344,8 @@ def _request(obj) -> Optional[RequestRecord]:
         return None
     return RequestRecord(
         source_id=str(obj["source_id"]),
-        cached_tokens=int(obj["cached_tokens"]),
-        prefill_tokens=int(obj["prefill_tokens"]),
+        cached_tokens=_tokens(obj["cached_tokens"]),
+        prefill_tokens=_tokens(obj["prefill_tokens"]),
         arrival_time=float(obj["arrival_time"]) if obj.get("arrival_time") is not None else None,
     )
 

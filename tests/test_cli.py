@@ -299,6 +299,25 @@ class TestSimulateCommand:
         assert "NoSuchModel" in err
 
 
+class TestOptionsPerCommand:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--bandwidth", "peak", "--config", "c.json", "--stream", "s.jsonl", "--out", "o"],
+            ["simulate", "--seed", "1", "--config", "c.json", "--stream", "s.jsonl", "--out", "o"],
+            ["synth", "--bandwidth", "peak", "--rps", "1", "--duration", "1", "--out", "s.jsonl"],
+            ["analyze", "--bandwidth", "peak", "t.jsonl", "--kind", "document"],
+        ],
+        ids=["simulate-bandwidth", "simulate-seed", "synth-bandwidth", "analyze-bandwidth"],
+    )
+    def test_option_nothing_reads_is_usage_error(self, args, capsys):
+        # simulate takes its bandwidth from the config's bandwidth_mode
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestCatalogSelection:
     def test_env_var_catalog(self, tmp_path, capsys, monkeypatch):
         models, hardware = default_catalog()
@@ -334,6 +353,11 @@ BAD_INPUTS = {
     "non-integer cached_tokens": (
         PLATFORM,
         '{"source_id": "a", "cached_tokens": "abc", "prefill_tokens": 5, "arrival_time": 0.0}\n',
+        "simulate",
+    ),
+    "fractional cached_tokens": (
+        PLATFORM,
+        '{"source_id": "a", "cached_tokens": 1.9, "prefill_tokens": 5, "arrival_time": 0.0}\n',
         "simulate",
     ),
     "non-integer query_tokens": (None, '{"conversation_id": "c", "turns": [{"query_tokens": "x"}]}\n', "analyze"),

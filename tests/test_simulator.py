@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kvroof.analytics import RequestShape, ttft
 from kvroof.catalog import HardwareSpec, ModelSpec, by_name, default_catalog, kv_bytes_per_token
@@ -272,14 +274,23 @@ class TestRunSimInvariants:
             starts = [s.t_start for s in report.iterations]
             assert starts == sorted(starts)
 
-    def test_single_request_matches_analytics(self):
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_single_request_matches_analytics(self, alpha):
+        # A request's transfer never overlaps its own compute, so a lone
+        # request's TTFT is the closed form's at alpha 0 whatever alpha is.
         model = M["Qwen3-235B-A22B"]
         hw = H["H100-PCIe5-measured"]
-        config = SimConfig(model=model, hardware=hw, bandwidth_mode="sustained", token_budget=4000)
+        config = SimConfig(model=model, hardware=hw, bandwidth_mode="sustained", token_budget=4000,
+                           overlap_alpha=alpha)
+        expected = ttft(RequestShape(65_536, 64), model, hw, 0.0, True).ttft
+        at_zero = run_sim(config, [RequestRecord("solo", 65_536, 64, arrival_time=0.0)], "fifo")
+        assert at_zero.request_ttft["solo"] == expected
+        # TTFT is a difference of clock readings, so a later arrival may differ in the last bits
         rec = RequestRecord("solo", 65_536, 64, arrival_time=2.5)
         report = run_sim(config, [rec], "fifo")
-        expected = ttft(RequestShape(65_536, 64), model, hw, 0.0, True).ttft
         assert report.request_ttft["solo"] == pytest.approx(expected, rel=1e-9)
+        if alpha > 0:  # the closed form overlaps within the request; the simulator does not
+            assert ttft(RequestShape(65_536, 64), model, hw, alpha, True).ttft < expected
 
     def test_pure_compute_single_iteration(self):
         model = M["Qwen3-235B-A22B"]
@@ -336,6 +347,13 @@ class TestRunSimInvariants:
         with pytest.raises(SimulationError, match="duplicate source_id 'a'"):
             run_sim(unit_config(), stream, "fifo")
 
+    def test_unschedulable_without_chunking_fails_fast(self):
+        # T above the budget with chunking off can never run; say so before simulating
+        stream = [RequestRecord(f"s{i}", 1, 2, arrival_time=float(i)) for i in range(3)]
+        stream.insert(1, RequestRecord("long", 1, 11, arrival_time=0.5))
+        with pytest.raises(SimulationError, match="request 'long': prefill_tokens 11 exceed token_budget 10"):
+            run_sim(unit_config(budget=10, chunking=False, vram_tokens=40), stream, "fifo")
+
     def test_missing_arrival_rejected(self):
         with pytest.raises(SimulationError):
             run_sim(unit_config(), [RequestRecord("a", 1, 1)], "fifo")
@@ -366,6 +384,51 @@ class TestRunSimInvariants:
                 )
                 first = min(leftovers, key=lambda c: c.arrival_key)
                 assert first.vram_tokens > vram_left
+
+
+@st.composite
+def sim_case(draw):
+    """A small random platform, config and stream; with chunking off, T <= budget."""
+    chunking = draw(st.booleans())
+    budget = draw(st.integers(1, 20))
+    hw = HardwareSpec(
+        name="prop-testbed",
+        compute_throughput=draw(st.sampled_from([1.0, 2.0, 7.0])),
+        link_bandwidth_peak=draw(st.sampled_from([math.inf, 1.0, 4.0, 13.0])),
+        vram_effective=4.0 * draw(st.integers(5, 80)),
+    )
+    config = SimConfig(model=UNIT_MODEL, hardware=hw, bandwidth_mode="peak", token_budget=budget,
+                       overlap_alpha=draw(st.floats(0.0, 1.0)), allow_chunked_prefill=chunking)
+    t_max = 40 if chunking else budget
+    rows = draw(st.lists(st.tuples(st.sampled_from([0.0, 0.25, 1.0, 3.7]), st.integers(0, 40),
+                                   st.integers(1, t_max)), max_size=25))
+    stream, t = [], 0.0
+    for i, (gap, k, n) in enumerate(rows):
+        t += gap
+        stream.append(RequestRecord(f"p{i}", k, n, arrival_time=t))
+    return config, stream, draw(st.sampled_from(["fifo", "utilization"]))
+
+
+class TestRunSimProperties:
+    @given(sim_case())
+    @settings(max_examples=300, deadline=None)
+    def test_invariants(self, case):
+        config, stream, policy = case
+        report = run_sim(config, stream, policy)
+        rejected = {r.id for r in report.rejected}
+        accepted = [r for r in stream if r.source_id not in rejected]
+        # every request is rejected or finishes, and each accepted one exactly once
+        assert report.completed + len(report.rejected) == len(stream)
+        assert sorted(report.request_ttft) == sorted(r.source_id for r in accepted)
+        assert sum(s.scheduled_tokens for s in report.iterations) == sum(r.prefill_tokens for r in accepted)
+        prev_end = -math.inf
+        for s in report.iterations:
+            assert s.scheduled_tokens <= config.token_budget
+            assert s.vram_used <= config.hardware.vram_effective
+            assert s.t_end >= s.t_start >= prev_end
+            prev_end = s.t_end
+        assert 0.0 <= report.compute_busy_fraction <= 1.0
+        assert 0.0 <= report.transfer_busy_fraction <= 1.0
 
 
 class TestTransferChannel:

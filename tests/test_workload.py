@@ -246,6 +246,8 @@ class TestJsonLines:
         [
             (read_stream, '{"source_id": "a", "cached_tokens": "abc", "prefill_tokens": 1}'),
             (read_stream, '{"source_id": "a", "cached_tokens": Infinity, "prefill_tokens": 1}'),
+            (read_stream, '{"source_id": "a", "cached_tokens": 1.9, "prefill_tokens": 1}'),
+            (read_stream, '{"source_id": "a", "cached_tokens": 1, "prefill_tokens": true}'),
             (read_stream, '[1, 2]'),
             (read_conversations, '{"conversation_id": "c", "turns": [{"query_tokens": "x"}]}'),
             (read_conversations, '{"conversation_id": "c", "turns": [{"query_tokens": 0}]}'),
