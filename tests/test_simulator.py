@@ -274,8 +274,17 @@ class TestRunSimInvariants:
             starts = [s.t_start for s in report.iterations]
             assert starts == sorted(starts)
 
+    def test_single_request_matches_analytics(self):
+        model = M["Qwen3-235B-A22B"]
+        hw = H["H100-PCIe5-measured"]
+        config = SimConfig(model=model, hardware=hw, bandwidth_mode="sustained", token_budget=4000)
+        rec = RequestRecord("solo", 65_536, 64, arrival_time=2.5)
+        report = run_sim(config, [rec], "fifo")
+        expected = ttft(RequestShape(65_536, 64), model, hw, 0.0, True).ttft
+        assert report.request_ttft["solo"] == pytest.approx(expected, rel=1e-9)
+
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
-    def test_single_request_matches_analytics(self, alpha):
+    def test_single_request_ttft_independent_of_alpha(self, alpha):
         # A request's transfer never overlaps its own compute, so a lone
         # request's TTFT is the closed form's at alpha 0 whatever alpha is.
         model = M["Qwen3-235B-A22B"]
