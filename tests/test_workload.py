@@ -21,6 +21,7 @@ from kvroof.workload import (
     read_conversations,
     read_documents,
     read_stream,
+    record_to_dict,
     summarize,
     synthesize_stream,
     write_stream,
@@ -209,6 +210,28 @@ class TestJsonLines:
         assert [
             (r.source_id, r.cached_tokens, r.prefill_tokens, r.arrival_time) for r in again
         ] == [(r.source_id, r.cached_tokens, r.prefill_tokens, r.arrival_time) for r in records]
+
+    def test_stream_bytes_match_json_dumps(self, tmp_path):
+        """Each line is ``json.dumps(record_to_dict(r), sort_keys=True)``, after the manifest line."""
+        records = [
+            RequestRecord("plain", 4000, 40, arrival_time=0.0),
+            RequestRecord("naïve-中文-🙂", 1, 3, arrival_time=1e-07),
+            RequestRecord('say "hi"', 0, 7, arrival_time=2.5),
+            RequestRecord("back\\slash\tand\nnewline", 123456789, 1, arrival_time=123456.789),
+            RequestRecord("no-arrival", 10, 3),
+            RequestRecord("\x00\x1f\x7f", 2**40, 999, arrival_time=1e22),
+            RequestRecord("infinite-arrival", 5, 5, arrival_time=math.inf),
+            RequestRecord("int-arrival", 5, 5, arrival_time=3),
+        ]
+        records += synthesize_stream(SHAREGPT_LIKE, rps=50, duration_s=2, seed=9)
+        manifest = {"tool": "kvroof", "command": ["synth", "--out", "s é.jsonl"], "seed": 9}
+        path = tmp_path / "s.jsonl"
+        write_stream(records, path, manifest=manifest)
+        expected = [json.dumps({"_manifest": manifest}, sort_keys=True)]
+        expected += [json.dumps(record_to_dict(r), sort_keys=True) for r in records]
+        assert path.read_bytes() == "".join(line + "\n" for line in expected).encode()
+        write_stream(records, path)
+        assert path.read_bytes() == "".join(line + "\n" for line in expected[1:]).encode()
 
     def test_conversation_file(self, tmp_path):
         path = tmp_path / "conv.jsonl"
