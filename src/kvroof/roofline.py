@@ -16,12 +16,13 @@ import io
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .analytics import arithmetic_intensity, kappa_crit
 from .catalog import HardwareSpec, ModelSpec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CSV_COLUMNS = [
     "model",
@@ -79,6 +80,8 @@ def kappa_grid(kappa_min: float, kappa_max: float, points_per_decade: int = 16) 
         raise ValueError("need 0 < kappa_min < kappa_max")
     if points_per_decade < 1:
         raise ValueError("points_per_decade must be >= 1")
+    import numpy as np  # here, not at module level: kvroof.cli starts faster without it
+
     decades = np.log10(kappa_max / kappa_min)
     n = int(np.ceil(decades * points_per_decade)) + 1
     return np.logspace(np.log10(kappa_min), np.log10(kappa_max), n)

@@ -27,6 +27,16 @@ compute only, never with its own: a request is not ready until its whole
 cache is on the device, so a lone request's TTFT is the closed form's at
 alpha 0 whatever alpha is.
 
+``run_sim`` is one flat event loop. Each trip first settles the clock t:
+it takes in the arrivals due by t, then starts and releases transfers until
+the one on the channel ends after t. At a boundary (the end of the running
+iteration, or the target of an idle jump) it retires the finished picks and
+asks the policy for the next selection; the end of an iteration that ran
+the channel at a rate below 1 is settled again at full rate first. The trip
+then moves t to the earliest of the next boundary, arrival and transfer
+end. A selection of 0 tokens, or an idle jump that would not move the
+clock, raises ``SimulationError`` instead of spinning.
+
 Requests whose footprint exceeds the whole pool are rejected at admission
 and reported. With chunked prefill off, an accepted request whose T exceeds
 the token budget could never be scheduled, so the run fails at once.
@@ -45,6 +55,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from .catalog import HardwareSpec, ModelSpec, flops_per_token, kv_bytes_per_token
@@ -68,7 +79,7 @@ REPORT_PERCENTILES = (50, 90, 99)
 EXACT_SEARCH_LIMIT = 12
 
 
-@dataclass
+@dataclass(slots=True)
 class SimRequest:
     id: str
     arrival_time: float
@@ -111,7 +122,7 @@ class SimConfig:
             raise SimulationError("overlap_alpha must be in [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IterationStats:
     index: int
     t_start: float
@@ -158,18 +169,12 @@ class SimReport:
         }
 
     def iteration_rows(self) -> list[list]:
-        return [
-            [
-                s.index,
-                repr(s.t_start),
-                repr(s.t_end),
-                s.scheduled_tokens,
-                repr(s.vram_used),
-                s.queue_depth,
-                int(s.busy),
-            ]
-            for s in self.iterations
-        ]
+        return [iteration_row(s) for s in self.iterations]
+
+
+def iteration_row(s: IterationStats) -> list:
+    """One ``iterations.csv`` row in ITERATION_CSV_COLUMNS order: floats as ``repr``, busy as 0 or 1."""
+    return [s.index, repr(s.t_start), repr(s.t_end), s.scheduled_tokens, repr(s.vram_used), s.queue_depth, int(s.busy)]
 
 
 @dataclass(frozen=True)
@@ -188,7 +193,11 @@ class ScheduleCandidate:
 
     @property
     def arrival_key(self) -> tuple[float, int]:
-        return (self.request.arrival_time, self.request.order)
+        return _arrival_key(self)
+
+
+# ScheduleCandidate.arrival_key as a sort key that needs no Python call
+_arrival_key = attrgetter("request.arrival_time", "request.order")
 
 
 Selection = list[tuple[SimRequest, int]]
@@ -204,7 +213,7 @@ def _continue_residents(
     """
     picks: Selection = []
     budget = token_budget
-    for cand in sorted((c for c in queue if c.resident), key=lambda c: c.arrival_key):
+    for cand in sorted([c for c in queue if c.resident], key=_arrival_key):
         if budget <= 0:
             break
         n = min(cand.remaining, budget)
@@ -231,7 +240,7 @@ def schedule_fifo(
     """
     picks, budget = _continue_residents(queue, token_budget, allow_chunking)
     free = vram_free_tokens
-    for cand in sorted((c for c in queue if not c.resident), key=lambda c: c.arrival_key):
+    for cand in sorted([c for c in queue if not c.resident], key=_arrival_key):
         if budget <= 0:
             break
         if cand.vram_tokens > free:
@@ -355,7 +364,7 @@ def schedule_utilization_aware(
                     free -= cand.vram_tokens
                     taken.add(id(cand))
             if allow_chunking and budget > 0:
-                for cand in sorted(rest, key=lambda c: c.arrival_key):
+                for cand in sorted(rest, key=_arrival_key):
                     if id(cand) in taken:
                         continue
                     if cand.vram_tokens <= free:
@@ -423,6 +432,7 @@ def run_sim(
     # entry order, which the policies see as candidate order.
     iterations: list[IterationStats] = []
     ttfts: dict[str, float] = {}
+    n_accepted = len(accepted)
     head = 0
     waiting: deque[SimRequest] = deque()
     chan_req: Optional[SimRequest] = None
@@ -434,36 +444,98 @@ def run_sim(
     t_begin = t
     chan_active = 0.0
     compute_active = 0.0
+    alpha = config.overlap_alpha
+    inf = math.inf
+    t_arr = accepted[0].arrival_time if accepted else inf  # of accepted[head]
+    running: Selection = []  # picks of the iteration in progress
+    rate = 1.0  # channel rate: alpha while an iteration runs, 1 otherwise
+    until = t  # the next boundary: the running iteration's end, or the idle jump's target
 
-    def next_events(rate: float) -> tuple[float, float]:
-        """The next arrival time, and when the transfer on the channel ends at ``rate``."""
-        t_arr = accepted[head].arrival_time if head < len(accepted) else math.inf
-        if chan_req is None or rate == 0:
-            return t_arr, math.inf
-        return t_arr, t + chan_left / (bw * rate)
-
-    def advance(until: float, rate: float) -> None:
-        """Move time to ``until``, taking in arrivals and running the channel at ``rate``."""
-        nonlocal t, head, chan_req, chan_left, chan_active
+    while True:
+        # Settle t: take in due arrivals, then start and release transfers until
+        # the one on the channel ends after t.
+        while t_arr <= t:
+            r = accepted[head]
+            head += 1
+            t_arr = accepted[head].arrival_time if head < n_accepted else inf
+            if r.cached_tokens == 0:
+                ready[r.order] = r
+            else:
+                waiting.append(r)
         while True:
-            while head < len(accepted) and accepted[head].arrival_time <= t:
-                r = accepted[head]
-                head += 1
-                if r.cached_tokens == 0:
-                    ready[r.order] = r
-                else:
-                    waiting.append(r)
-            if chan_req is None and waiting:
+            if chan_req is None:
+                if not waiting:
+                    t_done = inf
+                    break
                 chan_req = waiting.popleft()
                 chan_left = chan_req.cached_tokens * b_kv
-            t_arr, t_done = next_events(rate)
-            if t_done <= t:  # instant on an infinite link, or too little left to move the clock
-                ready[chan_req.order] = chan_req
-                chan_req = None
-                continue
-            nxt = min(until, t_arr, t_done)
-            if nxt <= t:
+            if rate == 0:
+                t_done = inf
                 break
+            t_done = t + chan_left / (bw * rate)
+            if t_done > t:
+                break
+            # instant on an infinite link, or too little left to move the clock
+            ready[chan_req.order] = chan_req
+            chan_req = None
+
+        if until <= t:  # a boundary
+            if running:
+                for r, n in running:
+                    r.remaining_prefill -= n
+                    if r.remaining_prefill < 0:
+                        raise SimulationError(f"policy over-scheduled request '{r.id}'")
+                    if r.remaining_prefill == 0:
+                        del residents[r.order]
+                        used_tokens -= r.vram_tokens
+                        ttfts[r.id] = t - r.arrival_time
+                running = []
+                if rate != 1.0:
+                    rate = 1.0
+                    if chan_req is not None:
+                        continue  # settle the transfer at full rate before scheduling
+            if ready or residents:
+                candidates = [
+                    ScheduleCandidate(r, r.remaining_prefill, r.vram_tokens, True, t - r.arrival_time)
+                    for r in residents.values()
+                ]
+                candidates += [
+                    ScheduleCandidate(r, r.remaining_prefill, r.vram_tokens, False, t - r.arrival_time)
+                    for r in ready.values()
+                ]
+                running = select(candidates, budget, capacity_tokens - used_tokens)
+            if running:
+                depth = len(ready) + len(waiting) + (chan_req is not None)
+                sched = 0
+                for r, n in running:
+                    sched += n
+                    if ready.pop(r.order, None) is not None:
+                        residents[r.order] = r
+                        used_tokens += r.vram_tokens
+                if sched < 1:
+                    raise SimulationError(f"policy scheduled {sched} tokens at t={t!r}; the clock would stop")
+                duration = sched * f_pf / c_eff
+                until = t + duration
+                iterations.append(IterationStats(len(iterations), t, until, sched, used_tokens * b_kv, True, depth))
+                compute_active += duration
+                rate = alpha
+                if chan_req is not None:
+                    t_done = t + chan_left / (bw * rate) if rate else inf
+            else:
+                # Nothing schedulable: jump to the next event, at full channel rate.
+                until = t_done if t_done < t_arr else t_arr
+                if until == inf:
+                    break
+                if not until > t:
+                    raise SimulationError(f"idle jump from t={t!r} to {until!r} does not move the clock")
+
+        # Move to the next boundary or event, running the channel at rate.
+        nxt = until
+        if t_arr < nxt:
+            nxt = t_arr
+        if t_done < nxt:
+            nxt = t_done
+        if nxt > t:
             if chan_req is not None and rate > 0:
                 if nxt == t_done:
                     chan_left = 0.0
@@ -471,43 +543,6 @@ def run_sim(
                     chan_left -= (nxt - t) * bw * rate
                 chan_active += nxt - t
             t = nxt
-
-    while True:
-        advance(t, 1.0)  # settle zero-time events at the boundary
-        candidates = [
-            ScheduleCandidate(r, r.remaining_prefill, r.vram_tokens, resident, t - r.arrival_time)
-            for group, resident in ((residents, True), (ready, False))
-            for r in group.values()
-        ]
-        selection = select(candidates, budget, capacity_tokens - used_tokens) if candidates else []
-        if not selection:
-            # Nothing schedulable: jump to the next event, at full channel rate.
-            nxt = min(next_events(1.0))
-            if math.isinf(nxt):
-                break
-            advance(nxt, 1.0)
-            continue
-        depth = len(ready) + len(waiting) + (chan_req is not None)
-        for r, _ in selection:
-            if ready.pop(r.order, None) is not None:
-                residents[r.order] = r
-                used_tokens += r.vram_tokens
-        sched = sum(n for _, n in selection)
-        duration = sched * f_pf / c_eff
-        iterations.append(IterationStats(
-            index=len(iterations), t_start=t, t_end=t + duration, scheduled_tokens=sched,
-            vram_used=used_tokens * b_kv, busy=True, queue_depth=depth,
-        ))
-        compute_active += duration
-        advance(t + duration, config.overlap_alpha)  # leaves t at the iteration's end
-        for r, n in selection:
-            r.remaining_prefill -= n
-            if r.remaining_prefill < 0:
-                raise SimulationError(f"policy over-scheduled request '{r.id}'")
-            if r.remaining_prefill == 0:
-                del residents[r.order]
-                used_tokens -= r.vram_tokens
-                ttfts[r.id] = t - r.arrival_time
 
     if len(ttfts) < len(accepted):
         first = next(r.id for r in accepted if r.id not in ttfts)

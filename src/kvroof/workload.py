@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
-import numpy as np
-
 from .errors import WorkloadError
 
 PERCENTILES = (10, 50, 90, 95, 99)
@@ -254,6 +252,8 @@ def synthesize_stream(
         raise WorkloadError("rps must be > 0")
     if not duration_s > 0:
         raise WorkloadError("duration_s must be > 0")
+    import numpy as np  # here, not at module level: only synthesis needs it
+
     rng = np.random.default_rng(seed)
     arrivals: list[float] = []
     t = 0.0
@@ -320,6 +320,13 @@ def _tokens(value) -> int:
     return n
 
 
+def _seconds(value) -> float:
+    """A time in seconds read from JSON: a number, never a boolean or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise WorkloadError(f"time {value!r} is not a number")
+    return float(value)
+
+
 def _conversation(obj) -> ConversationTrace:
     turns = tuple(
         ConversationTurn(
@@ -346,7 +353,7 @@ def _request(obj) -> Optional[RequestRecord]:
         source_id=str(obj["source_id"]),
         cached_tokens=_tokens(obj["cached_tokens"]),
         prefill_tokens=_tokens(obj["prefill_tokens"]),
-        arrival_time=float(obj["arrival_time"]) if obj.get("arrival_time") is not None else None,
+        arrival_time=_seconds(obj["arrival_time"]) if obj.get("arrival_time") is not None else None,
     )
 
 
@@ -370,13 +377,33 @@ def record_to_dict(record: RequestRecord) -> dict:
     return out
 
 
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _stream_line(r: RequestRecord) -> str:
+    """``json.dumps(record_to_dict(r), sort_keys=True) + "\\n"``, formatted directly.
+
+    A str id, int token counts and a finite float (or absent) arrival take
+    the direct path, with the same bytes: json.dumps writes a float as its
+    ``repr`` and escapes a string as ``encode_basestring_ascii`` does. Other
+    types (booleans, numpy scalars, non-finite floats) go through json.dumps.
+    """
+    sid, k, t, a = r.source_id, r.cached_tokens, r.prefill_tokens, r.arrival_time
+    if type(sid) is str and type(k) is int and type(t) is int:
+        tail = f'"cached_tokens": {k}, "kappa_ratio": {k / t!r}, "prefill_tokens": {t}, "source_id": {_json_str(sid)}}}\n'
+        if a is None:
+            return "{" + tail
+        if type(a) is float and math.isfinite(a):
+            return f'{{"arrival_time": {a!r}, ' + tail
+    return json.dumps(record_to_dict(r), sort_keys=True) + "\n"
+
+
 def write_stream(records: Iterable[RequestRecord], path: str | Path, manifest: Optional[dict] = None) -> None:
     """Write records as JSON Lines; an optional manifest goes on line one."""
+    lines = [] if manifest is None else [json.dumps({"_manifest": manifest}, sort_keys=True) + "\n"]
+    lines += [_stream_line(r) for r in records]
     with open(path, "w") as fh:
-        if manifest is not None:
-            fh.write(json.dumps({"_manifest": manifest}, sort_keys=True) + "\n")
-        for r in records:
-            fh.write(json.dumps(record_to_dict(r), sort_keys=True) + "\n")
+        fh.write("".join(lines))
 
 
 def read_stream(path: str | Path) -> list[RequestRecord]:

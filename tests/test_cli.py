@@ -30,6 +30,12 @@ def run(args, capsys):
     return code, captured.out, captured.err
 
 
+def subprocess_env() -> dict:
+    """The environment for a child Python that imports this checkout's kvroof."""
+    src = str(Path(kvroof.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 class TestKappaCommand:
     def test_single_pair_row(self, capsys):
         code, out, _ = run(
@@ -242,6 +248,26 @@ class TestSimulateCommand:
         assert iter_csv[1] == "iter,t_start,t_end,scheduled_tokens,vram_used_bytes,queue_depth,busy"
         assert len(iter_csv) == 2 + 3
 
+    def test_simulate_does_not_import_numpy(self, tmp_path):
+        # numpy is imported only where streams are synthesized or grids built
+        script = (
+            "import sys\n"
+            "import kvroof.cli\n"
+            "print('numpy' in sys.modules)\n"
+            "code = kvroof.cli.main(sys.argv[1:])\n"
+            "print(code, 'numpy' in sys.modules)\n"
+        )
+        args = ["simulate", "--config", fixture_path("scheduling_fixture_config.json"),
+                "--stream", fixture_path("scheduling_fixture_stream.jsonl"), "--compare", "--out", "sim"]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *args],
+            cwd=tmp_path, env=subprocess_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "False", "import kvroof.cli imported numpy"
+        assert lines[-1] == f"{EXIT_OK} False", "kvroof simulate imported numpy"
+
     def test_zero_length_stream_empty_report(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
@@ -360,6 +386,16 @@ BAD_INPUTS = {
         '{"source_id": "a", "cached_tokens": 1.9, "prefill_tokens": 5, "arrival_time": 0.0}\n',
         "simulate",
     ),
+    "boolean arrival_time": (
+        PLATFORM,
+        '{"source_id": "a", "cached_tokens": 10, "prefill_tokens": 5, "arrival_time": true}\n',
+        "simulate",
+    ),
+    "string arrival_time": (
+        PLATFORM,
+        '{"source_id": "a", "cached_tokens": 10, "prefill_tokens": 5, "arrival_time": "2.5"}\n',
+        "simulate",
+    ),
     "non-integer query_tokens": (None, '{"conversation_id": "c", "turns": [{"query_tokens": "x"}]}\n', "analyze"),
     "NaN arrival": (
         PLATFORM,
@@ -395,11 +431,9 @@ class TestErrorContract:
             if kind == "simulate into a file":
                 (tmp_path / "out").write_text("")
             args = ["simulate", "--config", "config.json", "--stream", str(data), "--out", "out"]
-        src = str(Path(kvroof.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "kvroof.cli", *args],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=30,
+            cwd=tmp_path, env=subprocess_env(), capture_output=True, text=True, timeout=30,
         )
         assert proc.returncode == EXIT_DATA, proc.stderr
         assert proc.stderr.startswith("error: ")

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from kvroof.analytics import RequestShape, ttft
 from kvroof.catalog import HardwareSpec, ModelSpec, by_name, default_catalog, kv_bytes_per_token
+from kvroof import simulator
 from kvroof.errors import SimulationError
 from kvroof.simulator import (
     AgingCredits,
@@ -68,6 +71,22 @@ FOUR_REQUESTS = [
     RequestRecord("r3", 0, 3, arrival_time=0.0),
     RequestRecord("r4", 1, 4, arrival_time=0.0),
 ]
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail with ``TimeoutError`` instead of hanging when the block runs too long."""
+
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def cand(order, remaining, vram, wait=0.0, resident=False, arrival=0.0):
@@ -362,6 +381,16 @@ class TestRunSimInvariants:
         stream.insert(1, RequestRecord("long", 1, 11, arrival_time=0.5))
         with pytest.raises(SimulationError, match="request 'long': prefill_tokens 11 exceed token_budget 10"):
             run_sim(unit_config(budget=10, chunking=False, vram_tokens=40), stream, "fifo")
+
+    def test_zero_token_iteration_raises(self, monkeypatch):
+        # a policy that picks requests but schedules no tokens would stop the clock
+        def idle_picks(name, aging, chunking):
+            return lambda queue, budget, free: [(c.request, 0) for c in queue]
+
+        monkeypatch.setattr(simulator, "_policy_fn", idle_picks)
+        stream = [RequestRecord("a", 1, 2, arrival_time=0.0), RequestRecord("b", 0, 3, arrival_time=1.0)]
+        with time_limit(5), pytest.raises(SimulationError, match="0 tokens"):
+            run_sim(unit_config(), stream, "fifo")
 
     def test_missing_arrival_rejected(self):
         with pytest.raises(SimulationError):

@@ -271,6 +271,8 @@ class TestJsonLines:
             (read_stream, '{"source_id": "a", "cached_tokens": Infinity, "prefill_tokens": 1}'),
             (read_stream, '{"source_id": "a", "cached_tokens": 1.9, "prefill_tokens": 1}'),
             (read_stream, '{"source_id": "a", "cached_tokens": 1, "prefill_tokens": true}'),
+            (read_stream, '{"source_id": "a", "cached_tokens": 1, "prefill_tokens": 1, "arrival_time": true}'),
+            (read_stream, '{"source_id": "a", "cached_tokens": 1, "prefill_tokens": 1, "arrival_time": "2.5"}'),
             (read_stream, '[1, 2]'),
             (read_conversations, '{"conversation_id": "c", "turns": [{"query_tokens": "x"}]}'),
             (read_conversations, '{"conversation_id": "c", "turns": [{"query_tokens": 0}]}'),
