@@ -390,7 +390,10 @@ def _stream_line(r: RequestRecord) -> str:
     """
     sid, k, t, a = r.source_id, r.cached_tokens, r.prefill_tokens, r.arrival_time
     if type(sid) is str and type(k) is int and type(t) is int:
-        tail = f'"cached_tokens": {k}, "kappa_ratio": {k / t!r}, "prefill_tokens": {t}, "source_id": {_json_str(sid)}}}\n'
+        tail = (
+            f'"cached_tokens": {k}, "kappa_ratio": {r.kappa_ratio!r}, '
+            f'"prefill_tokens": {t}, "source_id": {_json_str(sid)}}}\n'
+        )
         if a is None:
             return "{" + tail
         if type(a) is float and math.isfinite(a):
