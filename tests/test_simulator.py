@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kvroof import simulator
 from kvroof.analytics import RequestShape, ttft
 from kvroof.catalog import HardwareSpec, ModelSpec, by_name, default_catalog, kv_bytes_per_token
-from kvroof import simulator
 from kvroof.errors import SimulationError
 from kvroof.simulator import (
     AgingCredits,
