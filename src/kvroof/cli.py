@@ -56,7 +56,6 @@ from .simulator import (
     SimConfig,
     SimReport,
     compare_policies,
-    iteration_row,
     run_sim,
 )
 
@@ -307,12 +306,7 @@ def _write_json(path: Path, manifest: RunManifest, key: str, body: dict) -> None
 
 def _write_report(report: SimReport, out_dir: Path, suffix: str, manifest: RunManifest) -> None:
     _write_json(out_dir / f"report{suffix}.json", manifest, "report", report.to_dict())
-    # Every field is a number, so no CSV quoting applies: rows are joined
-    # directly, with csv.writer's "\r\n" line ends, and written at once.
-    lines = [f"# {manifest.as_comment()}\n", ",".join(ITERATION_CSV_COLUMNS) + "\r\n"]
-    lines += [",".join(map(str, iteration_row(s))) + "\r\n" for s in report.iterations]
-    with open(out_dir / f"iterations{suffix}.csv", "w", newline="") as fh:
-        fh.write("".join(lines))
+    _write_csv(out_dir / f"iterations{suffix}.csv", manifest, ITERATION_CSV_COLUMNS, report.iteration_rows())
 
 
 def _cmd_simulate(args, catalog: Catalog, manifest: RunManifest) -> int:

@@ -169,22 +169,26 @@ class SimReport:
         }
 
     def iteration_rows(self) -> list[list]:
-        return [iteration_row(s) for s in self.iterations]
+        return [
+            [
+                s.index,
+                repr(s.t_start),
+                repr(s.t_end),
+                s.scheduled_tokens,
+                repr(s.vram_used),
+                s.queue_depth,
+                int(s.busy),
+            ]
+            for s in self.iterations
+        ]
 
 
-def iteration_row(s: IterationStats) -> list:
-    """One ``iterations.csv`` row in ITERATION_CSV_COLUMNS order: floats as ``repr``, busy as 0 or 1."""
-    return [s.index, repr(s.t_start), repr(s.t_end), s.scheduled_tokens, repr(s.vram_used), s.queue_depth, int(s.busy)]
-
-
-@dataclass(slots=True)
+@dataclass(frozen=True)
 class ScheduleCandidate:
     """What a policy sees about one schedulable request at a boundary.
 
     ``resident`` requests already hold their VRAM (mid-prefill leftovers);
     admitting a non-resident costs ``vram_tokens`` from the free pool.
-    ``run_sim`` builds a fresh list of candidates at every boundary, so the
-    record is not frozen: a frozen one costs about four times as much to build.
     """
 
     request: SimRequest

@@ -403,10 +403,10 @@ def _stream_line(r: RequestRecord) -> str:
 
 def write_stream(records: Iterable[RequestRecord], path: str | Path, manifest: Optional[dict] = None) -> None:
     """Write records as JSON Lines; an optional manifest goes on line one."""
-    lines = [] if manifest is None else [json.dumps({"_manifest": manifest}, sort_keys=True) + "\n"]
-    lines += [_stream_line(r) for r in records]
     with open(path, "w") as fh:
-        fh.write("".join(lines))
+        if manifest is not None:
+            fh.write(json.dumps({"_manifest": manifest}, sort_keys=True) + "\n")
+        fh.writelines(_stream_line(r) for r in records)
 
 
 def read_stream(path: str | Path) -> list[RequestRecord]:
