@@ -45,10 +45,8 @@ from .catalog import (
 from .errors import CatalogError, KvroofError, SimulationError, WorkloadError
 from .roofline import RooflinePoint, RooflineSeries, Regime, attainable_flops, roofline_sweep
 from .simulator import (
-    AgingCredits,
     IterationStats,
     PolicyComparison,
-    ScheduleCandidate,
     SimConfig,
     SimReport,
     SimRequest,

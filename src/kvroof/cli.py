@@ -23,9 +23,7 @@ a data error:
 * ``bandwidth_mode``: ``"sustained"`` (default) or ``"peak"``;
 * ``token_budget``: prefill tokens per iteration (default 4000);
 * ``overlap_alpha``: transfer/compute overlap in [0, 1] (default 0);
-* ``allow_chunked_prefill``: default true;
-* ``aging``: an object with ``credit_per_second`` and ``credit_weight``
-  (default 1 each), used by the utilization-aware policy.
+* ``allow_chunked_prefill``: default true.
 
 A report's ``mean_power_watts`` comes from the platform's ``idle_watts`` and
 ``tdp_watts``; it is null when the platform lacks either.
@@ -51,7 +49,6 @@ from . import analytics, roofline, workload
 from .catalog import build_hardware, build_model, by_name, default_catalog_text, loads_catalog
 from .errors import KvroofError
 from .simulator import (
-    AgingCredits,
     ITERATION_CSV_COLUMNS,
     SimConfig,
     SimReport,
@@ -239,8 +236,7 @@ def _cmd_synth(args, catalog: Catalog, manifest: RunManifest) -> int:
 # --- simulate -----------------------------------------------------------------
 
 CONFIG_KEYS = ("model", "hardware", "vram_effective", "bandwidth_mode", "token_budget",
-               "overlap_alpha", "allow_chunked_prefill", "aging")
-AGING_KEYS = ("credit_per_second", "credit_weight")
+               "overlap_alpha", "allow_chunked_prefill")
 
 
 def _resolve_spec(value, pool: dict, builder, kind: str, where: str):
@@ -262,7 +258,7 @@ def _check_keys(obj, allowed: Sequence[str], where: str) -> None:
         raise KvroofError(f"{where}: unknown key(s) {sorted(unknown)}; accepted: {', '.join(allowed)}")
 
 
-def _load_sim_config(path: str, catalog: Catalog) -> tuple[SimConfig, AgingCredits]:
+def _load_sim_config(path: str, catalog: Catalog) -> SimConfig:
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -272,8 +268,6 @@ def _load_sim_config(path: str, catalog: Catalog) -> tuple[SimConfig, AgingCredi
     _check_keys(doc, CONFIG_KEYS, f"{path}: config")
     if "model" not in doc or "hardware" not in doc:
         raise KvroofError(f"{path}: config needs 'model' and 'hardware' entries")
-    aging_doc = doc.get("aging", {})
-    _check_keys(aging_doc, AGING_KEYS, f"{path}: config 'aging'")
     chunking = doc.get("allow_chunked_prefill", True)
     if not isinstance(chunking, bool):
         raise KvroofError(f"{path}: allow_chunked_prefill must be true or false, got {chunking!r}")
@@ -290,13 +284,9 @@ def _load_sim_config(path: str, catalog: Catalog) -> tuple[SimConfig, AgingCredi
             overlap_alpha=float(doc.get("overlap_alpha", 0.0)),
             allow_chunked_prefill=chunking,
         )
-        aging = AgingCredits(
-            credit_per_second=float(aging_doc.get("credit_per_second", 1.0)),
-            credit_weight=float(aging_doc.get("credit_weight", 1.0)),
-        )
     except (TypeError, ValueError, OverflowError) as exc:
         raise KvroofError(f"{path}: {exc}") from exc
-    return config, aging
+    return config
 
 
 def _write_json(path: Path, manifest: RunManifest, key: str, body: dict) -> None:
@@ -310,19 +300,19 @@ def _write_report(report: SimReport, out_dir: Path, suffix: str, manifest: RunMa
 
 
 def _cmd_simulate(args, catalog: Catalog, manifest: RunManifest) -> int:
-    config, aging = _load_sim_config(args.config, catalog)
+    config = _load_sim_config(args.config, catalog)
     records = workload.read_stream(args.stream)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.compare:
-        comparison = compare_policies(config, records, ("fifo", "utilization"), aging)
+        comparison = compare_policies(config, records, ("fifo", "utilization"))
         for name, rep in comparison.reports:
             _write_report(rep, out_dir, f"_{name}", manifest)
         _write_json(out_dir / "comparison.json", manifest, "comparison", comparison.to_dict())
         counts = comparison.iteration_counts()
         print("iterations per policy: " + ", ".join(f"{k}={v}" for k, v in counts.items()))
     else:
-        report = run_sim(config, records, args.policy, aging)
+        report = run_sim(config, records, args.policy)
         _write_report(report, out_dir, "", manifest)
         print(
             f"{args.policy}: {len(report.iterations)} iterations, "

@@ -14,8 +14,13 @@ A request's state is where it is. An accepted request is in exactly one
 place: not yet arrived, waiting for the channel, on the channel, ready,
 resident (admitted and holding VRAM until its prefill finishes), or
 finished. Arrivals with no cached tokens are ready at once. At each
-iteration boundary the policy selects residents and ready requests subject
-to the per-iteration token budget and free VRAM. Boundaries are
+iteration boundary the residents continue first, in arrival order, each
+for as much of its remaining prefill as the per-iteration token budget
+allows; the policy then admits ready requests into the budget and free
+VRAM that are left. Requests that have waited go first: FIFO admits in
+arrival order, and the utilization-aware policy admits whole, in arrival
+order, every request that arrived before the boundary, then packs the rest.
+Boundaries are
 compute-synchronous, so a transfer that completes mid-iteration makes its
 request ready for the next boundary. When nothing is schedulable, time skips
 to the next arrival or transfer completion.
@@ -30,8 +35,8 @@ alpha 0 whatever alpha is.
 ``run_sim`` is one flat event loop. Each trip first settles the clock t:
 it takes in the arrivals due by t, then starts and releases transfers until
 the one on the channel ends after t. At a boundary (the end of the running
-iteration, or the target of an idle jump) it retires the finished picks and
-asks the policy for the next selection; the end of an iteration that ran
+iteration, or the target of an idle jump) it retires the finished picks,
+continues the residents and asks the policy for admissions; the end of an iteration that ran
 the channel at a rate below 1 is settled again at full rate first. The trip
 then moves t to the earliest of the next boundary, arrival and transfer
 end. A selection of 0 tokens, or an idle jump that would not move the
@@ -94,14 +99,6 @@ class SimRequest:
     @property
     def vram_tokens(self) -> int:
         return self.cached_tokens + self.prefill_tokens
-
-
-@dataclass(frozen=True)
-class AgingCredits:
-    """Wait-time priority boost for the utilization-aware policy."""
-
-    credit_per_second: float = 1.0
-    credit_weight: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -183,94 +180,50 @@ class SimReport:
         ]
 
 
-@dataclass(frozen=True)
-class ScheduleCandidate:
-    """What a policy sees about one schedulable request at a boundary.
-
-    ``resident`` requests already hold their VRAM (mid-prefill leftovers);
-    admitting a non-resident costs ``vram_tokens`` from the free pool.
-    """
-
-    request: SimRequest
-    remaining: int
-    vram_tokens: int
-    resident: bool
-    wait_seconds: float
-
-    @property
-    def arrival_key(self) -> tuple[float, int]:
-        return _arrival_key(self)
-
-
-# ScheduleCandidate.arrival_key as a sort key that needs no Python call
-_arrival_key = attrgetter("request.arrival_time", "request.order")
-
-
 Selection = list[tuple[SimRequest, int]]
 
-
-def _continue_residents(
-    queue: Sequence[ScheduleCandidate], token_budget: int, allow_chunking: bool
-) -> tuple[Selection, int]:
-    """Continue partially-run residents in arrival order.
-
-    Returns their picks and the budget left for new admissions, which is 0
-    once a resident cannot be chunked into what is left.
-    """
-    picks: Selection = []
-    budget = token_budget
-    for cand in sorted([c for c in queue if c.resident], key=_arrival_key):
-        if budget <= 0:
-            break
-        n = min(cand.remaining, budget)
-        if n < cand.remaining and not allow_chunking:
-            return picks, 0
-        picks.append((cand.request, n))
-        budget -= n
-    return picks, budget
+# SimRequest.order is the arrival rank: run_sim checks that arrivals are sorted.
+_arrival = attrgetter("order")
 
 
 def schedule_fifo(
-    queue: Sequence[ScheduleCandidate],
+    ready: Sequence[SimRequest],
     token_budget: int,
     vram_free_tokens: float,
+    now: float,
     allow_chunking: bool = True,
 ) -> Selection:
     """Arrival-order admission with head-of-line blocking.
 
-    Partially-run residents continue first (they already hold VRAM); then
-    ready requests are admitted in arrival order until the budget or the
+    Ready requests are admitted in arrival order until the budget or the
     pool blocks. Only the last admitted request may be chunked, and a
     request that does not fit VRAM stops the scan rather than being
-    skipped.
+    skipped. ``now`` is unused; it gives both policies one call shape.
     """
-    picks, budget = _continue_residents(queue, token_budget, allow_chunking)
+    picks: Selection = []
+    budget = token_budget
     free = vram_free_tokens
-    for cand in sorted([c for c in queue if not c.resident], key=_arrival_key):
+    for r in sorted(ready, key=_arrival):
         if budget <= 0:
             break
-        if cand.vram_tokens > free:
+        if r.vram_tokens > free:
             break
-        if cand.remaining <= budget:
-            n = cand.remaining
+        if r.prefill_tokens <= budget:
+            n = r.prefill_tokens
         elif allow_chunking:
             n = budget
         else:
             break
-        picks.append((cand.request, n))
-        free -= cand.vram_tokens
+        picks.append((r, n))
+        free -= r.vram_tokens
         budget -= n
-        if n < cand.remaining:
+        if n < r.prefill_tokens:
             break
     return picks
 
 
-def _credit(cand: ScheduleCandidate, aging: AgingCredits) -> float:
-    return cand.wait_seconds * aging.credit_per_second * aging.credit_weight
-
-
 def _best_subset_fill(
-    cands: list[ScheduleCandidate],
+    cands: list[SimRequest],
     budget: int,
     vram_free: float,
     allow_chunking: bool,
@@ -282,9 +235,9 @@ def _best_subset_fill(
     broken toward the earliest-arriving selection.
     """
     n = len(cands)
-    tokens = [c.remaining for c in cands]
-    vram = [c.vram_tokens for c in cands]
-    order = {i: cands[i].arrival_key for i in range(n)}
+    tokens = [r.prefill_tokens for r in cands]
+    vram = [r.vram_tokens for r in cands]
+    order = [r.order for r in cands]
     best_key = None
     best_pick: Selection = []
     for mask in range(1 << n):
@@ -322,68 +275,65 @@ def _best_subset_fill(
         key = (-total, ranks)
         if best_key is None or key < best_key:
             best_key = key
-            picked = [(cands[i].request, tokens[i]) for i in members]
+            picked = [(cands[i], tokens[i]) for i in members]
             if chunk:
-                picked.append((cands[chunk[0]].request, chunk[1]))
+                picked.append((cands[chunk[0]], chunk[1]))
             best_pick = picked
     return best_pick
 
 
 def schedule_utilization_aware(
-    queue: Sequence[ScheduleCandidate],
+    ready: Sequence[SimRequest],
     token_budget: int,
     vram_free_tokens: float,
-    aging: AgingCredits = AgingCredits(),
+    now: float,
     allow_chunking: bool = True,
 ) -> Selection:
-    """Token-budget-maximizing admission with aging credits.
+    """Token-budget-maximizing admission; requests that have waited go first.
 
-    Residents continue first. Candidates carrying a positive aging credit
-    are admitted whole in credit order (ties by arrival) while they fit.
-    Whatever budget remains is packed with the remaining candidates: an
-    exhaustive search when few are left, otherwise greedy largest-first,
-    finally chunking one more request into any leftover budget.
+    Ready requests that arrived before ``now`` are admitted whole in
+    arrival order while they fit. Whatever budget remains is packed with
+    the other ready requests: an exhaustive search when few are left,
+    otherwise greedy largest-first, finally chunking one more request into
+    any leftover budget.
     """
-    picks, budget = _continue_residents(queue, token_budget, allow_chunking)
+    picks: Selection = []
+    budget = token_budget
     free = vram_free_tokens
-    pending = [c for c in queue if not c.resident and c.remaining > 0]
-    credited = [c for c in pending if _credit(c, aging) > 0]
-    credited.sort(key=lambda c: (-_credit(c, aging),) + c.arrival_key)
     admitted: set[int] = set()
-    for cand in credited:
-        if cand.remaining <= budget and cand.vram_tokens <= free:
-            picks.append((cand.request, cand.remaining))
-            budget -= cand.remaining
-            free -= cand.vram_tokens
-            admitted.add(id(cand))
-    rest = [c for c in pending if id(c) not in admitted]
+    for r in sorted([r for r in ready if r.arrival_time < now], key=_arrival):
+        if r.prefill_tokens <= budget and r.vram_tokens <= free:
+            picks.append((r, r.prefill_tokens))
+            budget -= r.prefill_tokens
+            free -= r.vram_tokens
+            admitted.add(r.order)
+    rest = [r for r in ready if r.order not in admitted]
     if budget > 0 and rest:
         if len(rest) <= EXACT_SEARCH_LIMIT:
-            fill = _best_subset_fill(rest, budget, free, allow_chunking)
-            picks.extend(fill)
+            picks.extend(_best_subset_fill(rest, budget, free, allow_chunking))
         else:
             taken: set[int] = set()
-            for cand in sorted(rest, key=lambda c: (-c.remaining,) + c.arrival_key):
-                if cand.remaining <= budget and cand.vram_tokens <= free:
-                    picks.append((cand.request, cand.remaining))
-                    budget -= cand.remaining
-                    free -= cand.vram_tokens
-                    taken.add(id(cand))
+            for r in sorted(rest, key=lambda r: (-r.prefill_tokens, r.order)):
+                if r.prefill_tokens <= budget and r.vram_tokens <= free:
+                    picks.append((r, r.prefill_tokens))
+                    budget -= r.prefill_tokens
+                    free -= r.vram_tokens
+                    taken.add(r.order)
             if allow_chunking and budget > 0:
-                for cand in sorted(rest, key=_arrival_key):
-                    if id(cand) in taken:
+                for r in sorted(rest, key=_arrival):
+                    if r.order in taken:
                         continue
-                    if cand.vram_tokens <= free:
-                        picks.append((cand.request, min(budget, cand.remaining)))
+                    if r.vram_tokens <= free:
+                        picks.append((r, min(budget, r.prefill_tokens)))
                         break
     return picks
 
 
-def _policy_fn(name: str, aging: AgingCredits, chunking: bool):
+def _policy_fn(name: str, chunking: bool):
     if name == "fifo":
         return partial(schedule_fifo, allow_chunking=chunking)
     if name == "utilization":
-        return partial(schedule_utilization_aware, aging=aging, allow_chunking=chunking)
+        return partial(schedule_utilization_aware, allow_chunking=chunking)
     raise SimulationError(f"unknown policy '{name}' (expected 'fifo' or 'utilization')")
 
 
@@ -391,13 +341,12 @@ def run_sim(
     config: SimConfig,
     requests: Sequence[RequestRecord],
     policy: str = "fifo",
-    aging: AgingCredits = AgingCredits(),
 ) -> SimReport:
     """Replay a timed request stream through the scheduler.
 
     ``requests`` must be sorted by arrival time and carry arrival times.
     """
-    select = _policy_fn(policy, aging, config.allow_chunked_prefill)
+    select = _policy_fn(policy, config.allow_chunked_prefill)
     hw = config.hardware
     b_kv = kv_bytes_per_token(config.model)
     f_pf = flops_per_token(config.model)
@@ -434,8 +383,8 @@ def run_sim(
         accepted.append(r)
 
     # Where each request is (see the module docstring): accepted[head:],
-    # waiting, chan_req, ready, residents, ttfts. ready and residents keep
-    # entry order, which the policies see as candidate order.
+    # waiting, chan_req, ready, residents, ttfts. The policies see ready in
+    # entry order.
     iterations: list[IterationStats] = []
     ttfts: dict[str, float] = {}
     n_accepted = len(accepted)
@@ -500,16 +449,17 @@ def run_sim(
                     rate = 1.0
                     if chan_req is not None:
                         continue  # settle the transfer at full rate before scheduling
-            if ready or residents:
-                candidates = [
-                    ScheduleCandidate(r, r.remaining_prefill, r.vram_tokens, True, t - r.arrival_time)
-                    for r in residents.values()
-                ]
-                candidates += [
-                    ScheduleCandidate(r, r.remaining_prefill, r.vram_tokens, False, t - r.arrival_time)
-                    for r in ready.values()
-                ]
-                running = select(candidates, budget, capacity_tokens - used_tokens)
+            # Residents continue first, in arrival order; the policy admits into what is left.
+            left = budget
+            for k in sorted(residents):
+                if not left:
+                    break
+                r = residents[k]
+                n = min(r.remaining_prefill, left)
+                running.append((r, n))
+                left -= n
+            if left and ready:
+                running += select(list(ready.values()), left, capacity_tokens - used_tokens, t)
             if running:
                 depth = len(ready) + len(waiting) + (chan_req is not None)
                 sched = 0
@@ -624,12 +574,11 @@ def compare_policies(
     config: SimConfig,
     requests: Sequence[RequestRecord],
     policies: Sequence[str] = ("fifo", "utilization"),
-    aging: AgingCredits = AgingCredits(),
 ) -> PolicyComparison:
     """Replay one stream under each policy and pair up the results."""
     if not policies:
         raise SimulationError("need at least one policy")
-    reports = [(p, run_sim(config, requests, p, aging)) for p in policies]
+    reports = [(p, run_sim(config, requests, p)) for p in policies]
     base = reports[0][1].request_ttft
     deltas = [
         (name, {rid: rep.request_ttft[rid] - base[rid] for rid in rep.request_ttft if rid in base})

@@ -14,8 +14,6 @@ from kvroof.analytics import RequestShape, ttft
 from kvroof.catalog import HardwareSpec, ModelSpec, by_name, default_catalog, kv_bytes_per_token
 from kvroof.errors import SimulationError
 from kvroof.simulator import (
-    AgingCredits,
-    ScheduleCandidate,
     SimConfig,
     SimRequest,
     compare_policies,
@@ -89,16 +87,14 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def cand(order, remaining, vram, wait=0.0, resident=False, arrival=0.0):
-    req = SimRequest(
+def cand(order, prefill, cached=0, arrival=0.0):
+    """A ready request; it pins cached + prefill tokens of VRAM once admitted."""
+    return SimRequest(
         id=f"c{order}",
         arrival_time=arrival,
-        cached_tokens=max(0, vram - remaining),
-        prefill_tokens=remaining,
+        cached_tokens=cached,
+        prefill_tokens=prefill,
         order=order,
-    )
-    return ScheduleCandidate(
-        request=req, remaining=remaining, vram_tokens=vram, resident=resident, wait_seconds=wait
     )
 
 
@@ -135,45 +131,39 @@ class TestFourRequestInstance:
 
 class TestFifoPolicy:
     def test_zero_budget_empty_selection(self):
-        queue = [cand(0, 5, 5)]
-        assert schedule_fifo(queue, 0, 100) == []
+        queue = [cand(0, 5)]
+        assert schedule_fifo(queue, 0, 100, 0.0) == []
 
     def test_all_fit_order_preserved(self):
-        queue = [cand(2, 3, 3, arrival=2.0), cand(0, 1, 1, arrival=0.0), cand(1, 2, 2, arrival=1.0)]
-        picks = schedule_fifo(queue, 100, 100)
+        queue = [cand(2, 3, arrival=2.0), cand(0, 1, arrival=0.0), cand(1, 2, arrival=1.0)]
+        picks = schedule_fifo(queue, 100, 100, 2.0)
         assert [(p[0].order, p[1]) for p in picks] == [(0, 1), (1, 2), (2, 3)]
 
     def test_head_of_line_blocks_on_vram(self):
-        queue = [cand(0, 1, 50, arrival=0.0), cand(1, 1, 1, arrival=1.0)]
-        picks = schedule_fifo(queue, 100, 10)
+        queue = [cand(0, 1, 49, arrival=0.0), cand(1, 1, arrival=1.0)]
+        picks = schedule_fifo(queue, 100, 10, 1.0)
         assert picks == []  # the head does not fit; no reordering past it
 
     def test_last_request_chunked(self):
-        queue = [cand(0, 3, 3), cand(1, 10, 10, arrival=1.0)]
-        picks = schedule_fifo(queue, 5, 100, allow_chunking=True)
+        queue = [cand(0, 3), cand(1, 10, arrival=1.0)]
+        picks = schedule_fifo(queue, 5, 100, 1.0, allow_chunking=True)
         assert [(p[0].order, p[1]) for p in picks] == [(0, 3), (1, 2)]
 
     def test_no_chunking_stops_whole(self):
-        queue = [cand(0, 3, 3), cand(1, 10, 10, arrival=1.0)]
-        picks = schedule_fifo(queue, 5, 100, allow_chunking=False)
+        queue = [cand(0, 3), cand(1, 10, arrival=1.0)]
+        picks = schedule_fifo(queue, 5, 100, 1.0, allow_chunking=False)
         assert [(p[0].order, p[1]) for p in picks] == [(0, 3)]
-
-    def test_residents_continue_first(self):
-        queue = [cand(0, 4, 9, arrival=0.0), cand(1, 2, 0, resident=True, arrival=1.0)]
-        picks = schedule_fifo(queue, 5, 5)
-        # the resident runs even though the earlier-arrival head is VRAM-blocked
-        assert [(p[0].order, p[1]) for p in picks] == [(1, 2)]
 
 
 class TestUtilizationPolicy:
     def test_four_request_first_round(self):
         queue = [
-            cand(0, 1, 5),
-            cand(1, 2, 5),
-            cand(2, 3, 3),
-            cand(3, 4, 5),
+            cand(0, 1, 4),
+            cand(1, 2, 3),
+            cand(2, 3, 0),
+            cand(3, 4, 1),
         ]
-        picks = schedule_utilization_aware(queue, 5, 10)
+        picks = schedule_utilization_aware(queue, 5, 10, 0.0)
         assert sorted(p[0].order for p in picks) == [0, 3]
         assert sum(p[1] for p in picks) == 5
 
@@ -182,39 +172,32 @@ class TestUtilizationPolicy:
         for _ in range(50):
             n = rng.randint(1, 10)
             queue = [
-                cand(i, rng.randint(1, 50), rng.randint(1, 60), arrival=float(i))
+                cand(i, rng.randint(1, 50), rng.randint(0, 10), arrival=float(i))
                 for i in range(n)
             ]
             budget = rng.randint(1, 80)
-            fifo_total = sum(n for _, n in schedule_fifo(queue, budget, math.inf))
-            ua_total = sum(
-                n
-                for _, n in schedule_utilization_aware(
-                    queue, budget, math.inf, AgingCredits(credit_per_second=0.0)
-                )
-            )
+            fifo_total = sum(n for _, n in schedule_fifo(queue, budget, math.inf, 0.0))
+            ua_total = sum(n for _, n in schedule_utilization_aware(queue, budget, math.inf, 0.0))
             assert ua_total == fifo_total
 
-    def test_huge_credit_weight_degenerates_to_fifo_order(self):
-        queue = [cand(i, i + 1, i + 1, wait=10.0 - i, arrival=float(i)) for i in range(5)]
-        aging = AgingCredits(credit_per_second=1.0, credit_weight=1e12)
-        picks = schedule_utilization_aware(queue, 1000, 1000, aging)
-        fifo = schedule_fifo(queue, 1000, 1000)
+    def test_waited_requests_go_in_fifo_order(self):
+        queue = [cand(i, i + 1, arrival=float(i)) for i in range(5)]  # each has waited 10 - i s
+        picks = schedule_utilization_aware(queue, 1000, 1000, 10.0)
+        fifo = schedule_fifo(queue, 1000, 1000, 10.0)
         assert [(p[0].order, p[1]) for p in picks] == [(p[0].order, p[1]) for p in fifo]
 
-    def test_never_below_fifo_with_zero_credits(self):
+    def test_never_below_fifo_at_zero_wait(self):
         rng = random.Random(21)
-        aging = AgingCredits(credit_per_second=0.0)
         for _ in range(300):
             n = rng.randint(1, 8)
             queue = [
-                cand(i, rng.randint(1, 20), rng.randint(1, 15), arrival=float(i))
+                cand(i, rng.randint(1, 20), rng.randint(0, 15), arrival=float(i))
                 for i in range(n)
             ]
             budget = rng.randint(1, 40)
             vram = rng.randint(1, 40)
-            fifo_total = sum(x for _, x in schedule_fifo(queue, budget, vram))
-            ua_total = sum(x for _, x in schedule_utilization_aware(queue, budget, vram, aging))
+            fifo_total = sum(x for _, x in schedule_fifo(queue, budget, vram, 0.0))
+            ua_total = sum(x for _, x in schedule_utilization_aware(queue, budget, vram, 0.0))
             assert ua_total >= fifo_total
 
 
@@ -223,7 +206,7 @@ def brute_force_best_tokens(queue, budget, vram, chunking=True):
     n = len(queue)
     best = 0
     for mask in range(1 << n):
-        tok = sum(queue[i].remaining for i in range(n) if mask >> i & 1)
+        tok = sum(queue[i].prefill_tokens for i in range(n) if mask >> i & 1)
         vr = sum(queue[i].vram_tokens for i in range(n) if mask >> i & 1)
         if tok > budget or vr > vram:
             continue
@@ -231,7 +214,7 @@ def brute_force_best_tokens(queue, budget, vram, chunking=True):
         if chunking:
             for i in range(n):
                 if not mask >> i & 1 and vr + queue[i].vram_tokens <= vram:
-                    extra = max(extra, min(budget - tok, queue[i].remaining))
+                    extra = max(extra, min(budget - tok, queue[i].prefill_tokens))
         best = max(best, tok + extra)
     return best
 
@@ -239,16 +222,15 @@ def brute_force_best_tokens(queue, budget, vram, chunking=True):
 class TestBruteForceOracle:
     def test_utilization_matches_optimal_small_instances(self):
         rng = random.Random(5)
-        aging = AgingCredits(credit_per_second=0.0)
         for _ in range(200):
             n = rng.randint(1, 8)
             queue = [
-                cand(i, rng.randint(1, 25), rng.randint(1, 20), arrival=float(i))
+                cand(i, rng.randint(1, 25), rng.randint(0, 20), arrival=float(i))
                 for i in range(n)
             ]
             budget = rng.randint(1, 60)
             vram = rng.randint(1, 50)
-            ua_total = sum(x for _, x in schedule_utilization_aware(queue, budget, vram, aging))
+            ua_total = sum(x for _, x in schedule_utilization_aware(queue, budget, vram, 0.0))
             assert ua_total == brute_force_best_tokens(queue, budget, vram)
 
 
@@ -348,13 +330,20 @@ class TestRunSimInvariants:
         assert report.completed == 1
         assert "ok" in report.request_ttft
 
-    def test_no_starvation_with_positive_credits(self):
+    def test_no_starvation_under_utilization(self):
         rng = random.Random(17)
-        aging = AgingCredits(credit_per_second=5.0, credit_weight=2.0)
         for _ in range(40):
             stream = random_stream(rng)
-            report = run_sim(unit_config(budget=4, vram_tokens=60), stream, "utilization", aging)
+            report = run_sim(unit_config(budget=4, vram_tokens=60), stream, "utilization")
             assert report.completed == len(stream)
+
+    @pytest.mark.parametrize("policy", ["fifo", "utilization"])
+    def test_residents_continue_first(self, policy):
+        # r0 is chunked 4 + 1; at t=4 it finishes before r1, which does not
+        # fit the pool until r0 frees it
+        stream = [RequestRecord("r0", 4, 5, arrival_time=0.0), RequestRecord("r1", 1, 1, arrival_time=1.0)]
+        report = run_sim(unit_config(budget=4, vram_tokens=10), stream, policy)
+        assert [s.scheduled_tokens for s in report.iterations] == [4, 1, 1]
 
     def test_unsorted_stream_rejected(self):
         stream = [
@@ -384,8 +373,8 @@ class TestRunSimInvariants:
 
     def test_zero_token_iteration_raises(self, monkeypatch):
         # a policy that picks requests but schedules no tokens would stop the clock
-        def idle_picks(name, aging, chunking):
-            return lambda queue, budget, free: [(c.request, 0) for c in queue]
+        def idle_picks(name, chunking):
+            return lambda ready, budget, free, now: [(r, 0) for r in ready]
 
         monkeypatch.setattr(simulator, "_policy_fn", idle_picks)
         stream = [RequestRecord("a", 1, 2, arrival_time=0.0), RequestRecord("b", 0, 3, arrival_time=1.0)]
@@ -407,20 +396,20 @@ class TestRunSimInvariants:
         for _ in range(150):
             n = rng.randint(1, 12)
             queue = [
-                cand(i, rng.randint(1, 15), rng.randint(1, 25), arrival=float(i))
+                cand(i, rng.randint(1, 15), rng.randint(0, 10), arrival=float(i))
                 for i in range(n)
             ]
             budget = rng.randint(1, 50)
             vram = rng.randint(1, 60)
-            picks = schedule_fifo(queue, budget, vram)
+            picks = schedule_fifo(queue, budget, vram, 0.0)
             sched = sum(x for _, x in picks)
             picked_ids = {id(p[0]) for p in picks}
-            leftovers = [c for c in queue if id(c.request) not in picked_ids]
+            leftovers = [c for c in queue if id(c) not in picked_ids]
             if leftovers and sched < budget:
                 vram_left = vram - sum(
-                    c.vram_tokens for c in queue if id(c.request) in picked_ids
+                    c.vram_tokens for c in queue if id(c) in picked_ids
                 )
-                first = min(leftovers, key=lambda c: c.arrival_key)
+                first = min(leftovers, key=lambda c: c.order)
                 assert first.vram_tokens > vram_left
 
 
