@@ -60,7 +60,6 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from operator import attrgetter
 from typing import Optional, Sequence
 
 from .catalog import HardwareSpec, ModelSpec, flops_per_token, kv_bytes_per_token
@@ -182,9 +181,6 @@ class SimReport:
 
 Selection = list[tuple[SimRequest, int]]
 
-# SimRequest.order is the arrival rank: run_sim checks that arrivals are sorted.
-_arrival = attrgetter("order")
-
 
 def schedule_fifo(
     ready: Sequence[SimRequest],
@@ -195,15 +191,16 @@ def schedule_fifo(
 ) -> Selection:
     """Arrival-order admission with head-of-line blocking.
 
-    Ready requests are admitted in arrival order until the budget or the
-    pool blocks. Only the last admitted request may be chunked, and a
-    request that does not fit VRAM stops the scan rather than being
-    skipped. ``now`` is unused; it gives both policies one call shape.
+    ``ready`` is in arrival order, as ``run_sim`` passes it. Requests are
+    admitted in that order until the budget or the pool blocks. Only the
+    last admitted request may be chunked, and a request that does not fit
+    VRAM stops the scan rather than being skipped. ``now`` is unused; it
+    gives both policies one call shape.
     """
     picks: Selection = []
     budget = token_budget
     free = vram_free_tokens
-    for r in sorted(ready, key=_arrival):
+    for r in ready:
         if budget <= 0:
             break
         if r.vram_tokens > free:
@@ -230,14 +227,14 @@ def _best_subset_fill(
 ) -> Selection:
     """Exhaustive token-maximizing selection over a small candidate list.
 
-    Enumerates whole-request subsets within budget and VRAM, optionally
-    topping up the leftover budget by chunking one more request. Ties are
-    broken toward the earliest-arriving selection.
+    ``cands`` is in arrival order. Enumerates whole-request subsets within
+    budget and VRAM, optionally topping up the leftover budget by chunking
+    one more request. Ties are broken toward the earliest-arriving
+    selection, and then toward running its earliest requests whole.
     """
     n = len(cands)
     tokens = [r.prefill_tokens for r in cands]
     vram = [r.vram_tokens for r in cands]
-    order = [r.order for r in cands]
     best_key = None
     best_pick: Selection = []
     for mask in range(1 << n):
@@ -265,13 +262,11 @@ def _best_subset_fill(
                 if vr + vram[i] > vram_free:
                     continue
                 gain = min(leftover, tokens[i])
-                if gain > best_gain or (gain == best_gain and chunk and order[i] < order[chunk[0]]):
+                if gain > best_gain:
                     best_gain = gain
                     chunk = (i, gain)
-            if chunk and chunk[1] == 0:
-                chunk = None
         total = tok + (chunk[1] if chunk else 0)
-        ranks = tuple(sorted([order[i] for i in members] + ([order[chunk[0]]] if chunk else [])))
+        ranks = tuple(sorted(members + [chunk[0]] if chunk else members))
         key = (-total, ranks)
         if best_key is None or key < best_key:
             best_key = key
@@ -291,36 +286,36 @@ def schedule_utilization_aware(
 ) -> Selection:
     """Token-budget-maximizing admission; requests that have waited go first.
 
-    Ready requests that arrived before ``now`` are admitted whole in
-    arrival order while they fit. Whatever budget remains is packed with
-    the other ready requests: an exhaustive search when few are left,
-    otherwise greedy largest-first, finally chunking one more request into
-    any leftover budget.
+    ``ready`` is in arrival order, as ``run_sim`` passes it. Requests that
+    arrived before ``now`` are admitted whole in that order while they fit.
+    Whatever budget remains is packed with the rest: an exhaustive search
+    when few are left, otherwise greedy largest-first, finally chunking one
+    more request into any leftover budget.
     """
     picks: Selection = []
     budget = token_budget
     free = vram_free_tokens
-    admitted: set[int] = set()
-    for r in sorted([r for r in ready if r.arrival_time < now], key=_arrival):
-        if r.prefill_tokens <= budget and r.vram_tokens <= free:
+    rest = []
+    for r in ready:
+        if r.arrival_time < now and r.prefill_tokens <= budget and r.vram_tokens <= free:
             picks.append((r, r.prefill_tokens))
             budget -= r.prefill_tokens
             free -= r.vram_tokens
-            admitted.add(r.order)
-    rest = [r for r in ready if r.order not in admitted]
+        else:
+            rest.append(r)
     if budget > 0 and rest:
         if len(rest) <= EXACT_SEARCH_LIMIT:
             picks.extend(_best_subset_fill(rest, budget, free, allow_chunking))
         else:
             taken: set[int] = set()
-            for r in sorted(rest, key=lambda r: (-r.prefill_tokens, r.order)):
+            for r in sorted(rest, key=lambda r: -r.prefill_tokens):
                 if r.prefill_tokens <= budget and r.vram_tokens <= free:
                     picks.append((r, r.prefill_tokens))
                     budget -= r.prefill_tokens
                     free -= r.vram_tokens
                     taken.add(r.order)
             if allow_chunking and budget > 0:
-                for r in sorted(rest, key=_arrival):
+                for r in rest:
                     if r.order in taken:
                         continue
                     if r.vram_tokens <= free:
@@ -383,8 +378,8 @@ def run_sim(
         accepted.append(r)
 
     # Where each request is (see the module docstring): accepted[head:],
-    # waiting, chan_req, ready, residents, ttfts. The policies see ready in
-    # entry order.
+    # waiting, chan_req, ready, residents, ttfts. Both dicts are keyed by
+    # order, the arrival rank, so sorting their keys gives arrival order.
     iterations: list[IterationStats] = []
     ttfts: dict[str, float] = {}
     n_accepted = len(accepted)
@@ -459,7 +454,7 @@ def run_sim(
                 running.append((r, n))
                 left -= n
             if left and ready:
-                running += select(list(ready.values()), left, capacity_tokens - used_tokens, t)
+                running += select([ready[k] for k in sorted(ready)], left, capacity_tokens - used_tokens, t)
             if running:
                 depth = len(ready) + len(waiting) + (chan_req is not None)
                 sched = 0

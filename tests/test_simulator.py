@@ -135,7 +135,8 @@ class TestFifoPolicy:
         assert schedule_fifo(queue, 0, 100, 0.0) == []
 
     def test_all_fit_order_preserved(self):
-        queue = [cand(2, 3, arrival=2.0), cand(0, 1, arrival=0.0), cand(1, 2, arrival=1.0)]
+        # policies take ready requests in arrival order; run_sim sorts them
+        queue = [cand(0, 1, arrival=0.0), cand(1, 2, arrival=1.0), cand(2, 3, arrival=2.0)]
         picks = schedule_fifo(queue, 100, 100, 2.0)
         assert [(p[0].order, p[1]) for p in picks] == [(0, 1), (1, 2), (2, 3)]
 
@@ -185,6 +186,13 @@ class TestUtilizationPolicy:
         picks = schedule_utilization_aware(queue, 1000, 1000, 10.0)
         fifo = schedule_fifo(queue, 1000, 1000, 10.0)
         assert [(p[0].order, p[1]) for p in picks] == [(p[0].order, p[1]) for p in fifo]
+
+    def test_exact_search_tie_goes_to_arrival(self):
+        # a (K=1) and b (K=0) arrive together; b is ready first, but the tie
+        # between "a whole + b chunked" and "b whole + a chunked" goes to a
+        stream = [RequestRecord("a", 1, 3, arrival_time=0.0), RequestRecord("b", 0, 3, arrival_time=0.0)]
+        report = run_sim(unit_config(budget=4, vram_tokens=20), stream, "utilization")
+        assert report.request_ttft == {"a": 4.0, "b": 6.0}
 
     def test_never_below_fifo_at_zero_wait(self):
         rng = random.Random(21)
