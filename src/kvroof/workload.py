@@ -284,13 +284,15 @@ def synthesize_stream(
 # --- JSON Lines readers/writers -------------------------------------------
 
 def _iter_lines(path: str | Path):
+    """Yield ``(line number, line)`` for each non-blank line, reading one line at a time."""
     try:
-        text = Path(path).read_text()
+        fh = open(path)
     except OSError as exc:
         raise WorkloadError(f"cannot read '{path}': {exc}") from exc
-    for line in text.splitlines():
-        if line.strip():
-            yield line
+    with fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                yield lineno, line
 
 
 def _read_jsonl(path: str | Path, what: str, build: Callable[[object], object]) -> list:
@@ -300,7 +302,7 @@ def _read_jsonl(path: str | Path, what: str, build: Callable[[object], object]) 
     ``WorkloadError("<path>: line N: ...")``.
     """
     out = []
-    for lineno, line in enumerate(_iter_lines(path), start=1):
+    for lineno, line in _iter_lines(path):
         try:
             item = build(json.loads(line))
         except json.JSONDecodeError as exc:

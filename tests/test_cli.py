@@ -375,6 +375,7 @@ BAD_INPUTS = {
     "non-numeric token_budget": ({**PLATFORM, "token_budget": "lots"}, GOOD_LINE, "simulate"),
     "typo key": ({**PLATFORM, "tokn_budget": 100}, GOOD_LINE, "simulate"),
     "power block": ({**PLATFORM, "power": {"idle_watts": 1, "peak_watts": 2}}, GOOD_LINE, "simulate"),
+    "aging block": ({**PLATFORM, "aging": {"credit_per_second": 1, "credit_weight": 1}}, GOOD_LINE, "simulate"),
     "inline hardware unknown field": ({**PLATFORM, "hardware": INLINE_HW}, GOOD_LINE, "simulate"),
     "non-integer cached_tokens": (
         PLATFORM,
@@ -438,3 +439,13 @@ class TestErrorContract:
         assert proc.returncode == EXIT_DATA, proc.stderr
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr + proc.stdout
+
+    def test_removed_key_is_named(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(BAD_INPUTS["aging block"][0]))
+        stream = tmp_path / "input.jsonl"
+        stream.write_text(GOOD_LINE)
+        code, _, err = run(["simulate", "--config", str(config), "--stream", str(stream),
+                            "--out", str(tmp_path / "out")], capsys)
+        assert code == EXIT_DATA
+        assert "unknown key(s) ['aging']" in err

@@ -264,6 +264,20 @@ class TestJsonLines:
         with pytest.raises(WorkloadError, match="line 2"):
             read_documents(path)
 
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"source_id": "a", "cached_tokens": 1, "prefill_tokens": 1}\n\n\n{oops\n')
+        with pytest.raises(WorkloadError, match="bad.jsonl: line 4: invalid JSON"):
+            read_stream(path)
+
+    def test_line_separator_inside_a_string(self, tmp_path):
+        # U+2028 and U+0085 are line breaks to str.splitlines, but not to JSON Lines
+        path = tmp_path / "s.jsonl"
+        path.write_text('{"source_id": "a\u2028b\x85c", "cached_tokens": 1, "prefill_tokens": 2}\n',
+                        encoding="utf-8")
+        (record,) = read_stream(path)
+        assert record.source_id == "a\u2028b\x85c"
+
     @pytest.mark.parametrize(
         "reader, bad_line",
         [
