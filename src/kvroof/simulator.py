@@ -19,11 +19,10 @@ for as much of its remaining prefill as the per-iteration token budget
 allows; the policy then admits ready requests into the budget and free
 VRAM that are left. Requests that have waited go first: FIFO admits in
 arrival order, and the utilization-aware policy admits whole, in arrival
-order, every request that arrived before the boundary, then packs the rest.
-Boundaries are
-compute-synchronous, so a transfer that completes mid-iteration makes its
-request ready for the next boundary. When nothing is schedulable, time skips
-to the next arrival or transfer completion.
+order, every request that arrived before the boundary, then packs the
+rest. Boundaries are compute-synchronous, so a transfer that completes
+mid-iteration makes its request ready for the next boundary. When nothing
+is schedulable, time skips to the next arrival or transfer completion.
 
 ``overlap_alpha`` throttles the channel while compute is active: 0 freezes
 transfers during compute (fully serialized resources), 1 lets them proceed
@@ -36,11 +35,11 @@ alpha 0 whatever alpha is.
 it takes in the arrivals due by t, then starts and releases transfers until
 the one on the channel ends after t. At a boundary (the end of the running
 iteration, or the target of an idle jump) it retires the finished picks,
-continues the residents and asks the policy for admissions; the end of an iteration that ran
-the channel at a rate below 1 is settled again at full rate first. The trip
-then moves t to the earliest of the next boundary, arrival and transfer
-end. A selection of 0 tokens, or an idle jump that would not move the
-clock, raises ``SimulationError`` instead of spinning.
+continues the residents and asks the policy for admissions; the end of an
+iteration that ran the channel at a rate below 1 is settled again at full
+rate first. The trip then moves t to the earliest of the next boundary,
+arrival and transfer end. A selection of 0 tokens, or an idle jump that
+would not move the clock, raises ``SimulationError`` instead of spinning.
 
 Requests whose footprint exceeds the whole pool are rejected at admission
 and reported. With chunked prefill off, an accepted request whose T exceeds
