@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import io
 import math
 
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kvroof.analytics import kappa_crit
+from kvroof.analytics import arithmetic_intensity, kappa_crit
 from kvroof.catalog import HardwareSpec, ModelSpec, by_name, default_catalog
 from kvroof.roofline import (
     CSV_COLUMNS,
@@ -98,6 +100,33 @@ class TestSweep:
                 p.arithmetic_intensity * H["B200-PCIe5"].bandwidth() >= ceiling
             )
 
+    @given(
+        model=st.sampled_from(MODELS),
+        hw=st.one_of(
+            st.sampled_from(HARDWARE),
+            st.builds(toy_hw, st.floats(1e12, 1e17), st.floats(1e8, 1e13)),
+        ),
+        kappa_min=st.floats(1e-4, 1e4),
+        decades=st.floats(0.01, 6),
+        points_per_decade=st.integers(1, 60),
+        use_sustained=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_points_are_the_scalar_formulas_bit_for_bit(
+        self, model, hw, kappa_min, decades, points_per_decade, use_sustained
+    ):
+        kappa_max = kappa_min * 10**decades
+        grid = kappa_grid(kappa_min, kappa_max, points_per_decade)
+        (series,) = roofline_sweep(model, [hw], kappa_min, kappa_max, points_per_decade, use_sustained)
+        assert len(series.points) == len(grid)
+        for k, p in zip(grid, series.points):
+            assert type(p.kappa_ratio) is float and p.kappa_ratio == float(k)
+            ai = arithmetic_intensity(float(k), model)
+            attain = attainable_flops(ai, hw, use_sustained)
+            assert type(p.arithmetic_intensity) is float and p.arithmetic_intensity == ai
+            assert type(p.attainable) is float and p.attainable == attain
+            assert (p.regime is Regime.COMPUTE_BOUND) == (attain == hw.compute_throughput)
+
     def test_empty_hardware_list_rejected(self):
         with pytest.raises(ValueError):
             roofline_sweep(M["Qwen3-235B-A22B"], [])
@@ -129,6 +158,25 @@ class TestCsv:
         assert lines[1] == ",".join(CSV_COLUMNS)
         assert any(",compute-bound," in line for line in lines[2:])
         assert any(",bandwidth-bound," in line for line in lines[2:])
+
+    def test_rows_are_what_csv_writer_writes(self):
+        awkward = 'a,b "c"\nd'
+        model = dataclasses.replace(M["Llama-3.1-70B"], name="model " + awkward)
+        hardware = [dataclasses.replace(H["A100-PCIe4"], name="hw " + awkward), H["H100-PCIe5"]]
+        series = roofline_sweep(model, hardware, 1.0, 1e3, 7, use_sustained=False)
+        expected = io.StringIO()
+        expected.write("# meta\n")
+        writer = csv.writer(expected)
+        writer.writerow(CSV_COLUMNS)
+        for s in series:
+            for p in s.points:
+                writer.writerow([
+                    s.model_name, s.hw_name, s.bandwidth_mode, repr(p.kappa_ratio),
+                    repr(p.arithmetic_intensity), repr(p.attainable), p.regime.value,
+                    repr(s.kappa_crit_marker),
+                ])
+        assert {p.regime for s in series for p in s.points} == set(Regime)
+        assert series_csv_text(series, header_comment="meta") == expected.getvalue()
 
     def test_grid_default_span(self):
         grid = kappa_grid(0.1, 1e5, 16)
