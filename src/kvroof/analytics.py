@@ -19,9 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .catalog import HardwareSpec, ModelSpec, flops_per_token, kv_bytes_per_token
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -142,16 +145,23 @@ def sched_tokens(shape: RequestShape, model: ModelSpec, vram_effective: float) -
     return SchedTokens(exact=exact, approximate=approx)
 
 
-def arithmetic_intensity(kappa_ratio: float, model: ModelSpec) -> float:
+def arithmetic_intensity(kappa_ratio: float | np.ndarray, model: ModelSpec) -> float | np.ndarray:
     """FLOPs performed per byte transferred, as a function of the K/T ratio.
 
     A ratio of zero means no transfer at all and returns +inf (pure
     compute). At the critical ratio this equals the machine balance point
     compute_throughput / bandwidth.
+
+    A float64 array of ratios, each > 0, gives the array of intensities,
+    every element bit-identical to the float form (IEEE division and
+    multiplication round the same way in numpy).
     """
-    if kappa_ratio < 0:
+    if getattr(kappa_ratio, "ndim", 0):
+        if not (kappa_ratio > 0).all():
+            raise ValueError("kappa_ratio entries must be > 0")
+    elif kappa_ratio < 0:
         raise ValueError("kappa_ratio must be >= 0")
-    if kappa_ratio == 0:
+    elif kappa_ratio == 0:
         return math.inf
     return flops_per_token(model) / (kappa_ratio * kv_bytes_per_token(model))
 

@@ -15,3 +15,7 @@ class WorkloadError(KvroofError, ValueError):
 
 class SimulationError(KvroofError, ValueError):
     """Invalid simulator configuration or input stream."""
+
+
+class RooflineError(KvroofError, ValueError):
+    """Invalid roofline grid, or a grid whose intensities leave the float range."""

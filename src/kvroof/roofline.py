@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .analytics import arithmetic_intensity, kappa_crit
 from .catalog import HardwareSpec, ModelSpec
+from .errors import RooflineError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -41,8 +43,7 @@ class Regime(str, Enum):
     BANDWIDTH_BOUND = "bandwidth-bound"
 
 
-@dataclass(frozen=True)
-class RooflinePoint:
+class RooflinePoint(NamedTuple):
     kappa_ratio: float
     arithmetic_intensity: float
     attainable: float
@@ -67,22 +68,34 @@ class RooflineSeries:
         return None
 
 
-def attainable_flops(ai: float, hw: HardwareSpec, use_sustained: bool = True) -> float:
-    """min(compute ceiling, ai * bandwidth) for arithmetic intensity ai > 0."""
-    if not ai > 0:
-        raise ValueError("arithmetic intensity must be > 0")
-    return min(hw.compute_throughput, ai * hw.bandwidth(use_sustained))
+def attainable_flops(
+    ai: float | np.ndarray, hw: HardwareSpec, use_sustained: bool = True
+) -> float | np.ndarray:
+    """min(compute ceiling, ai * bandwidth) for arithmetic intensity ai > 0.
+
+    A float64 array of intensities gives the elementwise minimum, with the
+    same bits as the float form.
+    """
+    array = getattr(ai, "ndim", 0) > 0
+    if not ((ai > 0).all() if array else ai > 0):
+        raise RooflineError("arithmetic intensity must be > 0")
+    diagonal = ai * hw.bandwidth(use_sustained)
+    if array:
+        return diagonal.clip(max=hw.compute_throughput)
+    return min(hw.compute_throughput, diagonal)
 
 
 def kappa_grid(kappa_min: float, kappa_max: float, points_per_decade: int = 16) -> np.ndarray:
     """Logarithmic K/T grid with both endpoints included."""
-    if not 0 < kappa_min < kappa_max:
-        raise ValueError("need 0 < kappa_min < kappa_max")
+    if not 0 < kappa_min < kappa_max < math.inf:
+        raise RooflineError(f"need 0 < kappa_min < kappa_max < inf, got {kappa_min!r} and {kappa_max!r}")
     if points_per_decade < 1:
-        raise ValueError("points_per_decade must be >= 1")
+        raise RooflineError(f"points_per_decade must be >= 1, got {points_per_decade}")
     import numpy as np  # here, not at module level: kvroof.cli starts faster without it
 
     decades = np.log10(kappa_max / kappa_min)
+    if not np.isfinite(decades):
+        raise RooflineError(f"kappa_max / kappa_min overflows: {kappa_max!r} / {kappa_min!r}")
     n = int(np.ceil(decades * points_per_decade)) + 1
     return np.logspace(np.log10(kappa_min), np.log10(kappa_max), n)
 
@@ -95,35 +108,37 @@ def roofline_sweep(
     points_per_decade: int = 16,
     use_sustained: bool = True,
 ) -> list[RooflineSeries]:
-    """One series per platform over a shared log grid of K/T ratios."""
+    """One series per platform over a shared log grid of K/T ratios.
+
+    Each series is computed as arrays over the whole grid, one numpy pass
+    per formula, and then split into points holding Python floats.
+    """
     if not hw_list:
-        raise ValueError("hardware list must not be empty")
+        raise RooflineError("hardware list must not be empty")
+    import numpy as np  # here, not at module level: kvroof.cli starts faster without it
+
     grid = kappa_grid(kappa_min, kappa_max, points_per_decade)
     mode = "sustained" if use_sustained else "peak"
     series = []
-    for hw in hw_list:
-        ceiling = hw.compute_throughput
-        marker = kappa_crit(model, hw, use_sustained)
-        points = []
-        for k in grid:
-            ai = arithmetic_intensity(float(k), model)
-            attain = attainable_flops(ai, hw, use_sustained)
-            regime = Regime.COMPUTE_BOUND if attain == ceiling else Regime.BANDWIDTH_BOUND
-            points.append(
-                RooflinePoint(
-                    kappa_ratio=float(k),
-                    arithmetic_intensity=ai,
-                    attainable=attain,
-                    regime=regime,
-                )
-            )
+    # Python floats overflow to inf silently, and so do these arrays. An
+    # intensity of 0 (k * kv_bytes overflowed) is refused by attainable_flops.
+    with np.errstate(over="ignore"):
+        ai = arithmetic_intensity(grid, model)
+        attains = [attainable_flops(ai, hw, use_sustained) for hw in hw_list]
+    ratios = grid.tolist()
+    intensities = ai.tolist()
+    for hw, attain in zip(hw_list, attains):
+        regimes = [
+            Regime.COMPUTE_BOUND if bound else Regime.BANDWIDTH_BOUND
+            for bound in (attain == hw.compute_throughput).tolist()
+        ]
         series.append(
             RooflineSeries(
                 model_name=model.name,
                 hw_name=hw.name,
                 bandwidth_mode=mode,
-                points=tuple(points),
-                kappa_crit_marker=marker,
+                points=tuple(map(RooflinePoint, ratios, intensities, attain.tolist(), regimes)),
+                kappa_crit_marker=kappa_crit(model, hw, use_sustained),
             )
         )
     return series
@@ -134,7 +149,13 @@ def write_series_csv(
     destination,
     header_comment: Optional[str] = None,
 ) -> None:
-    """Write series as CSV to a path or text file object."""
+    """Write series as CSV to a path or text file object.
+
+    The rows are those ``csv.writer`` writes. Only the cells that are the
+    same along a series (names, mode, regime and marker) can need quoting,
+    so they go through ``csv.writer`` once per series; each row then adds
+    the ``repr`` of its three floats, which never need quoting.
+    """
     if isinstance(destination, (str, Path)):
         with open(destination, "w", newline="") as fh:
             write_series_csv(series, fh, header_comment)
@@ -143,20 +164,21 @@ def write_series_csv(
         destination.write(f"# {header_comment}\n")
     writer = csv.writer(destination)
     writer.writerow(CSV_COLUMNS)
+    end = writer.dialect.lineterminator
     for s in series:
-        for p in s.points:
-            writer.writerow(
-                [
-                    s.model_name,
-                    s.hw_name,
-                    s.bandwidth_mode,
-                    repr(p.kappa_ratio),
-                    repr(p.arithmetic_intensity),
-                    repr(p.attainable),
-                    p.regime.value,
-                    repr(s.kappa_crit_marker),
-                ]
-            )
+        head = _csv_row([s.model_name, s.hw_name, s.bandwidth_mode]).removesuffix(end)
+        marker = repr(s.kappa_crit_marker)
+        tails = {regime: _csv_row([regime.value, marker]) for regime in Regime}
+        destination.writelines(
+            f"{head},{k!r},{ai!r},{attain!r},{tails[regime]}" for k, ai, attain, regime in s.points
+        )
+
+
+def _csv_row(cells: list[str]) -> str:
+    """One row as ``csv.writer`` writes it, with its line terminator."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(cells)
+    return buf.getvalue()
 
 
 def series_csv_text(series: Iterable[RooflineSeries], header_comment: Optional[str] = None) -> str:
