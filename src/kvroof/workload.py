@@ -252,6 +252,8 @@ def synthesize_stream(
         raise WorkloadError("rps must be > 0")
     if not duration_s > 0:
         raise WorkloadError("duration_s must be > 0")
+    if not rps * duration_s < math.inf:
+        raise WorkloadError(f"rps * duration_s must be finite, got {rps!r} * {duration_s!r}")
     import numpy as np  # here, not at module level: only synthesis needs it
 
     rng = np.random.default_rng(seed)

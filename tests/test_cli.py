@@ -248,26 +248,6 @@ class TestSimulateCommand:
         assert iter_csv[1] == "iter,t_start,t_end,scheduled_tokens,vram_used_bytes,queue_depth,busy"
         assert len(iter_csv) == 2 + 3
 
-    def test_simulate_does_not_import_numpy(self, tmp_path):
-        # numpy is imported only where streams are synthesized or grids built
-        script = (
-            "import sys\n"
-            "import kvroof.cli\n"
-            "print('numpy' in sys.modules)\n"
-            "code = kvroof.cli.main(sys.argv[1:])\n"
-            "print(code, 'numpy' in sys.modules)\n"
-        )
-        args = ["simulate", "--config", fixture_path("scheduling_fixture_config.json"),
-                "--stream", fixture_path("scheduling_fixture_stream.jsonl"), "--compare", "--out", "sim"]
-        proc = subprocess.run(
-            [sys.executable, "-c", script, *args],
-            cwd=tmp_path, env=subprocess_env(), capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        lines = proc.stdout.splitlines()
-        assert lines[0] == "False", "import kvroof.cli imported numpy"
-        assert lines[-1] == f"{EXIT_OK} False", "kvroof simulate imported numpy"
-
     def test_zero_length_stream_empty_report(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
@@ -325,6 +305,41 @@ class TestSimulateCommand:
         assert "NoSuchModel" in err
 
 
+class TestColdStart:
+    """Importing numpy costs a cold start about 50 ms; commands that need no grid or synthesis skip it."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["kappa", "--out", "kappa.csv"],
+            ["analyze", "conversation.jsonl", "--kind", "conversation", "--out", "records.csv"],
+            ["simulate", "--config", fixture_path("scheduling_fixture_config.json"),
+             "--stream", fixture_path("scheduling_fixture_stream.jsonl"), "--compare", "--out", "sim"],
+        ],
+        ids=["kappa", "analyze", "simulate"],
+    )
+    def test_command_does_not_import_numpy(self, tmp_path, args):
+        (tmp_path / "conversation.jsonl").write_text(
+            '{"conversation_id": "c", "turns": [{"query_tokens": 3, "response_tokens": 1}]}\n'
+        )
+        script = (
+            "import sys\n"
+            "import kvroof.analytics, kvroof.roofline\n"
+            "print('numpy' in sys.modules)\n"
+            "import kvroof.cli\n"
+            "code = kvroof.cli.main(sys.argv[1:])\n"
+            "print(code, 'numpy' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *args],
+            cwd=tmp_path, env=subprocess_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "False", "import kvroof.analytics, kvroof.roofline imported numpy"
+        assert lines[-1] == f"{EXIT_OK} False", f"kvroof {args[0]} imported numpy"
+
+
 class TestOptionsPerCommand:
     @pytest.mark.parametrize(
         "args",
@@ -370,7 +385,8 @@ GOOD_LINE = '{"source_id": "a", "cached_tokens": 10, "prefill_tokens": 5, "arriv
 INLINE_HW = {"name": "x", "compute_throughput": 1e15, "link_bandwidth_peak": 1e11,
              "vram_effective": 1e10, "bogus": 1}
 
-# (config, input text, command kind): each must be refused with exit 3.
+# (config, or the command's arguments for roofline and synth; input text;
+# command kind): each must be refused with exit 3.
 BAD_INPUTS = {
     "non-numeric token_budget": ({**PLATFORM, "token_budget": "lots"}, GOOD_LINE, "simulate"),
     "typo key": ({**PLATFORM, "tokn_budget": 100}, GOOD_LINE, "simulate"),
@@ -414,6 +430,16 @@ BAD_INPUTS = {
     "non-numeric vram_effective": ({**PLATFORM, "vram_effective": "big"}, GOOD_LINE, "simulate"),
     "infinite token_budget": ({**PLATFORM, "token_budget": math.inf}, GOOD_LINE, "simulate"),
     "string allow_chunked_prefill": ({**PLATFORM, "allow_chunked_prefill": "false"}, GOOD_LINE, "simulate"),
+    "roofline zero points per decade": (["--points-per-decade", "0"], "", "roofline"),
+    "roofline negative kappa_min": (["--kappa-min", "-1"], "", "roofline"),
+    "roofline NaN kappa_min": (["--kappa-min", "nan"], "", "roofline"),
+    "roofline kappa_min above kappa_max": (["--kappa-min", "10", "--kappa-max", "1"], "", "roofline"),
+    "roofline infinite kappa_max": (["--kappa-max", "inf"], "", "roofline"),
+    "roofline grid ratio overflows": (["--kappa-min", "1e-320"], "", "roofline"),
+    "roofline zero arithmetic intensity": (["--kappa-max", "1e304"], "", "roofline"),
+    "synth infinite duration": (["--rps", "10", "--duration", "inf"], "", "synth"),
+    "synth infinite rps": (["--rps", "inf", "--duration", "1"], "", "synth"),
+    "synth rps times duration overflows": (["--rps", "1e200", "--duration", "1e200"], "", "synth"),
 }
 
 
@@ -427,6 +453,10 @@ class TestErrorContract:
         data.write_text(text)
         if kind == "analyze":
             args = ["analyze", str(data), "--kind", "conversation"]
+        elif kind == "roofline":
+            args = ["roofline", "--model", "Llama-3.1-70B", *config, "--out", "roofline.csv"]
+        elif kind == "synth":
+            args = ["synth", *config, "--out", "stream.jsonl"]
         else:
             (tmp_path / "config.json").write_text(json.dumps(config))
             if kind == "simulate into a file":
