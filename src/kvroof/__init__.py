@@ -42,7 +42,7 @@ from .catalog import (
     loads_catalog,
     serialize_catalog,
 )
-from .errors import CatalogError, KvroofError, SimulationError, WorkloadError
+from .errors import CatalogError, KvroofError, RooflineError, SimulationError, WorkloadError
 from .roofline import RooflinePoint, RooflineSeries, Regime, attainable_flops, roofline_sweep
 from .simulator import (
     IterationStats,
