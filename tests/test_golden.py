@@ -156,6 +156,24 @@ def test_simulate_compare_throttled_link_no_chunking(tmp_path, capsys):
     check("simulate-compare-throttled", digests_of(tmp_path, files, stdout))
 
 
+def test_simulate_compare_greedy_packing(tmp_path, capsys):
+    # A burst on a fast link with a small budget: the utilization policy packs
+    # more than EXACT_SEARCH_LIMIT candidates greedily, which no case above reaches.
+    stream = tmp_path / "stream.jsonl"
+    run(["synth", "--profile", "sharegpt", "--rps", "3000", "--duration", "0.2", "--seed", "5",
+         "--out", str(stream)], capsys)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": "Qwen3-30B-A3B",
+                                  "hardware": {"name": "burst-testbed", "compute_throughput": 1e14,
+                                               "link_bandwidth_peak": 1e15, "vram_effective": 2e10},
+                                  "token_budget": 256, "overlap_alpha": 1}))
+    stdout = run(["simulate", "--config", str(config), "--stream", str(stream),
+                  "--compare", "--out", str(tmp_path)], capsys)
+    files = ["comparison.json", "report_fifo.json", "report_utilization.json",
+             "iterations_fifo.csv", "iterations_utilization.csv"]
+    check("simulate-compare-greedy", digests_of(tmp_path, files, stdout))
+
+
 GOLDEN = {
     "kappa": {
         "kappa.csv": "6b01c5e9ef7d988be69f8be312c769443e86a1191e07b07cfbb372a6c886ba0f",
@@ -201,5 +219,13 @@ GOLDEN = {
         "report_fifo.json": "22482ec5aa32d63b2fe7a0716766ceb59deb8107e3bac04407f7966f000a39ee",
         "report_utilization.json": "22482ec5aa32d63b2fe7a0716766ceb59deb8107e3bac04407f7966f000a39ee",
         "stdout": "0ea8d89c878ba44c624605c879f4b104725a810ba17d3b7c6f43895e31c205f7",
+    },
+    "simulate-compare-greedy": {
+        "comparison.json": "a00f518ff60a29d3c262c08d2d884862fa6dc3e96b255f5bcba3f4483a6197a2",
+        "iterations_fifo.csv": "0c3cb37649cce02e152dc7d570182c262c727135c995a3c1872cf876375f29b3",
+        "iterations_utilization.csv": "ad78e0de341466bf15479135291fb4859c1bd7a2dc85b5164fb62f3725cfd0ee",
+        "report_fifo.json": "0d348e9cf09ab5ff1a59f3accb5f156c1314b5f3775fe9b2fdc05195c862030e",
+        "report_utilization.json": "c021b1008c4cae3c31476a5319025fb139bcd580a072a72a7ee90c567e861243",
+        "stdout": "e7b47d61ffde7178e26b161d91b5c1a784aa94032094d571436c3899bee9062c",
     },
 }

@@ -449,7 +449,10 @@ class TestRunSimProperties:
     @settings(max_examples=300, deadline=None)
     def test_invariants(self, case):
         config, stream, policy = case
+        before = [(r.source_id, r.cached_tokens, r.prefill_tokens, r.arrival_time) for r in stream]
         report = run_sim(config, stream, policy)
+        # run_sim reads the records and never writes them
+        assert [(r.source_id, r.cached_tokens, r.prefill_tokens, r.arrival_time) for r in stream] == before
         rejected = {r.id for r in report.rejected}
         accepted = [r for r in stream if r.source_id not in rejected]
         # every request is rejected or finishes, and each accepted one exactly once
