@@ -49,7 +49,6 @@ from .simulator import (
     PolicyComparison,
     SimConfig,
     SimReport,
-    SimRequest,
     compare_policies,
     run_sim,
     schedule_fifo,

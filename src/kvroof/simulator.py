@@ -45,6 +45,13 @@ Requests whose footprint exceeds the whole pool are rejected at admission
 and reported. With chunked prefill off, an accepted request whose T exceeds
 the token budget could never be scheduled, so the run fails at once.
 
+``run_sim`` reads the ``RequestRecord``s it is given and never writes them,
+so one list can be replayed under several policies. A request's arrival
+rank is its index in the accepted list: the waiting queue, the channel and
+the ready set hold that index, the policies return positions in the ready
+list they are given, and ``residents`` maps an index to the prefill tokens
+that request has left.
+
 VRAM is accounted in integer token-equivalents (K + T per request) so that
 pool arithmetic is exact; byte figures in reports are scaled back through
 kv_bytes_per_token.
@@ -57,7 +64,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
 
@@ -80,23 +87,6 @@ REPORT_PERCENTILES = (50, 90, 99)
 # The utilization-aware policy packs leftover budget by exhaustive subset
 # search when at most this many candidates remain, greedily otherwise.
 EXACT_SEARCH_LIMIT = 12
-
-
-@dataclass(slots=True)
-class SimRequest:
-    id: str
-    arrival_time: float
-    cached_tokens: int
-    prefill_tokens: int
-    order: int = 0
-    remaining_prefill: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.remaining_prefill = self.prefill_tokens
-
-    @property
-    def vram_tokens(self) -> int:
-        return self.cached_tokens + self.prefill_tokens
 
 
 @dataclass(frozen=True)
@@ -178,11 +168,12 @@ class SimReport:
         ]
 
 
-Selection = list[tuple[SimRequest, int]]
+# (position in the ready list the policy was given, tokens to run)
+Selection = list[tuple[int, int]]
 
 
 def schedule_fifo(
-    ready: Sequence[SimRequest],
+    ready: Sequence[RequestRecord],
     token_budget: int,
     vram_free_tokens: float,
     now: float,
@@ -199,7 +190,7 @@ def schedule_fifo(
     picks: Selection = []
     budget = token_budget
     free = vram_free_tokens
-    for r in ready:
+    for i, r in enumerate(ready):
         if budget <= 0:
             break
         if r.vram_tokens > free:
@@ -210,7 +201,7 @@ def schedule_fifo(
             n = budget
         else:
             break
-        picks.append((r, n))
+        picks.append((i, n))
         free -= r.vram_tokens
         budget -= n
         if n < r.prefill_tokens:
@@ -219,7 +210,7 @@ def schedule_fifo(
 
 
 def _best_subset_fill(
-    cands: list[SimRequest],
+    cands: list[RequestRecord],
     budget: int,
     vram_free: float,
     allow_chunking: bool,
@@ -230,6 +221,7 @@ def _best_subset_fill(
     budget and VRAM, optionally topping up the leftover budget by chunking
     one more request. Ties are broken toward the earliest-arriving
     selection, and then toward running its earliest requests whole.
+    Picks are positions in ``cands``.
     """
     n = len(cands)
     tokens = [r.prefill_tokens for r in cands]
@@ -269,15 +261,14 @@ def _best_subset_fill(
         key = (-total, ranks)
         if best_key is None or key < best_key:
             best_key = key
-            picked = [(cands[i], tokens[i]) for i in members]
+            best_pick = [(i, tokens[i]) for i in members]
             if chunk:
-                picked.append((cands[chunk[0]], chunk[1]))
-            best_pick = picked
+                best_pick.append(chunk)
     return best_pick
 
 
 def schedule_utilization_aware(
-    ready: Sequence[SimRequest],
+    ready: Sequence[RequestRecord],
     token_budget: int,
     vram_free_tokens: float,
     now: float,
@@ -294,31 +285,31 @@ def schedule_utilization_aware(
     picks: Selection = []
     budget = token_budget
     free = vram_free_tokens
-    rest = []
-    for r in ready:
+    rest = []  # positions in ready
+    for i, r in enumerate(ready):
         if r.arrival_time < now and r.prefill_tokens <= budget and r.vram_tokens <= free:
-            picks.append((r, r.prefill_tokens))
+            picks.append((i, r.prefill_tokens))
             budget -= r.prefill_tokens
             free -= r.vram_tokens
         else:
-            rest.append(r)
+            rest.append(i)
     if budget > 0 and rest:
         if len(rest) <= EXACT_SEARCH_LIMIT:
-            picks.extend(_best_subset_fill(rest, budget, free, allow_chunking))
+            fill = _best_subset_fill([ready[i] for i in rest], budget, free, allow_chunking)
+            picks.extend((rest[j], n) for j, n in fill)
         else:
             taken: set[int] = set()
-            for r in sorted(rest, key=lambda r: -r.prefill_tokens):
+            for i in sorted(rest, key=lambda i: -ready[i].prefill_tokens):
+                r = ready[i]
                 if r.prefill_tokens <= budget and r.vram_tokens <= free:
-                    picks.append((r, r.prefill_tokens))
+                    picks.append((i, r.prefill_tokens))
                     budget -= r.prefill_tokens
                     free -= r.vram_tokens
-                    taken.add(r.order)
+                    taken.add(i)
             if allow_chunking and budget > 0:
-                for r in rest:
-                    if r.order in taken:
-                        continue
-                    if r.vram_tokens <= free:
-                        picks.append((r, min(budget, r.prefill_tokens)))
+                for i in rest:
+                    if i not in taken and ready[i].vram_tokens <= free:
+                        picks.append((i, min(budget, ready[i].prefill_tokens)))
                         break
     return picks
 
@@ -350,10 +341,10 @@ def run_sim(
     budget = config.token_budget
 
     rejected: list[RejectedRequest] = []
-    accepted: list[SimRequest] = []
+    accepted: list[RequestRecord] = []
     seen: set[str] = set()
     prev = 0.0
-    for i, rec in enumerate(requests):
+    for rec in requests:
         if rec.arrival_time is None:
             raise SimulationError(f"request '{rec.source_id}' has no arrival_time")
         if not (prev <= rec.arrival_time < math.inf):
@@ -365,38 +356,37 @@ def run_sim(
             raise SimulationError(f"duplicate source_id '{rec.source_id}'")
         seen.add(rec.source_id)
         prev = rec.arrival_time
-        r = SimRequest(rec.source_id, float(rec.arrival_time), rec.cached_tokens, rec.prefill_tokens, order=i)
-        if r.vram_tokens > capacity_tokens:
-            rejected.append(RejectedRequest(id=r.id, vram_bytes=r.vram_tokens * b_kv))
+        if rec.vram_tokens > capacity_tokens:
+            rejected.append(RejectedRequest(id=rec.source_id, vram_bytes=rec.vram_tokens * b_kv))
             continue
-        if r.prefill_tokens > budget and not config.allow_chunked_prefill:
+        if rec.prefill_tokens > budget and not config.allow_chunked_prefill:
             raise SimulationError(
-                f"request '{r.id}': prefill_tokens {r.prefill_tokens} exceed token_budget {budget}, "
+                f"request '{rec.source_id}': prefill_tokens {rec.prefill_tokens} exceed token_budget {budget}, "
                 f"and chunked prefill is off"
             )
-        accepted.append(r)
+        accepted.append(rec)
 
     # Where each request is (see the module docstring): accepted[head:],
-    # waiting, chan_req, ready, residents, ttfts. Both dicts are keyed by
-    # order, the arrival rank, so sorting their keys gives arrival order.
+    # waiting, chan_req, ready, residents, ttfts. All but ttfts hold indices
+    # into accepted, the arrival rank, so sorting them gives arrival order.
     iterations: list[IterationStats] = []
     ttfts: dict[str, float] = {}
     n_accepted = len(accepted)
     head = 0
-    waiting: deque[SimRequest] = deque()
-    chan_req: Optional[SimRequest] = None
+    waiting: deque[int] = deque()
+    chan_req: Optional[int] = None
     chan_left = 0.0  # bytes still to move for chan_req
-    ready: dict[int, SimRequest] = {}
-    residents: dict[int, SimRequest] = {}
+    ready: set[int] = set()
+    residents: dict[int, int] = {}  # index -> prefill tokens left to run
     used_tokens = 0  # VRAM held by residents, in token-equivalents
-    t = accepted[0].arrival_time if accepted else 0.0
+    t = float(accepted[0].arrival_time) if accepted else 0.0
     t_begin = t
     chan_active = 0.0
     compute_active = 0.0
     alpha = config.overlap_alpha
     inf = math.inf
-    t_arr = accepted[0].arrival_time if accepted else inf  # of accepted[head]
-    running: Selection = []  # picks of the iteration in progress
+    t_arr = t if accepted else inf  # of accepted[head]
+    running: list[tuple[int, int]] = []  # (index, tokens) of the iteration in progress
     rate = 1.0  # channel rate: alpha while an iteration runs, 1 otherwise
     until = t  # the next boundary: the running iteration's end, or the idle jump's target
 
@@ -404,20 +394,19 @@ def run_sim(
         # Settle t: take in due arrivals, then start and release transfers until
         # the one on the channel ends after t.
         while t_arr <= t:
-            r = accepted[head]
-            head += 1
-            t_arr = accepted[head].arrival_time if head < n_accepted else inf
-            if r.cached_tokens == 0:
-                ready[r.order] = r
+            if accepted[head].cached_tokens == 0:
+                ready.add(head)
             else:
-                waiting.append(r)
+                waiting.append(head)
+            head += 1
+            t_arr = float(accepted[head].arrival_time) if head < n_accepted else inf
         while True:
             if chan_req is None:
                 if not waiting:
                     t_done = inf
                     break
                 chan_req = waiting.popleft()
-                chan_left = chan_req.cached_tokens * b_kv
+                chan_left = accepted[chan_req].cached_tokens * b_kv
             if rate == 0:
                 t_done = inf
                 break
@@ -425,19 +414,22 @@ def run_sim(
             if t_done > t:
                 break
             # instant on an infinite link, or too little left to move the clock
-            ready[chan_req.order] = chan_req
+            ready.add(chan_req)
             chan_req = None
 
         if until <= t:  # a boundary
             if running:
-                for r, n in running:
-                    r.remaining_prefill -= n
-                    if r.remaining_prefill < 0:
-                        raise SimulationError(f"policy over-scheduled request '{r.id}'")
-                    if r.remaining_prefill == 0:
-                        del residents[r.order]
-                        used_tokens -= r.vram_tokens
-                        ttfts[r.id] = t - r.arrival_time
+                for k, n in running:
+                    remaining = residents.get(k, 0) - n
+                    if remaining > 0:
+                        residents[k] = remaining
+                        continue
+                    r = accepted[k]
+                    if remaining < 0:
+                        raise SimulationError(f"policy over-scheduled request '{r.source_id}'")
+                    del residents[k]
+                    used_tokens -= r.vram_tokens
+                    ttfts[r.source_id] = t - r.arrival_time
                 running = []
                 if rate != 1.0:
                     rate = 1.0
@@ -448,20 +440,22 @@ def run_sim(
             for k in sorted(residents):
                 if not left:
                     break
-                r = residents[k]
-                n = min(r.remaining_prefill, left)
-                running.append((r, n))
+                n = min(residents[k], left)
+                running.append((k, n))
                 left -= n
             if left and ready:
-                running += select([ready[k] for k in sorted(ready)], left, capacity_tokens - used_tokens, t)
+                keys = sorted(ready)
+                picks = select([accepted[k] for k in keys], left, capacity_tokens - used_tokens, t)
+                running += [(keys[i], n) for i, n in picks]
             if running:
                 depth = len(ready) + len(waiting) + (chan_req is not None)
                 sched = 0
-                for r, n in running:
+                for k, n in running:
                     sched += n
-                    if ready.pop(r.order, None) is not None:
-                        residents[r.order] = r
-                        used_tokens += r.vram_tokens
+                    if k in ready:
+                        ready.remove(k)
+                        residents[k] = accepted[k].prefill_tokens
+                        used_tokens += accepted[k].vram_tokens
                 if sched < 1:
                     raise SimulationError(f"policy scheduled {sched} tokens at t={t!r}; the clock would stop")
                 duration = sched * f_pf / c_eff
@@ -495,7 +489,7 @@ def run_sim(
             t = nxt
 
     if len(ttfts) < len(accepted):
-        first = next(r.id for r in accepted if r.id not in ttfts)
+        first = next(r.source_id for r in accepted if r.source_id not in ttfts)
         raise SimulationError(
             f"simulation ended with {len(accepted) - len(ttfts)} unfinished request(s); first: '{first}'"
         )

@@ -63,7 +63,7 @@ class DocumentTrace:
                 raise WorkloadError(f"document '{self.doc_id}': question tokens must be >= 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestRecord:
     """One prefill request: K cached tokens, T new tokens, optional arrival."""
 
@@ -81,6 +81,11 @@ class RequestRecord:
     @property
     def kappa_ratio(self) -> float:
         return self.cached_tokens / self.prefill_tokens
+
+    @property
+    def vram_tokens(self) -> int:
+        """KV footprint once admitted: K + T token-equivalents."""
+        return self.cached_tokens + self.prefill_tokens
 
 
 @dataclass(frozen=True)

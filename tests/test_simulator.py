@@ -15,7 +15,6 @@ from kvroof.catalog import HardwareSpec, ModelSpec, by_name, default_catalog, kv
 from kvroof.errors import SimulationError
 from kvroof.simulator import (
     SimConfig,
-    SimRequest,
     compare_policies,
     run_sim,
     schedule_fifo,
@@ -89,13 +88,7 @@ def time_limit(seconds):
 
 def cand(order, prefill, cached=0, arrival=0.0):
     """A ready request; it pins cached + prefill tokens of VRAM once admitted."""
-    return SimRequest(
-        id=f"c{order}",
-        arrival_time=arrival,
-        cached_tokens=cached,
-        prefill_tokens=prefill,
-        order=order,
-    )
+    return RequestRecord(f"c{order}", cached, prefill, arrival_time=arrival)
 
 
 class TestFourRequestInstance:
@@ -138,7 +131,7 @@ class TestFifoPolicy:
         # policies take ready requests in arrival order; run_sim sorts them
         queue = [cand(0, 1, arrival=0.0), cand(1, 2, arrival=1.0), cand(2, 3, arrival=2.0)]
         picks = schedule_fifo(queue, 100, 100, 2.0)
-        assert [(p[0].order, p[1]) for p in picks] == [(0, 1), (1, 2), (2, 3)]
+        assert [(p[0], p[1]) for p in picks] == [(0, 1), (1, 2), (2, 3)]
 
     def test_head_of_line_blocks_on_vram(self):
         queue = [cand(0, 1, 49, arrival=0.0), cand(1, 1, arrival=1.0)]
@@ -148,12 +141,12 @@ class TestFifoPolicy:
     def test_last_request_chunked(self):
         queue = [cand(0, 3), cand(1, 10, arrival=1.0)]
         picks = schedule_fifo(queue, 5, 100, 1.0, allow_chunking=True)
-        assert [(p[0].order, p[1]) for p in picks] == [(0, 3), (1, 2)]
+        assert [(p[0], p[1]) for p in picks] == [(0, 3), (1, 2)]
 
     def test_no_chunking_stops_whole(self):
         queue = [cand(0, 3), cand(1, 10, arrival=1.0)]
         picks = schedule_fifo(queue, 5, 100, 1.0, allow_chunking=False)
-        assert [(p[0].order, p[1]) for p in picks] == [(0, 3)]
+        assert [(p[0], p[1]) for p in picks] == [(0, 3)]
 
 
 class TestUtilizationPolicy:
@@ -165,7 +158,7 @@ class TestUtilizationPolicy:
             cand(3, 4, 1),
         ]
         picks = schedule_utilization_aware(queue, 5, 10, 0.0)
-        assert sorted(p[0].order for p in picks) == [0, 3]
+        assert sorted(p[0] for p in picks) == [0, 3]
         assert sum(p[1] for p in picks) == 5
 
     def test_infinite_vram_matches_fifo_totals(self):
@@ -185,7 +178,7 @@ class TestUtilizationPolicy:
         queue = [cand(i, i + 1, arrival=float(i)) for i in range(5)]  # each has waited 10 - i s
         picks = schedule_utilization_aware(queue, 1000, 1000, 10.0)
         fifo = schedule_fifo(queue, 1000, 1000, 10.0)
-        assert [(p[0].order, p[1]) for p in picks] == [(p[0].order, p[1]) for p in fifo]
+        assert [(p[0], p[1]) for p in picks] == [(p[0], p[1]) for p in fifo]
 
     def test_exact_search_tie_goes_to_arrival(self):
         # a (K=1) and b (K=0) arrive together; b is ready first, but the tie
@@ -382,12 +375,18 @@ class TestRunSimInvariants:
     def test_zero_token_iteration_raises(self, monkeypatch):
         # a policy that picks requests but schedules no tokens would stop the clock
         def idle_picks(name, chunking):
-            return lambda ready, budget, free, now: [(r, 0) for r in ready]
+            return lambda ready, budget, free, now: [(i, 0) for i in range(len(ready))]
 
         monkeypatch.setattr(simulator, "_policy_fn", idle_picks)
         stream = [RequestRecord("a", 1, 2, arrival_time=0.0), RequestRecord("b", 0, 3, arrival_time=1.0)]
         with time_limit(5), pytest.raises(SimulationError, match="0 tokens"):
             run_sim(unit_config(), stream, "fifo")
+
+    def test_integer_arrivals_keep_a_float_clock(self):
+        stream = [RequestRecord("a", 0, 2, arrival_time=3), RequestRecord("b", 0, 1, arrival_time=7)]
+        report = run_sim(unit_config(), stream, "fifo")
+        assert [row[1] for row in report.iteration_rows()] == ["3.0", "7.0"]
+        assert report.request_ttft == {"a": 2.0, "b": 1.0}
 
     def test_missing_arrival_rejected(self):
         with pytest.raises(SimulationError):
@@ -411,13 +410,11 @@ class TestRunSimInvariants:
             vram = rng.randint(1, 60)
             picks = schedule_fifo(queue, budget, vram, 0.0)
             sched = sum(x for _, x in picks)
-            picked_ids = {id(p[0]) for p in picks}
-            leftovers = [c for c in queue if id(c) not in picked_ids]
+            picked = {p[0] for p in picks}
+            leftovers = [i for i in range(n) if i not in picked]
             if leftovers and sched < budget:
-                vram_left = vram - sum(
-                    c.vram_tokens for c in queue if id(c) in picked_ids
-                )
-                first = min(leftovers, key=lambda c: c.order)
+                vram_left = vram - sum(queue[i].vram_tokens for i in picked)
+                first = queue[min(leftovers)]
                 assert first.vram_tokens > vram_left
 
 
