@@ -37,6 +37,10 @@ CSV_COLUMNS = [
     "kappa_crit",
 ]
 
+# Most K/T points one grid may hold: each becomes a point of about 120 B per
+# platform, about 1.1 GB over nine platforms. Sweeps in use have 6,001.
+MAX_GRID_POINTS = 1_000_000
+
 
 class Regime(str, Enum):
     COMPUTE_BOUND = "compute-bound"
@@ -96,6 +100,8 @@ def kappa_grid(kappa_min: float, kappa_max: float, points_per_decade: int = 16) 
     decades = np.log10(kappa_max / kappa_min)
     if not np.isfinite(decades):
         raise RooflineError(f"kappa_max / kappa_min overflows: {kappa_max!r} / {kappa_min!r}")
+    if decades > 0 and points_per_decade > (MAX_GRID_POINTS - 1) / float(decades):
+        raise RooflineError(f"points_per_decade {points_per_decade} gives more than {MAX_GRID_POINTS} grid points")
     n = int(np.ceil(decades * points_per_decade)) + 1
     return np.logspace(np.log10(kappa_min), np.log10(kappa_max), n)
 

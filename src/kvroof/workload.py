@@ -26,6 +26,10 @@ from .errors import WorkloadError
 
 PERCENTILES = (10, 50, 90, 95, 99)
 
+# Most requests one synthesized stream may expect (rps * duration_s): about
+# 2.7 GB of records at 270 B each, ten times the 1e6 the pipeline targets.
+MAX_STREAM_REQUESTS = 10_000_000
+
 
 @dataclass(frozen=True)
 class ConversationTurn:
@@ -257,8 +261,8 @@ def synthesize_stream(
         raise WorkloadError("rps must be > 0")
     if not duration_s > 0:
         raise WorkloadError("duration_s must be > 0")
-    if not rps * duration_s < math.inf:
-        raise WorkloadError(f"rps * duration_s must be finite, got {rps!r} * {duration_s!r}")
+    if not rps * duration_s <= MAX_STREAM_REQUESTS:
+        raise WorkloadError(f"rps * duration_s must be <= {MAX_STREAM_REQUESTS}, got {rps!r} * {duration_s!r}")
     import numpy as np  # here, not at module level: only synthesis needs it
 
     rng = np.random.default_rng(seed)

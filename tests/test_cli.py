@@ -440,6 +440,9 @@ BAD_INPUTS = {
     "synth infinite duration": (["--rps", "10", "--duration", "inf"], "", "synth"),
     "synth infinite rps": (["--rps", "inf", "--duration", "1"], "", "synth"),
     "synth rps times duration overflows": (["--rps", "1e200", "--duration", "1e200"], "", "synth"),
+    "synth stream too large": (["--rps", "1e18", "--duration", "10"], "", "synth"),
+    "roofline grid too large": (["--points-per-decade", "1000000000000000000"], "", "roofline"),
+    "roofline points per decade overflow a float": (["--points-per-decade", "1" + "0" * 400], "", "roofline"),
 }
 
 
