@@ -45,12 +45,10 @@ Requests whose footprint exceeds the whole pool are rejected at admission
 and reported. With chunked prefill off, an accepted request whose T exceeds
 the token budget could never be scheduled, so the run fails at once.
 
-``run_sim`` reads the ``RequestRecord``s it is given and never writes them,
-so one list can be replayed under several policies. A request's arrival
-rank is its index in the accepted list: the waiting queue, the channel and
-the ready set hold that index, the policies return positions in the ready
-list they are given, and ``residents`` maps an index to the prefill tokens
-that request has left.
+``run_sim`` reads the request records and never writes them. A request is
+known by its index in the accepted list, its arrival rank; ``residents``
+maps that index to the prefill tokens the request has left, and policies
+pick by position in the ready list they are given.
 
 VRAM is accounted in integer token-equivalents (K + T per request) so that
 pool arithmetic is exact; byte figures in reports are scaled back through
@@ -248,9 +246,7 @@ def _best_subset_fill(
             leftover = budget - tok
             best_gain = 0
             for i in range(n):
-                if mask >> i & 1:
-                    continue
-                if vr + vram[i] > vram_free:
+                if mask >> i & 1 or vr + vram[i] > vram_free:
                     continue
                 gain = min(leftover, tokens[i])
                 if gain > best_gain:
@@ -421,15 +417,15 @@ def run_sim(
             if running:
                 for k, n in running:
                     remaining = residents.get(k, 0) - n
-                    if remaining > 0:
-                        residents[k] = remaining
-                        continue
-                    r = accepted[k]
                     if remaining < 0:
-                        raise SimulationError(f"policy over-scheduled request '{r.source_id}'")
-                    del residents[k]
-                    used_tokens -= r.vram_tokens
-                    ttfts[r.source_id] = t - r.arrival_time
+                        raise SimulationError(f"policy over-scheduled request '{accepted[k].source_id}'")
+                    if remaining:
+                        residents[k] = remaining
+                    else:
+                        r = accepted[k]
+                        del residents[k]
+                        used_tokens -= r.vram_tokens
+                        ttfts[r.source_id] = t - r.arrival_time
                 running = []
                 if rate != 1.0:
                     rate = 1.0
