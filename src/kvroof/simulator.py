@@ -77,7 +77,6 @@ ITERATION_CSV_COLUMNS = [
     "scheduled_tokens",
     "vram_used_bytes",
     "queue_depth",
-    "busy",
 ]
 
 REPORT_PERCENTILES = (50, 90, 99)
@@ -112,7 +111,6 @@ class IterationStats:
     t_end: float
     scheduled_tokens: int
     vram_used: float  # bytes held during the iteration
-    busy: bool
     queue_depth: int  # requests known but not yet running at the boundary
 
 
@@ -160,7 +158,6 @@ class SimReport:
                 s.scheduled_tokens,
                 repr(s.vram_used),
                 s.queue_depth,
-                int(s.busy),
             ]
             for s in self.iterations
         ]
@@ -456,7 +453,7 @@ def run_sim(
                     raise SimulationError(f"policy scheduled {sched} tokens at t={t!r}; the clock would stop")
                 duration = sched * f_pf / c_eff
                 until = t + duration
-                iterations.append(IterationStats(len(iterations), t, until, sched, used_tokens * b_kv, True, depth))
+                iterations.append(IterationStats(len(iterations), t, until, sched, used_tokens * b_kv, depth))
                 compute_active += duration
                 rate = alpha
                 if chan_req is not None:

@@ -245,7 +245,7 @@ class TestSimulateCommand:
         counts = {p["policy"]: p["iterations"] for p in doc["comparison"]["policies"]}
         assert counts == {"fifo": 3, "utilization": 2}
         iter_csv = (out_dir / "iterations_fifo.csv").read_text().splitlines()
-        assert iter_csv[1] == "iter,t_start,t_end,scheduled_tokens,vram_used_bytes,queue_depth,busy"
+        assert iter_csv[1] == "iter,t_start,t_end,scheduled_tokens,vram_used_bytes,queue_depth"
         assert len(iter_csv) == 2 + 3
 
     def test_zero_length_stream_empty_report(self, tmp_path, capsys):

@@ -201,29 +201,29 @@ GOLDEN = {
     },
     "simulate-compare": {
         "comparison.json": "cdc6e3f731ade3e16e45217f117c8d2e56e9fde4e974fbd5e1bff54d6dd29dce",
-        "iterations_fifo.csv": "011e8b7a6a19a1243f99b75776bba926690edbfb39b9296cc753292ce891933b",
-        "iterations_utilization.csv": "a1bb54a1be0a252eb6cf9a4a7979d5967ab7c2370f0d9b846ca82262a5c5c59c",
+        "iterations_fifo.csv": "0da9cc937d14449663e3ef749500e50a2d4dc33319814d2e138368b287902d2d",
+        "iterations_utilization.csv": "d53577b3d68de27b425ce7d44e8161a3c2ef5b67d0d2bce2c1323e98efce1cdf",
         "report_fifo.json": "c4b6fbfb3990ae0fab0980e84dbda8dcd5a55403f362b8619c27a892046588d4",
         "report_utilization.json": "a005e1cb7f803ca65a1747303c180d7bafe18936157a5dec062912738a69a594",
         "stdout": "f29005add3de771b67e71cc3d667da6a1dceac9a774d80d85f6ecb34050421e0",
     },
     "simulate-fifo": {
-        "iterations.csv": "82de3cb2e69e7706a82f988427470adde956473d2093e5b027de2ad512c4d7d7",
+        "iterations.csv": "95cd4cb2a4733d000a92eb1d38a2cdfee728f71426839d0e3b5b6eb6010c300e",
         "report.json": "55383be2206160b4fbd754d8991faac3c791c4d7db5d5fcfcc58d25cfb16c0f7",
         "stdout": "f77a7e843795b3028e5a2dc7ffd9ad461d59754a768495ec7cee72a491dea70f",
     },
     "simulate-compare-throttled": {
         "comparison.json": "c11200127a94a4a9916434c471bd5dfdf01b4330baf6706f7ce7f15f5bece2b2",
-        "iterations_fifo.csv": "40117108dd4dad1ec3ce63bc0c41a49ecf43fdf60f814bef7e4ead86ec55881e",
-        "iterations_utilization.csv": "40117108dd4dad1ec3ce63bc0c41a49ecf43fdf60f814bef7e4ead86ec55881e",
+        "iterations_fifo.csv": "7df41dc76009f690c248267c9a49b1f1f7b651d73d411c33f75dabf7a3dc77d0",
+        "iterations_utilization.csv": "7df41dc76009f690c248267c9a49b1f1f7b651d73d411c33f75dabf7a3dc77d0",
         "report_fifo.json": "22482ec5aa32d63b2fe7a0716766ceb59deb8107e3bac04407f7966f000a39ee",
         "report_utilization.json": "22482ec5aa32d63b2fe7a0716766ceb59deb8107e3bac04407f7966f000a39ee",
         "stdout": "0ea8d89c878ba44c624605c879f4b104725a810ba17d3b7c6f43895e31c205f7",
     },
     "simulate-compare-greedy": {
         "comparison.json": "a00f518ff60a29d3c262c08d2d884862fa6dc3e96b255f5bcba3f4483a6197a2",
-        "iterations_fifo.csv": "0c3cb37649cce02e152dc7d570182c262c727135c995a3c1872cf876375f29b3",
-        "iterations_utilization.csv": "ad78e0de341466bf15479135291fb4859c1bd7a2dc85b5164fb62f3725cfd0ee",
+        "iterations_fifo.csv": "afff912a0bbc9c13e81965af05d3d8637ddfd2329bfd71e94d0453e9e389fb5e",
+        "iterations_utilization.csv": "c32fba57fef19b81e30bfd26ede5588b58aa5f2b9aa8f5c64733d4b2eb1a5dad",
         "report_fifo.json": "0d348e9cf09ab5ff1a59f3accb5f156c1314b5f3775fe9b2fdc05195c862030e",
         "report_utilization.json": "c021b1008c4cae3c31476a5319025fb139bcd580a072a72a7ee90c567e861243",
         "stdout": "e7b47d61ffde7178e26b161d91b5c1a784aa94032094d571436c3899bee9062c",
