@@ -70,14 +70,7 @@ from .catalog import HardwareSpec, ModelSpec, flops_per_token, kv_bytes_per_toke
 from .errors import SimulationError
 from .workload import RequestRecord, nearest_rank_percentile
 
-ITERATION_CSV_COLUMNS = [
-    "iter",
-    "t_start",
-    "t_end",
-    "scheduled_tokens",
-    "vram_used_bytes",
-    "queue_depth",
-]
+ITERATION_CSV_COLUMNS = ["iter", "t_start", "t_end", "scheduled_tokens", "vram_used_bytes", "queue_depth"]
 
 REPORT_PERCENTILES = (50, 90, 99)
 
@@ -151,14 +144,7 @@ class SimReport:
 
     def iteration_rows(self) -> list[list]:
         return [
-            [
-                s.index,
-                repr(s.t_start),
-                repr(s.t_end),
-                s.scheduled_tokens,
-                repr(s.vram_used),
-                s.queue_depth,
-            ]
+            [s.index, repr(s.t_start), repr(s.t_end), s.scheduled_tokens, repr(s.vram_used), s.queue_depth]
             for s in self.iterations
         ]
 
