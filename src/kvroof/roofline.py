@@ -101,7 +101,7 @@ def kappa_grid(kappa_min: float, kappa_max: float, points_per_decade: int = 16) 
     if not np.isfinite(decades):
         raise RooflineError(f"kappa_max / kappa_min overflows: {kappa_max!r} / {kappa_min!r}")
     if decades > 0 and points_per_decade > (MAX_GRID_POINTS - 1) / float(decades):
-        raise RooflineError(f"points_per_decade {points_per_decade} gives more than {MAX_GRID_POINTS} grid points")
+        raise RooflineError(f"points_per_decade is too large: the grid would exceed {MAX_GRID_POINTS} points")
     n = int(np.ceil(decades * points_per_decade)) + 1
     return np.logspace(np.log10(kappa_min), np.log10(kappa_max), n)
 

@@ -399,6 +399,7 @@ def run_sim(
         if until <= t:  # a boundary
             if running:
                 for k, n in running:
+                    # get: a request a policy picked twice may have finished earlier in this loop
                     remaining = residents.get(k, 0) - n
                     if remaining < 0:
                         raise SimulationError(f"policy over-scheduled request '{accepted[k].source_id}'")

@@ -382,6 +382,22 @@ class TestRunSimInvariants:
         with time_limit(5), pytest.raises(SimulationError, match="0 tokens"):
             run_sim(unit_config(), stream, "fifo")
 
+    @pytest.mark.parametrize("picks", [
+        lambda ready: [(i, r.prefill_tokens + 1) for i, r in enumerate(ready)],
+        lambda ready: [(0, ready[0].prefill_tokens), (0, 1)],  # the same request twice
+    ], ids=["too many tokens", "picked twice"])
+    def test_over_scheduling_policy_raises(self, monkeypatch, picks):
+        monkeypatch.setattr(simulator, "_policy_fn", lambda name, chunking: lambda ready, *_: picks(ready))
+        stream = [RequestRecord("a", 0, 2, arrival_time=0.0)]
+        with pytest.raises(SimulationError, match="policy over-scheduled request 'a'"):
+            run_sim(unit_config(), stream, "fifo")
+
+    def test_policy_that_never_admits_leaves_requests_unfinished(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_policy_fn", lambda name, chunking: lambda *_: [])
+        stream = [RequestRecord("a", 1, 2, arrival_time=0.0), RequestRecord("b", 0, 3, arrival_time=1.0)]
+        with time_limit(5), pytest.raises(SimulationError, match="2 unfinished request\\(s\\); first: 'a'"):
+            run_sim(unit_config(), stream, "fifo")
+
     def test_integer_arrivals_keep_a_float_clock(self):
         stream = [RequestRecord("a", 0, 2, arrival_time=3), RequestRecord("b", 0, 1, arrival_time=7)]
         report = run_sim(unit_config(), stream, "fifo")
