@@ -119,6 +119,15 @@ def test_synth(tmp_path, capsys, profile):
     check(f"synth-{profile}", digests_of(tmp_path, ["s.jsonl"]))
 
 
+def test_synth_second_arrival_block(tmp_path, capsys):
+    # 213 rps for 1 s draws a first block of 256 gaps; at this seed they end
+    # before 1 s, so the arrivals continue into a second block.
+    run(["synth", "--profile", "sharegpt", "--rps", "213", "--duration", "1", "--seed", "2300",
+         "--out", str(tmp_path / "s.jsonl")], capsys)
+    assert len((tmp_path / "s.jsonl").read_text().splitlines()) == 1 + 268
+    check("synth-second-block", digests_of(tmp_path, ["s.jsonl"]))
+
+
 def test_simulate_compare_fixture(tmp_path, capsys):
     stdout = run(["simulate", "--config", fixture_path("scheduling_fixture_config.json"),
                   "--stream", fixture_path("scheduling_fixture_stream.jsonl"),
@@ -198,6 +207,9 @@ GOLDEN = {
     },
     "synth-finqa": {
         "s.jsonl": "832de362c8e4f46db3b957496f6af98ecb0a4b3a62521f37ecbda7214c8ef284",
+    },
+    "synth-second-block": {
+        "s.jsonl": "44bbfacd279ddcfa8a3b96d50edcef21313878b4a85df7159ba8aeab26a5c705",
     },
     "simulate-compare": {
         "comparison.json": "cdc6e3f731ade3e16e45217f117c8d2e56e9fde4e974fbd5e1bff54d6dd29dce",
