@@ -16,6 +16,7 @@ import io
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import is_
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
@@ -160,7 +161,9 @@ def write_series_csv(
     The rows are those ``csv.writer`` writes. Only the cells that are the
     same along a series (names, mode, regime and marker) can need quoting,
     so they go through ``csv.writer`` once per series; each row then adds
-    the ``repr`` of its three floats, which never need quoting.
+    the ``repr`` of its three floats, which never need quoting. The series
+    of one sweep share their K/T and intensity floats, so those two cells
+    are formatted once for as long as the next series holds the same objects.
     """
     if isinstance(destination, (str, Path)):
         with open(destination, "w", newline="") as fh:
@@ -171,12 +174,18 @@ def write_series_csv(
     writer = csv.writer(destination)
     writer.writerow(CSV_COLUMNS)
     end = writer.dialect.lineterminator
+    grid: list[float] = []  # K/T and intensity of each point of the last series, interleaved
+    cells: list[str] = []  # "k,ai" of each of those points
     for s in series:
         head = _csv_row([s.model_name, s.hw_name, s.bandwidth_mode]).removesuffix(end)
         marker = repr(s.kappa_crit_marker)
         tails = {regime: _csv_row([regime.value, marker]) for regime in Regime}
+        floats = [x for p in s.points for x in p[:2]]
+        if not (len(floats) == len(grid) and all(map(is_, floats, grid))):
+            grid = floats
+            cells = [f"{k!r},{ai!r}" for k, ai, _, _ in s.points]
         destination.writelines(
-            f"{head},{k!r},{ai!r},{attain!r},{tails[regime]}" for k, ai, attain, regime in s.points
+            f"{head},{kai},{p.attainable!r},{tails[p.regime]}" for kai, p in zip(cells, s.points)
         )
 
 

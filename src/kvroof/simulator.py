@@ -64,7 +64,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Sequence
+from operator import attrgetter
+from typing import Iterator, Optional, Sequence
 
 from .catalog import HardwareSpec, ModelSpec, flops_per_token, kv_bytes_per_token
 from .errors import SimulationError
@@ -107,6 +108,9 @@ class IterationStats:
     queue_depth: int  # requests known but not yet running at the boundary
 
 
+_ITERATION_ROW = attrgetter("index", "t_start", "t_end", "scheduled_tokens", "vram_used", "queue_depth")
+
+
 @dataclass(frozen=True)
 class RejectedRequest:
     id: str
@@ -142,11 +146,12 @@ class SimReport:
             "request_ttft": dict(sorted(self.request_ttft.items())),
         }
 
-    def iteration_rows(self) -> list[list]:
-        return [
-            [s.index, repr(s.t_start), repr(s.t_end), s.scheduled_tokens, repr(s.vram_used), s.queue_depth]
-            for s in self.iterations
-        ]
+    def iteration_rows(self) -> Iterator[tuple]:
+        """The ``ITERATION_CSV_COLUMNS`` of each iteration, as raw ints and floats.
+
+        ``csv.writer`` writes a float as its ``repr``.
+        """
+        return map(_ITERATION_ROW, self.iterations)
 
 
 # (position in the ready list the policy was given, tokens to run)

@@ -16,8 +16,10 @@ arrive as a Poisson process; generation is deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
@@ -112,26 +114,18 @@ def expand_conversation(trace: ConversationTrace) -> list[RequestRecord]:
     """One record per turn: T is the turn's query, K the accumulated history."""
     records = []
     cached = 0
+    cid = trace.conversation_id
     for i, turn in enumerate(trace.turns, start=1):
-        records.append(
-            RequestRecord(
-                source_id=f"{trace.conversation_id}/turn{i}",
-                cached_tokens=cached,
-                prefill_tokens=turn.query_tokens,
-            )
-        )
+        records.append(RequestRecord(f"{cid}/turn{i}", cached, turn.query_tokens))
         cached += turn.query_tokens + turn.response_tokens
     return records
 
 
 def expand_document(trace: DocumentTrace) -> list[RequestRecord]:
     """One record per question, all sharing the document as cached context."""
+    doc_id, doc_tokens = trace.doc_id, trace.doc_tokens
     return [
-        RequestRecord(
-            source_id=f"{trace.doc_id}/q{i}",
-            cached_tokens=trace.doc_tokens,
-            prefill_tokens=q,
-        )
+        RequestRecord(f"{doc_id}/q{i}", doc_tokens, q)
         for i, q in enumerate(trace.question_tokens, start=1)
     ]
 
@@ -266,30 +260,26 @@ def synthesize_stream(
     import numpy as np  # here, not at module level: only synthesis needs it
 
     rng = np.random.default_rng(seed)
-    arrivals: list[float] = []
+    # Each block's arrivals are one cumsum from the last arrival: np.cumsum adds
+    # one gap at a time, so they carry the bits of a running sum per gap.
+    blocks = []
     t = 0.0
     block = max(256, int(rps * duration_s * 1.2) + 1)
     while t <= duration_s:
         gaps = rng.exponential(1.0 / rps, size=block)
-        for g in gaps:
-            t += g
-            if t > duration_s:
-                break
-            arrivals.append(t)
+        times = np.cumsum(np.concatenate(([t], gaps)))[1:]
+        kept = int(np.searchsorted(times, duration_s, side="right"))
+        blocks.append(times[:kept])
+        t = times[-1]
+    arrivals = np.concatenate(blocks).tolist()
     n = len(arrivals)
     prefill = rng.lognormal(profile.prefill_log_mean, profile.prefill_log_sigma, size=n)
     cached = rng.lognormal(profile.cached_log_mean, profile.cached_log_sigma, size=n)
-    prefill_tokens = np.maximum(1, np.rint(prefill)).astype(int)
-    cached_tokens = np.maximum(1, np.rint(cached)).astype(int)
-    return [
-        RequestRecord(
-            source_id=f"{profile.name}-{i:06d}",
-            cached_tokens=int(cached_tokens[i]),
-            prefill_tokens=int(prefill_tokens[i]),
-            arrival_time=float(arrivals[i]),
-        )
-        for i in range(n)
-    ]
+    prefill_tokens = np.maximum(1, np.rint(prefill)).astype(int).tolist()
+    cached_tokens = np.maximum(1, np.rint(cached)).astype(int).tolist()
+    name = profile.name
+    ids = [f"{name}-{i:06d}" for i in range(n)]
+    return list(map(RequestRecord, ids, cached_tokens, prefill_tokens, arrivals))
 
 
 # --- JSON Lines readers/writers -------------------------------------------
@@ -302,12 +292,12 @@ def _iter_lines(path: str | Path):
         raise WorkloadError(f"cannot read '{path}': {exc}") from exc
     with fh:
         for lineno, line in enumerate(fh, start=1):
-            if line.strip():
+            if not line.isspace():
                 yield lineno, line
 
 
-def _read_jsonl(path: str | Path, what: str, build: Callable[[object], object]) -> list:
-    """Apply ``build`` to each non-blank line's JSON value, dropping ``None`` results.
+def _read_jsonl(path: str | Path, what: str, build: Callable[[str], object]) -> list:
+    """Apply ``build`` to each non-blank line, dropping ``None`` results.
 
     Malformed JSON, missing keys, wrong types and bad values all surface as
     ``WorkloadError("<path>: line N: ...")``.
@@ -315,7 +305,7 @@ def _read_jsonl(path: str | Path, what: str, build: Callable[[object], object]) 
     out = []
     for lineno, line in _iter_lines(path):
         try:
-            item = build(json.loads(line))
+            item = build(line)
         except json.JSONDecodeError as exc:
             raise WorkloadError(f"{path}: line {lineno}: invalid JSON: {exc.msg}") from exc
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -371,11 +361,11 @@ def _request(obj) -> Optional[RequestRecord]:
 
 
 def read_conversations(path: str | Path) -> list[ConversationTrace]:
-    return _read_jsonl(path, "conversation object", _conversation)
+    return _read_jsonl(path, "conversation object", lambda line: _conversation(json.loads(line)))
 
 
 def read_documents(path: str | Path) -> list[DocumentTrace]:
-    return _read_jsonl(path, "document object", _document)
+    return _read_jsonl(path, "document object", lambda line: _document(json.loads(line)))
 
 
 def record_to_dict(record: RequestRecord) -> dict:
@@ -422,6 +412,36 @@ def write_stream(records: Iterable[RequestRecord], path: str | Path, manifest: O
         fh.writelines(_stream_line(r) for r in records)
 
 
+# The line _stream_line writes, restricted to text that json.loads reads the
+# same way. The two floats need a fraction or an exponent: json.loads reads
+# "-0" as int 0 where float() gives -0.0, and parses a bare integer with
+# int(), which refuses more than sys.get_int_max_str_digits() digits. Token
+# counts are plain digits; the id has no quote, backslash or control character.
+_JSON_FLOAT = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
+_STREAM_LINE = (
+    r'\{(?:"arrival_time": (' + _JSON_FLOAT + r"), )?"
+    r'"cached_tokens": (0|[1-9][0-9]*), '
+    r'"kappa_ratio": ' + _JSON_FLOAT + r", "
+    r'"prefill_tokens": (0|[1-9][0-9]*), '
+    r'"source_id": "([^"\\\x00-\x1f]*)"\}\n?'
+)
+
+
+@functools.cache
+def _stream_line_match() -> Callable[[str], Optional[re.Match]]:
+    """``fullmatch`` for ``_STREAM_LINE``, compiled on first use rather than at import."""
+    return re.compile(_STREAM_LINE).fullmatch
+
+
+def _request_line(line: str) -> Optional[RequestRecord]:
+    """``_request(json.loads(line))``, reading the writer's own line without ``json.loads``."""
+    m = _stream_line_match()(line)
+    if m is None:
+        return _request(json.loads(line))
+    arrival, cached, prefill, source_id = m.groups()
+    return RequestRecord(source_id, int(cached), int(prefill), None if arrival is None else float(arrival))
+
+
 def read_stream(path: str | Path) -> list[RequestRecord]:
     """Read a JSON Lines stream file, skipping any manifest line."""
-    return _read_jsonl(path, "request record", _request)
+    return _read_jsonl(path, "request record", _request_line)

@@ -187,6 +187,15 @@ class TestUtilizationPolicy:
         report = run_sim(unit_config(budget=4, vram_tokens=20), stream, "utilization")
         assert report.request_ttft == {"a": 4.0, "b": 6.0}
 
+    def test_greedy_top_up_skips_admitted_requests(self):
+        # 13 requests that have not waited: more than EXACT_SEARCH_LIMIT, so the
+        # greedy pass admits two whole and chunks the next one not yet admitted
+        queue = [cand(i, 10, arrival=1.0) for i in range(13)]
+        assert len(queue) > simulator.EXACT_SEARCH_LIMIT
+        picks = schedule_utilization_aware(queue, 25, 1000, 1.0)
+        assert picks == [(0, 10), (1, 10), (2, 5)]
+        assert len({i for i, _ in picks}) == len(picks)
+
     def test_never_below_fifo_at_zero_wait(self):
         rng = random.Random(21)
         for _ in range(300):
@@ -401,7 +410,7 @@ class TestRunSimInvariants:
     def test_integer_arrivals_keep_a_float_clock(self):
         stream = [RequestRecord("a", 0, 2, arrival_time=3), RequestRecord("b", 0, 1, arrival_time=7)]
         report = run_sim(unit_config(), stream, "fifo")
-        assert [row[1] for row in report.iteration_rows()] == ["3.0", "7.0"]
+        assert [repr(row[1]) for row in report.iteration_rows()] == ["3.0", "7.0"]
         assert report.request_ttft == {"a": 2.0, "b": 1.0}
 
     def test_missing_arrival_rejected(self):

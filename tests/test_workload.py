@@ -25,7 +25,39 @@ from kvroof.workload import (
     summarize,
     synthesize_stream,
     write_stream,
+    _request,
+    _request_line,
+    _stream_line,
+    _stream_line_match,
 )
+
+
+def read_outcome(build, line):
+    """What a stream-line builder gives: the record with the types and sign of its values, or the error."""
+    try:
+        r = build(line)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return ("error", type(exc).__name__, str(exc))
+    if r is None:
+        return None
+    a = r.arrival_time
+    return (
+        r.source_id,
+        r.cached_tokens,
+        type(r.cached_tokens),
+        r.prefill_tokens,
+        type(r.prefill_tokens),
+        repr(a),
+        type(a),
+        None if a is None else math.copysign(1.0, a),
+    )
+
+
+def assert_reads_like_json_loads(line):
+    assert read_outcome(_request_line, line) == read_outcome(lambda x: _request(json.loads(x)), line)
+
+
+STREAM_LINE = '{"arrival_time": 1.5, "cached_tokens": 4000, "kappa_ratio": 100.0, "prefill_tokens": 40, "source_id": "r"}\n'
 
 
 def conv(turns, cid="c0"):
@@ -179,6 +211,26 @@ class TestSynthesizeStream:
         write_stream(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
 
+    @pytest.mark.parametrize(
+        "rps, duration_s, seed",
+        [(213, 1, 2300), (213, 1, 248), (213, 1, 7), (0.5, 3, 1), (50, 2.5, 9), (1e4, 0.01, 3)],
+    )
+    def test_arrivals_match_a_running_sum_per_gap(self, rps, duration_s, seed):
+        # the reference: add the gaps one at a time, across blocks, until past the end
+        rng = np.random.default_rng(seed)
+        block = max(256, int(rps * duration_s * 1.2) + 1)
+        expected = []
+        t = 0.0
+        while t <= duration_s:
+            for g in rng.exponential(1.0 / rps, size=block):
+                t += g
+                if t > duration_s:
+                    break
+                expected.append(float(t))
+        records = synthesize_stream(SHAREGPT_LIKE, rps=rps, duration_s=duration_s, seed=seed)
+        assert [r.arrival_time.hex() for r in records] == [a.hex() for a in expected]
+        assert all(type(r.arrival_time) is float for r in records)
+
     def test_different_seed_differs(self):
         a = synthesize_stream(SHAREGPT_LIKE, rps=50, duration_s=5, seed=1)
         b = synthesize_stream(SHAREGPT_LIKE, rps=50, duration_s=5, seed=2)
@@ -232,6 +284,67 @@ class TestJsonLines:
         assert path.read_bytes() == "".join(line + "\n" for line in expected).encode()
         write_stream(records, path)
         assert path.read_bytes() == "".join(line + "\n" for line in expected[1:]).encode()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        source_id=st.text(),
+        cached=st.integers(0, 2**70),
+        prefill=st.integers(1, 2**70),
+        arrival=st.one_of(st.none(), st.floats(), st.integers(0, 10**30)),
+    )
+    def test_fast_path_reads_written_lines_as_json_loads(self, source_id, cached, prefill, arrival):
+        assert_reads_like_json_loads(_stream_line(RequestRecord(source_id, cached, prefill, arrival)))
+
+    def test_fast_path_takes_synthesized_lines(self):
+        for r in synthesize_stream(SHAREGPT_LIKE, rps=50, duration_s=2, seed=9):
+            line = _stream_line(r)
+            assert _stream_line_match()(line) is not None
+            assert_reads_like_json_loads(line)
+
+    @pytest.mark.parametrize(
+        "old, new, fast",
+        [
+            ("", "", True),
+            ("1.5", "-0", False),
+            ("1.5", "3", False),
+            ("1.5", "-0.0", True),
+            ("1.5", "1e400", True),
+            ("1.5", "1e-400", True),
+            ("1.5", "1E+2", True),
+            ("1.5", "1" + "0" * 400, False),
+            ("1.5", "null", False),
+            ("1.5", '"1.5"', False),
+            ('"arrival_time": 1.5, ', "", True),
+            ("4000", "1.0", False),
+            ("4000", "true", False),
+            ("4000", "04000", False),
+            ("4000", "\u0664\u0660", False),
+            ("4000", "9" * 5000, True),
+            ("40,", "0,", True),
+            ("40,", "-1,", False),
+            ("100.0", "NaN", False),
+            ("100.0", "100", False),
+            ("100.0", "1" * 5000, False),
+            ('"arrival_time": 1.5, "cached_tokens": 4000', '"cached_tokens": 4000, "arrival_time": 1.5', False),
+            ('"arrival_time": 1.5, ', '"arrival_time": 0.5, "arrival_time": 1.5, ', False),
+            (": 40", ":  40", False),
+            ("}\n", "}\r\n", False),
+            ("}\n", "} \n", False),
+            ("}\n", "}", True),
+            ('"r"', '"r\\u00e9"', False),
+            ('"r"', '"r\u00e9\u4e2d\u2028"', True),
+            ('"r"', '"a\tb"', False),
+            ('"r"', '""', True),
+            ('"r"', "7", False),
+            ('"source_id": "r"', '"source_id": "r", "x": 1', False),
+            (STREAM_LINE, '{"_manifest": {"seed": 1}}\n', False),
+            (STREAM_LINE, "[1, 2]\n", False),
+        ],
+    )
+    def test_fast_path_reads_edited_lines_as_json_loads(self, old, new, fast):
+        line = STREAM_LINE.replace(old, new, 1)
+        assert (_stream_line_match()(line) is not None) == fast
+        assert_reads_like_json_loads(line)
 
     def test_conversation_file(self, tmp_path):
         path = tmp_path / "conv.jsonl"
