@@ -311,7 +311,7 @@ class TestJsonLines:
             ("1.5", "1e400", True),
             ("1.5", "1e-400", True),
             ("1.5", "1E+2", True),
-            ("1.5", "1" + "0" * 400, False),
+            pytest.param("1.5", "1" + "0" * 400, False, id="401-digit-arrival"),
             ("1.5", "null", False),
             ("1.5", '"1.5"', False),
             ('"arrival_time": 1.5, ', "", True),
@@ -319,14 +319,15 @@ class TestJsonLines:
             ("4000", "true", False),
             ("4000", "04000", False),
             ("4000", "\u0664\u0660", False),
-            ("4000", "9" * 5000, True),
+            pytest.param("4000", "9" * 5000, True, id="5000-digit-token"),
             ("40,", "0,", True),
             ("40,", "-1,", False),
             ("100.0", "NaN", False),
             ("100.0", "100", False),
-            ("100.0", "1" * 5000, False),
-            ('"arrival_time": 1.5, "cached_tokens": 4000', '"cached_tokens": 4000, "arrival_time": 1.5', False),
-            ('"arrival_time": 1.5, ', '"arrival_time": 0.5, "arrival_time": 1.5, ', False),
+            pytest.param("100.0", "1" * 5000, False, id="5000-digit-kappa"),
+            pytest.param('"arrival_time": 1.5, "cached_tokens": 4000', '"cached_tokens": 4000, "arrival_time": 1.5',
+                         False, id="reordered-keys"),
+            pytest.param('"arrival_time": 1.5, ', '"arrival_time": 0.5, "arrival_time": 1.5, ', False, id="duplicate-key"),
             (": 40", ":  40", False),
             ("}\n", "}\r\n", False),
             ("}\n", "} \n", False),
@@ -337,8 +338,8 @@ class TestJsonLines:
             ('"r"', '""', True),
             ('"r"', "7", False),
             ('"source_id": "r"', '"source_id": "r", "x": 1', False),
-            (STREAM_LINE, '{"_manifest": {"seed": 1}}\n', False),
-            (STREAM_LINE, "[1, 2]\n", False),
+            pytest.param(STREAM_LINE, '{"_manifest": {"seed": 1}}\n', False, id="manifest"),
+            pytest.param(STREAM_LINE, "[1, 2]\n", False, id="array"),
         ],
     )
     def test_fast_path_reads_edited_lines_as_json_loads(self, old, new, fast):
