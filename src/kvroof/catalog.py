@@ -3,8 +3,9 @@
 Defines the two specification records everything else consumes and derives
 the per-token constants from them: KV-cache bytes per token and prefill
 FLOPs per token. Catalog files are JSON documents with top-level "models"
-and "hardware" arrays; all quantities are SI base units (bytes, bytes/s,
-FLOP/s, watts). Display scaling such as KB/GFLOP happens only at the CLI.
+and "hardware" arrays and no other key; all quantities are SI base units
+(bytes, bytes/s, FLOP/s, watts). Display scaling such as KB/GFLOP happens
+only at the CLI.
 
 All catalog data is immutable after load and safe to share across threads.
 """
@@ -12,11 +13,12 @@ All catalog data is immutable after load and safe to share across threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import CatalogError
 
@@ -24,6 +26,16 @@ GQA = "GQA"
 MLA = "MLA"
 
 _DEFAULT_RESOURCE = "default_catalog.json"
+
+
+def is_number(value) -> bool:
+    """True for an int or float; a bool, which JSON writes as true/false, is not a number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def is_positive_int(value) -> bool:
+    """True for an int > 0 that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
 
 
 @dataclass(frozen=True)
@@ -48,23 +60,22 @@ class ModelSpec:
     precision_bytes: float = 2.0
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise CatalogError("model name must be non-empty")
+        if not isinstance(self.name, str) or not self.name:
+            raise CatalogError("model name must be a non-empty string")
         if self.attention_kind not in (GQA, MLA):
             raise CatalogError(
                 f"model '{self.name}': attention_kind must be 'GQA' or 'MLA', "
                 f"got {self.attention_kind!r}"
             )
         for fname in ("total_params", "active_params", "layers"):
-            value = getattr(self, fname)
-            if not isinstance(value, int) or value <= 0:
+            if not is_positive_int(getattr(self, fname)):
                 raise CatalogError(f"model '{self.name}': {fname} must be a positive integer")
         if self.active_params > self.total_params:
             raise CatalogError(
                 f"model '{self.name}': active_params exceeds total_params"
             )
-        bits = 8.0 * self.precision_bytes
-        if self.precision_bytes <= 0 or abs(bits - round(bits)) > 1e-9 or round(bits) < 1:
+        bits = 8.0 * self.precision_bytes if is_number(self.precision_bytes) else math.nan
+        if not 0 < bits < math.inf or abs(bits - round(bits)) > 1e-9 or round(bits) < 1:
             raise CatalogError(
                 f"model '{self.name}': precision_bytes must map to a positive "
                 f"whole number of bits, got {self.precision_bytes!r}"
@@ -84,7 +95,7 @@ class ModelSpec:
                     f"model '{self.name}': attention_kind {self.attention_kind} "
                     f"requires field '{fname}'"
                 )
-            if not isinstance(value, int) or value <= 0:
+            if not is_positive_int(value):
                 raise CatalogError(f"model '{self.name}': {fname} must be a positive integer")
 
     def _require_unset(self, *names: str) -> None:
@@ -118,21 +129,24 @@ class HardwareSpec:
     idle_watts: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise CatalogError("hardware name must be non-empty")
-        if self.compute_throughput <= 0:
-            raise CatalogError(f"hardware '{self.name}': compute_throughput must be > 0")
-        if self.link_bandwidth_peak <= 0:
-            raise CatalogError(f"hardware '{self.name}': link_bandwidth_peak must be > 0")
+        if not isinstance(self.name, str) or not self.name:
+            raise CatalogError("hardware name must be a non-empty string")
+        for fname in ("compute_throughput", "link_bandwidth_peak", "vram_effective"):
+            value = getattr(self, fname)
+            if not (is_number(value) and value > 0):
+                raise CatalogError(f"hardware '{self.name}': {fname} must be a number > 0")
         if self.link_bandwidth_sustained is None:
             object.__setattr__(self, "link_bandwidth_sustained", self.link_bandwidth_peak)
-        if not 0 < self.link_bandwidth_sustained <= self.link_bandwidth_peak:
+        sustained = self.link_bandwidth_sustained
+        if not (is_number(sustained) and 0 < sustained <= self.link_bandwidth_peak):
             raise CatalogError(
                 f"hardware '{self.name}': link_bandwidth_sustained must satisfy "
                 f"0 < sustained <= peak"
             )
-        if self.vram_effective <= 0:
-            raise CatalogError(f"hardware '{self.name}': vram_effective must be > 0")
+        for fname in ("tdp_watts", "idle_watts"):
+            value = getattr(self, fname)
+            if value is not None and not (is_number(value) and 0 <= value < math.inf):
+                raise CatalogError(f"hardware '{self.name}': {fname} must be a finite number >= 0")
         if (
             self.tdp_watts is not None
             and self.idle_watts is not None
@@ -163,29 +177,24 @@ def flops_per_token(model: ModelSpec) -> float:
     return 2.0 * model.active_params
 
 
-_MODEL_FIELDS = {f.name for f in fields(ModelSpec)}
-_HW_FIELDS = {f.name for f in fields(HardwareSpec)}
+_SPEC_KEYS = {cls: tuple(f.name for f in fields(cls)) for cls in (ModelSpec, HardwareSpec)}
 
 
-def build_model(entry: dict, where: str) -> ModelSpec:
-    """A validated ModelSpec from a JSON object; ``where`` prefixes error messages."""
-    unknown = set(entry) - _MODEL_FIELDS
+def check_keys(obj, allowed: Sequence[str], where: str) -> None:
+    """Refuse anything but a JSON object whose keys are all in ``allowed``."""
+    if not isinstance(obj, dict):
+        raise CatalogError(f"{where} must be a JSON object")
+    unknown = obj.keys() - allowed
     if unknown:
-        raise CatalogError(f"{where}: unknown model field(s) {sorted(unknown)}")
-    try:
-        return ModelSpec(**entry)
-    except TypeError as exc:
-        raise CatalogError(f"{where}: {exc}") from exc
+        raise CatalogError(f"{where}: unknown key(s) {sorted(unknown)}; accepted: {', '.join(allowed)}")
 
 
-def build_hardware(entry: dict, where: str) -> HardwareSpec:
-    """A validated HardwareSpec from a JSON object; ``where`` prefixes error messages."""
-    unknown = set(entry) - _HW_FIELDS
-    if unknown:
-        raise CatalogError(f"{where}: unknown hardware field(s) {sorted(unknown)}")
+def build_spec(cls, entry, where: str):
+    """A validated ``cls`` (ModelSpec or HardwareSpec) from a JSON object; ``where`` prefixes every error."""
+    check_keys(entry, _SPEC_KEYS[cls], where)
     try:
-        return HardwareSpec(**entry)
-    except TypeError as exc:
+        return cls(**entry)
+    except (TypeError, CatalogError) as exc:  # a missing field, or a failed check
         raise CatalogError(f"{where}: {exc}") from exc
 
 
@@ -197,25 +206,20 @@ def loads_catalog(text: str, source: str = "<string>") -> tuple[list[ModelSpec],
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CatalogError(f"{source}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise CatalogError(f"{source}: catalog root must be a JSON object")
-    models = []
-    for i, entry in enumerate(doc.get("models", [])):
-        if not isinstance(entry, dict):
-            raise CatalogError(f"{source}: models[{i}] must be an object")
-        models.append(build_model(entry, f"{source}: models[{i}]"))
-    hardware = []
-    for i, entry in enumerate(doc.get("hardware", [])):
-        if not isinstance(entry, dict):
-            raise CatalogError(f"{source}: hardware[{i}] must be an object")
-        hardware.append(build_hardware(entry, f"{source}: hardware[{i}]"))
-    for kind, entries in (("model", models), ("hardware", hardware)):
-        seen: set[str] = set()
-        for e in entries:
-            if e.name in seen:
-                raise CatalogError(f"{source}: duplicate {kind} name '{e.name}'")
-            seen.add(e.name)
-    return models, hardware
+    check_keys(doc, ("models", "hardware"), f"{source}: catalog root")
+    tables = []
+    for key, cls in (("models", ModelSpec), ("hardware", HardwareSpec)):
+        entries = doc.get(key, [])
+        if not isinstance(entries, list):
+            raise CatalogError(f"{source}: {key} must be a JSON array")
+        specs: dict = {}
+        for i, entry in enumerate(entries):
+            spec = build_spec(cls, entry, f"{source}: {key}[{i}]")
+            if spec.name in specs:
+                raise CatalogError(f"{source}: {key}[{i}]: duplicate name '{spec.name}'")
+            specs[spec.name] = spec
+        tables.append(list(specs.values()))
+    return tables[0], tables[1]
 
 
 def load_catalog(path: str | Path) -> tuple[list[ModelSpec], list[HardwareSpec]]:

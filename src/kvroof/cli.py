@@ -14,16 +14,21 @@ line, catalog hash, and the seed where there is one, so re-running with the
 recorded inputs reproduces byte-identical files. Internals are SI units;
 tables display KB/GFLOP and GFLOP/KB unless ``--si`` is given.
 
-``simulate --config`` takes a JSON object with these keys; any other key is
-a data error:
+``simulate --config`` takes a JSON object with these keys; any other key, a
+missing required key or a value of another type is a data error:
 
-* ``model``, ``hardware`` (required): a catalog name, or an inline object
-  with the catalog's fields;
-* ``vram_effective``: KV pool bytes, replacing the platform's figure;
-* ``bandwidth_mode``: ``"sustained"`` (default) or ``"peak"``;
-* ``token_budget``: prefill tokens per iteration (default 4000);
-* ``overlap_alpha``: transfer/compute overlap in [0, 1] (default 0);
-* ``allow_chunked_prefill``: default true.
+* ``model``, ``hardware`` (required): a string naming a catalog entry, or an
+  inline object with the catalog's fields and checks;
+* ``vram_effective``: a number > 0, the KV pool in bytes, replacing the
+  platform's figure (default: the platform's);
+* ``bandwidth_mode``: the string ``"sustained"`` (default) or ``"peak"``;
+* ``token_budget``: an integer >= 1, prefill tokens per iteration (default
+  4000; ``4000.0`` is not an integer);
+* ``overlap_alpha``: a number in [0, 1], the transfer/compute overlap
+  (default 0.0);
+* ``allow_chunked_prefill``: ``true`` (default) or ``false``.
+
+A JSON ``true`` or ``false`` is never a number, here or in a catalog.
 
 A report's ``mean_power_watts`` comes from the platform's ``idle_watts`` and
 ``tdp_watts``; it is null when the platform lacks either.
@@ -46,7 +51,15 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import __version__
 from . import analytics, roofline, workload
-from .catalog import build_hardware, build_model, by_name, default_catalog_text, loads_catalog
+from .catalog import (
+    HardwareSpec,
+    ModelSpec,
+    build_spec,
+    by_name,
+    check_keys,
+    default_catalog_text,
+    loads_catalog,
+)
 from .errors import KvroofError
 from .simulator import (
     ITERATION_CSV_COLUMNS,
@@ -235,58 +248,39 @@ def _cmd_synth(args, catalog: Catalog, manifest: RunManifest) -> int:
 
 # --- simulate -----------------------------------------------------------------
 
-CONFIG_KEYS = ("model", "hardware", "vram_effective", "bandwidth_mode", "token_budget",
-               "overlap_alpha", "allow_chunked_prefill")
+CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(SimConfig)) + ("vram_effective",)
 
 
-def _resolve_spec(value, pool: dict, builder, kind: str, where: str):
+def _resolve_spec(value, pool: dict, cls, kind: str, where: str):
     if isinstance(value, str):
         if value not in pool:
             available = ", ".join(sorted(pool))
             raise KvroofError(f"config references unknown {kind} '{value}'; available: {available}")
         return pool[value]
     if isinstance(value, dict):
-        return builder(value, f"{where}: {kind}")
+        return build_spec(cls, value, f"{where}: {kind}")
     raise KvroofError(f"config field '{kind}' must be a catalog name or an inline object")
 
 
-def _check_keys(obj, allowed: Sequence[str], where: str) -> None:
-    if not isinstance(obj, dict):
-        raise KvroofError(f"{where} must be a JSON object")
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise KvroofError(f"{where}: unknown key(s) {sorted(unknown)}; accepted: {', '.join(allowed)}")
-
-
 def _load_sim_config(path: str, catalog: Catalog) -> SimConfig:
+    """The config's specs resolved against the catalog; SimConfig checks and defaults the rest."""
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
         raise KvroofError(f"cannot read config '{path}': {exc}") from exc
     except json.JSONDecodeError as exc:
         raise KvroofError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    _check_keys(doc, CONFIG_KEYS, f"{path}: config")
+    check_keys(doc, CONFIG_KEYS, f"{path}: config")
     if "model" not in doc or "hardware" not in doc:
         raise KvroofError(f"{path}: config needs 'model' and 'hardware' entries")
-    chunking = doc.get("allow_chunked_prefill", True)
-    if not isinstance(chunking, bool):
-        raise KvroofError(f"{path}: allow_chunked_prefill must be true or false, got {chunking!r}")
-    model = _resolve_spec(doc["model"], catalog.models, build_model, "model", path)
-    hw = _resolve_spec(doc["hardware"], catalog.hardware, build_hardware, "hardware", path)
+    doc["model"] = _resolve_spec(doc["model"], catalog.models, ModelSpec, "model", path)
+    doc["hardware"] = _resolve_spec(doc["hardware"], catalog.hardware, HardwareSpec, "hardware", path)
     try:
         if "vram_effective" in doc:
-            hw = dataclasses.replace(hw, vram_effective=float(doc["vram_effective"]))
-        config = SimConfig(
-            model=model,
-            hardware=hw,
-            bandwidth_mode=doc.get("bandwidth_mode", "sustained"),
-            token_budget=int(doc.get("token_budget", 4000)),
-            overlap_alpha=float(doc.get("overlap_alpha", 0.0)),
-            allow_chunked_prefill=chunking,
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
+            doc["hardware"] = dataclasses.replace(doc["hardware"], vram_effective=doc.pop("vram_effective"))
+        return SimConfig(**doc)
+    except KvroofError as exc:
         raise KvroofError(f"{path}: {exc}") from exc
-    return config
 
 
 def _write_json(path: Path, manifest: RunManifest, key: str, body: dict) -> None:

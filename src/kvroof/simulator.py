@@ -67,7 +67,8 @@ from functools import partial
 from operator import attrgetter
 from typing import Iterator, Optional, Sequence
 
-from .catalog import HardwareSpec, ModelSpec, flops_per_token, kv_bytes_per_token
+from .catalog import (HardwareSpec, ModelSpec, flops_per_token, is_number, is_positive_int,
+                      kv_bytes_per_token)
 from .errors import SimulationError
 from .workload import RequestRecord, nearest_rank_percentile
 
@@ -92,10 +93,12 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.bandwidth_mode not in ("peak", "sustained"):
             raise SimulationError(f"bandwidth_mode must be 'peak' or 'sustained', got {self.bandwidth_mode!r}")
-        if self.token_budget < 1:
-            raise SimulationError("token_budget must be >= 1")
-        if not 0.0 <= self.overlap_alpha <= 1.0:
-            raise SimulationError("overlap_alpha must be in [0, 1]")
+        if not is_positive_int(self.token_budget):
+            raise SimulationError(f"token_budget must be an integer >= 1, got {self.token_budget!r}")
+        if not (is_number(self.overlap_alpha) and 0.0 <= self.overlap_alpha <= 1.0):
+            raise SimulationError(f"overlap_alpha must be a number in [0, 1], got {self.overlap_alpha!r}")
+        if not isinstance(self.allow_chunked_prefill, bool):
+            raise SimulationError(f"allow_chunked_prefill must be true or false, got {self.allow_chunked_prefill!r}")
 
 
 @dataclass(slots=True)

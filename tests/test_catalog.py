@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -243,3 +244,36 @@ class TestCatalogIO:
     def test_by_name(self):
         models, _ = default_catalog()
         assert by_name(models)["DeepSeek-V3"].attention_kind == "MLA"
+
+
+GOOD_HW = {"name": "h", "compute_throughput": 1e15, "link_bandwidth_peak": 32e9, "vram_effective": 1e9}
+GOOD_MODEL = {"name": "m", "total_params": 10, "active_params": 10, "attention_kind": "GQA", "layers": 2,
+              "kv_heads": 1, "head_dim": 1, "precision_bytes": 2}
+
+# (catalog document, text the error must contain)
+BAD_CATALOGS = {
+    "root key typo": ({"model": [GOOD_MODEL]}, "unknown key(s) ['model']"),
+    "models a number": ({"models": 5}, "models must be a JSON array"),
+    "models null": ({"models": None}, "models must be a JSON array"),
+    "hardware a string": ({"hardware": "abc"}, "hardware must be a JSON array"),
+    "NaN precision_bytes": ({"models": [{**GOOD_MODEL, "precision_bytes": math.nan}]}, "precision_bytes"),
+    "infinite precision_bytes": ({"models": [{**GOOD_MODEL, "precision_bytes": math.inf}]}, "precision_bytes"),
+    "boolean layers": ({"models": [{**GOOD_MODEL, "layers": True}]}, "layers"),
+    "numeric model name": ({"models": [{**GOOD_MODEL, "name": 5}]}, "name"),
+    "NaN compute_throughput": ({"hardware": [{**GOOD_HW, "compute_throughput": math.nan}]}, "compute_throughput"),
+    "boolean compute_throughput": ({"hardware": [{**GOOD_HW, "compute_throughput": True}]}, "compute_throughput"),
+    "NaN vram_effective": ({"hardware": [{**GOOD_HW, "vram_effective": math.nan}]}, "vram_effective"),
+    "NaN tdp_watts": ({"hardware": [{**GOOD_HW, "tdp_watts": math.nan}]}, "tdp_watts"),
+    "negative tdp_watts": ({"hardware": [{**GOOD_HW, "tdp_watts": -5}]}, "tdp_watts"),
+    "numeric hardware name": ({"hardware": [{**GOOD_HW, "name": 5}]}, "name"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CATALOGS))
+def test_bad_catalog_raises_catalog_error(case):
+    doc, fragment = BAD_CATALOGS[case]
+    with pytest.raises(CatalogError) as info:
+        loads_catalog(json.dumps(doc), source="c.json")
+    assert type(info.value) is CatalogError
+    assert fragment in str(info.value)
+    assert str(info.value).startswith("c.json: ")

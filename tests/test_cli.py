@@ -430,6 +430,21 @@ BAD_INPUTS = {
     "non-numeric vram_effective": ({**PLATFORM, "vram_effective": "big"}, GOOD_LINE, "simulate"),
     "infinite token_budget": ({**PLATFORM, "token_budget": math.inf}, GOOD_LINE, "simulate"),
     "string allow_chunked_prefill": ({**PLATFORM, "allow_chunked_prefill": "false"}, GOOD_LINE, "simulate"),
+    "fractional token_budget": ({**PLATFORM, "token_budget": 4000.7}, GOOD_LINE, "simulate"),
+    "integral float token_budget": ({**PLATFORM, "token_budget": 4000.0}, GOOD_LINE, "simulate"),
+    "boolean token_budget": ({**PLATFORM, "token_budget": True}, GOOD_LINE, "simulate"),
+    "string token_budget": ({**PLATFORM, "token_budget": "50"}, GOOD_LINE, "simulate"),
+    "boolean overlap_alpha": ({**PLATFORM, "overlap_alpha": True}, GOOD_LINE, "simulate"),
+    "string overlap_alpha": ({**PLATFORM, "overlap_alpha": "0.5"}, GOOD_LINE, "simulate"),
+    "boolean vram_effective": ({**PLATFORM, "vram_effective": True}, GOOD_LINE, "simulate"),
+    "numeric string vram_effective": ({**PLATFORM, "vram_effective": "1e12"}, GOOD_LINE, "simulate"),
+    "NaN vram_effective": ({**PLATFORM, "vram_effective": math.nan}, GOOD_LINE, "simulate"),
+    "inline hardware boolean compute_throughput": (
+        {**PLATFORM, "hardware": {"name": "x", "compute_throughput": True, "link_bandwidth_peak": 1e11,
+                                  "vram_effective": 1e10}},
+        GOOD_LINE,
+        "simulate",
+    ),
     "roofline zero points per decade": (["--points-per-decade", "0"], "", "roofline"),
     "roofline negative kappa_min": (["--kappa-min", "-1"], "", "roofline"),
     "roofline NaN kappa_min": (["--kappa-min", "nan"], "", "roofline"),
