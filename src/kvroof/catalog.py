@@ -33,9 +33,17 @@ def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def is_positive_int(value) -> bool:
-    """True for an int > 0 that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+def is_count(value, minimum: int = 1) -> bool:
+    """True for an int >= ``minimum`` that is not a bool; ``5.0`` is not an int."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
+def json_text(value) -> str:
+    """``value`` as the JSON text that would hold it, or its ``repr`` if JSON cannot."""
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError):
+        return repr(value)
 
 
 @dataclass(frozen=True)
@@ -65,10 +73,10 @@ class ModelSpec:
         if self.attention_kind not in (GQA, MLA):
             raise CatalogError(
                 f"model '{self.name}': attention_kind must be 'GQA' or 'MLA', "
-                f"got {self.attention_kind!r}"
+                f"got {json_text(self.attention_kind)}"
             )
         for fname in ("total_params", "active_params", "layers"):
-            if not is_positive_int(getattr(self, fname)):
+            if not is_count(getattr(self, fname)):
                 raise CatalogError(f"model '{self.name}': {fname} must be a positive integer")
         if self.active_params > self.total_params:
             raise CatalogError(
@@ -78,7 +86,7 @@ class ModelSpec:
         if not 0 < bits < math.inf or abs(bits - round(bits)) > 1e-9 or round(bits) < 1:
             raise CatalogError(
                 f"model '{self.name}': precision_bytes must map to a positive "
-                f"whole number of bits, got {self.precision_bytes!r}"
+                f"whole number of bits, got {json_text(self.precision_bytes)}"
             )
         if self.attention_kind == GQA:
             self._require_set("kv_heads", "head_dim")
@@ -95,7 +103,7 @@ class ModelSpec:
                     f"model '{self.name}': attention_kind {self.attention_kind} "
                     f"requires field '{fname}'"
                 )
-            if not is_positive_int(value):
+            if not is_count(value):
                 raise CatalogError(f"model '{self.name}': {fname} must be a positive integer")
 
     def _require_unset(self, *names: str) -> None:
@@ -184,9 +192,10 @@ def check_keys(obj, allowed: Sequence[str], where: str) -> None:
     """Refuse anything but a JSON object whose keys are all in ``allowed``."""
     if not isinstance(obj, dict):
         raise CatalogError(f"{where} must be a JSON object")
-    unknown = obj.keys() - allowed
-    if unknown:
-        raise CatalogError(f"{where}: unknown key(s) {sorted(unknown)}; accepted: {', '.join(allowed)}")
+    for key in obj:  # no set per call: traces check every turn
+        if key not in allowed:
+            unknown = sorted(obj.keys() - allowed)
+            raise CatalogError(f"{where}: unknown key(s) {unknown}; accepted: {', '.join(allowed)}")
 
 
 def build_spec(cls, entry, where: str):

@@ -58,11 +58,13 @@ from .catalog import (
     by_name,
     check_keys,
     default_catalog_text,
+    json_text,
     loads_catalog,
 )
 from .errors import KvroofError
 from .simulator import (
     ITERATION_CSV_COLUMNS,
+    POLICIES,
     SimConfig,
     SimReport,
     compare_policies,
@@ -94,14 +96,9 @@ class RunManifest:
     seed: Optional[int] = None
 
     def as_dict(self) -> dict:
-        out = {
-            "tool": self.tool,
-            "command": self.command,
-            "catalog": self.catalog,
-            "catalog_sha256": self.catalog_sha256,
-        }
-        if self.seed is not None:
-            out["seed"] = self.seed
+        out = dataclasses.asdict(self)
+        if self.seed is None:
+            del out["seed"]
         return out
 
     def as_comment(self) -> str:
@@ -251,35 +248,34 @@ def _cmd_synth(args, catalog: Catalog, manifest: RunManifest) -> int:
 CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(SimConfig)) + ("vram_effective",)
 
 
-def _resolve_spec(value, pool: dict, cls, kind: str, where: str):
+def _resolve_spec(value, pool: dict, cls, kind: str):
     if isinstance(value, str):
         if value not in pool:
             available = ", ".join(sorted(pool))
             raise KvroofError(f"config references unknown {kind} '{value}'; available: {available}")
         return pool[value]
     if isinstance(value, dict):
-        return build_spec(cls, value, f"{where}: {kind}")
-    raise KvroofError(f"config field '{kind}' must be a catalog name or an inline object")
+        return build_spec(cls, value, kind)
+    raise KvroofError(f"config field '{kind}' must be a catalog name or an inline object, got {json_text(value)}")
 
 
 def _load_sim_config(path: str, catalog: Catalog) -> SimConfig:
     """The config's specs resolved against the catalog; SimConfig checks and defaults the rest."""
     try:
         doc = json.loads(Path(path).read_text())
+        check_keys(doc, CONFIG_KEYS, "config")
+        if "model" not in doc or "hardware" not in doc:
+            raise KvroofError("config needs 'model' and 'hardware' entries")
+        doc["model"] = _resolve_spec(doc["model"], catalog.models, ModelSpec, "model")
+        doc["hardware"] = _resolve_spec(doc["hardware"], catalog.hardware, HardwareSpec, "hardware")
+        if "vram_effective" in doc:
+            doc["hardware"] = dataclasses.replace(doc["hardware"], vram_effective=doc.pop("vram_effective"))
+        return SimConfig(**doc)
     except OSError as exc:
         raise KvroofError(f"cannot read config '{path}': {exc}") from exc
     except json.JSONDecodeError as exc:
         raise KvroofError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    check_keys(doc, CONFIG_KEYS, f"{path}: config")
-    if "model" not in doc or "hardware" not in doc:
-        raise KvroofError(f"{path}: config needs 'model' and 'hardware' entries")
-    doc["model"] = _resolve_spec(doc["model"], catalog.models, ModelSpec, "model", path)
-    doc["hardware"] = _resolve_spec(doc["hardware"], catalog.hardware, HardwareSpec, "hardware", path)
-    try:
-        if "vram_effective" in doc:
-            doc["hardware"] = dataclasses.replace(doc["hardware"], vram_effective=doc.pop("vram_effective"))
-        return SimConfig(**doc)
-    except KvroofError as exc:
+    except KvroofError as exc:  # every config error names the file once, here
         raise KvroofError(f"{path}: {exc}") from exc
 
 
@@ -299,7 +295,7 @@ def _cmd_simulate(args, catalog: Catalog, manifest: RunManifest) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.compare:
-        comparison = compare_policies(config, records, ("fifo", "utilization"))
+        comparison = compare_policies(config, records)
         for name, rep in comparison.reports:
             _write_report(rep, out_dir, f"_{name}", manifest)
         _write_json(out_dir / "comparison.json", manifest, "comparison", comparison.to_dict())
@@ -379,8 +375,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--config", required=True, help="simulation config JSON")
     p.add_argument("--stream", required=True, help="JSON Lines stream file")
-    p.add_argument("--policy", choices=("fifo", "utilization"), default="fifo")
-    p.add_argument("--compare", action="store_true", help="run both policies on the same stream")
+    how = p.add_mutually_exclusive_group()
+    how.add_argument("--policy", choices=POLICIES, default="fifo")
+    how.add_argument("--compare", action="store_true", help="run every policy on the same stream")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_simulate)
 

@@ -67,7 +67,7 @@ from functools import partial
 from operator import attrgetter
 from typing import Iterator, Optional, Sequence
 
-from .catalog import (HardwareSpec, ModelSpec, flops_per_token, is_number, is_positive_int,
+from .catalog import (HardwareSpec, ModelSpec, flops_per_token, is_count, is_number, json_text,
                       kv_bytes_per_token)
 from .errors import SimulationError
 from .workload import RequestRecord, nearest_rank_percentile
@@ -91,14 +91,14 @@ class SimConfig:
     allow_chunked_prefill: bool = True
 
     def __post_init__(self) -> None:
-        if self.bandwidth_mode not in ("peak", "sustained"):
-            raise SimulationError(f"bandwidth_mode must be 'peak' or 'sustained', got {self.bandwidth_mode!r}")
-        if not is_positive_int(self.token_budget):
-            raise SimulationError(f"token_budget must be an integer >= 1, got {self.token_budget!r}")
-        if not (is_number(self.overlap_alpha) and 0.0 <= self.overlap_alpha <= 1.0):
-            raise SimulationError(f"overlap_alpha must be a number in [0, 1], got {self.overlap_alpha!r}")
-        if not isinstance(self.allow_chunked_prefill, bool):
-            raise SimulationError(f"allow_chunked_prefill must be true or false, got {self.allow_chunked_prefill!r}")
+        for name, ok, rule in (
+            ("bandwidth_mode", self.bandwidth_mode in ("peak", "sustained"), "'peak' or 'sustained'"),
+            ("token_budget", is_count(self.token_budget), "an integer >= 1"),
+            ("overlap_alpha", is_number(self.overlap_alpha) and 0.0 <= self.overlap_alpha <= 1.0, "a number in [0, 1]"),
+            ("allow_chunked_prefill", isinstance(self.allow_chunked_prefill, bool), "true or false"),
+        ):
+            if not ok:
+                raise SimulationError(f"{name} must be {rule}, got {json_text(getattr(self, name))}")
 
 
 @dataclass(slots=True)
@@ -301,12 +301,8 @@ def schedule_utilization_aware(
     return picks
 
 
-def _policy_fn(name: str, chunking: bool):
-    if name == "fifo":
-        return partial(schedule_fifo, allow_chunking=chunking)
-    if name == "utilization":
-        return partial(schedule_utilization_aware, allow_chunking=chunking)
-    raise SimulationError(f"unknown policy '{name}' (expected 'fifo' or 'utilization')")
+# Every scheduling policy, by the name that run_sim, compare_policies and the CLI use.
+POLICIES = {"fifo": schedule_fifo, "utilization": schedule_utilization_aware}
 
 
 def run_sim(
@@ -318,7 +314,9 @@ def run_sim(
 
     ``requests`` must be sorted by arrival time and carry arrival times.
     """
-    select = _policy_fn(policy, config.allow_chunked_prefill)
+    if policy not in POLICIES:
+        raise SimulationError(f"unknown policy '{policy}' (expected {' or '.join(map(repr, POLICIES))})")
+    select = partial(POLICIES[policy], allow_chunking=config.allow_chunked_prefill)
     hw = config.hardware
     b_kv = kv_bytes_per_token(config.model)
     f_pf = flops_per_token(config.model)
@@ -549,7 +547,7 @@ class PolicyComparison:
 def compare_policies(
     config: SimConfig,
     requests: Sequence[RequestRecord],
-    policies: Sequence[str] = ("fifo", "utilization"),
+    policies: Sequence[str] = tuple(POLICIES),
 ) -> PolicyComparison:
     """Replay one stream under each policy and pair up the results."""
     if not policies:

@@ -1,17 +1,26 @@
 """Workload traces, request records, and synthetic stream generation.
 
-Traces carry token counts, never text; tokenization happens upstream. Two
-trace kinds are supported:
+Traces carry token counts, never text; tokenization happens upstream. Trace
+and stream files are JSON Lines, one object per line, with these keys. Token
+counts are JSON integers (``5.0`` is not one); ids may be any JSON value and
+are read through ``str()``. An unknown key, a missing required key or a
+value of another type is an error that names the file and the line.
 
-* conversation: per turn, the new query is computed while the prefix of
-  all earlier queries and responses is assumed cached, so the cached count
-  for turn i is the running sum of query + response tokens of turns < i.
-* document: the whole document is cached and each question is computed.
+* conversation trace: ``conversation_id`` and ``turns``, a non-empty array of
+  ``{"query_tokens": integer >= 1, "response_tokens": integer >= 0, default
+  0}``. A turn's query is computed while all earlier queries and responses
+  are cached, so turn i's cached count is the sum of both over turns < i.
+* document trace: ``doc_id``, ``doc_tokens`` (integer >= 1) and
+  ``question_tokens`` (array of integers >= 1). The whole document is cached
+  and each question is computed.
+* stream: ``source_id``, ``cached_tokens`` (integer >= 0), ``prefill_tokens``
+  (integer >= 1) and ``arrival_time`` (number or null, default null).
+  ``write_stream`` also writes ``kappa_ratio``, ignored on read, and a first
+  line ``{"_manifest": ...}``, which readers skip.
 
-Trace files and stream files are JSON Lines, one object per line (see the
-``read_*``/``write_*`` helpers for the schemas). Synthetic streams draw
-cached and prefill token counts independently from log-normal profiles and
-arrive as a Poisson process; generation is deterministic for a fixed seed.
+Synthetic streams draw cached and prefill token counts independently from
+log-normal profiles and arrive as a Poisson process; generation is
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -20,10 +29,11 @@ import functools
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
+from .catalog import check_keys, is_count, is_number, json_text
 from .errors import WorkloadError
 
 PERCENTILES = (10, 50, 90, 95, 99)
@@ -33,16 +43,14 @@ PERCENTILES = (10, 50, 90, 95, 99)
 MAX_STREAM_REQUESTS = 10_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ConversationTurn:
     query_tokens: int
-    response_tokens: int
+    response_tokens: int = 0
 
     def __post_init__(self) -> None:
-        if self.query_tokens < 1:
-            raise WorkloadError("query_tokens must be >= 1")
-        if self.response_tokens < 0:
-            raise WorkloadError("response_tokens must be >= 0")
+        _check_count("query_tokens", self.query_tokens)
+        _check_count("response_tokens", self.response_tokens, 0)
 
 
 @dataclass(frozen=True)
@@ -62,11 +70,9 @@ class DocumentTrace:
     question_tokens: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.doc_tokens < 1:
-            raise WorkloadError(f"document '{self.doc_id}': doc_tokens must be >= 1")
+        _check_count(f"document '{self.doc_id}': doc_tokens", self.doc_tokens)
         for q in self.question_tokens:
-            if q < 1:
-                raise WorkloadError(f"document '{self.doc_id}': question tokens must be >= 1")
+            _check_count(f"document '{self.doc_id}': each of question_tokens", q)
 
 
 @dataclass(slots=True)
@@ -80,9 +86,9 @@ class RequestRecord:
 
     def __post_init__(self) -> None:
         if self.cached_tokens < 0:
-            raise WorkloadError(f"request '{self.source_id}': cached_tokens must be >= 0")
+            _check_count(f"request '{self.source_id}': cached_tokens", self.cached_tokens, 0)
         if self.prefill_tokens < 1:
-            raise WorkloadError(f"request '{self.source_id}': prefill_tokens must be >= 1")
+            _check_count(f"request '{self.source_id}': prefill_tokens", self.prefill_tokens)
 
     @property
     def kappa_ratio(self) -> float:
@@ -92,6 +98,12 @@ class RequestRecord:
     def vram_tokens(self) -> int:
         """KV footprint once admitted: K + T token-equivalents."""
         return self.cached_tokens + self.prefill_tokens
+
+
+def _check_count(what: str, value, low: int = 1) -> None:
+    """Refuse a token count that is not an integer >= ``low``; ``what`` names it in the error."""
+    if not is_count(value, low):
+        raise WorkloadError(f"{what} must be an integer >= {low}, got {json_text(value)}")
 
 
 @dataclass(frozen=True)
@@ -284,80 +296,63 @@ def synthesize_stream(
 
 # --- JSON Lines readers/writers -------------------------------------------
 
-def _iter_lines(path: str | Path):
-    """Yield ``(line number, line)`` for each non-blank line, reading one line at a time."""
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise WorkloadError(f"cannot read '{path}': {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.isspace():
-                yield lineno, line
-
-
 def _read_jsonl(path: str | Path, what: str, build: Callable[[str], object]) -> list:
-    """Apply ``build`` to each non-blank line, dropping ``None`` results.
+    """Apply ``build`` to each non-blank line, read one at a time, dropping ``None`` results.
 
     Malformed JSON, missing keys, wrong types and bad values all surface as
     ``WorkloadError("<path>: line N: ...")``.
     """
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise WorkloadError(f"cannot read '{path}': {exc}") from exc
     out = []
-    for lineno, line in _iter_lines(path):
-        try:
-            item = build(line)
-        except json.JSONDecodeError as exc:
-            raise WorkloadError(f"{path}: line {lineno}: invalid JSON: {exc.msg}") from exc
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise WorkloadError(f"{path}: line {lineno}: bad {what}: {exc}") from exc
-        if item is not None:
-            out.append(item)
+    with fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+            try:
+                item = build(line)
+            except json.JSONDecodeError as exc:
+                raise WorkloadError(f"{path}: line {lineno}: invalid JSON: {exc.msg}") from exc
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise WorkloadError(f"{path}: line {lineno}: bad {what}: {exc}") from exc
+            if item is not None:
+                out.append(item)
     return out
 
 
-def _tokens(value) -> int:
-    """A token count read from JSON: a whole number, never truncated."""
-    n = int(value)
-    if n != value or isinstance(value, bool):
-        raise WorkloadError(f"token count {value!r} is not a whole number")
-    return n
-
-
-def _seconds(value) -> float:
-    """A time in seconds read from JSON: a number, never a boolean or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise WorkloadError(f"time {value!r} is not a number")
-    return float(value)
+_TURN_KEYS = tuple(f.name for f in fields(ConversationTurn))
+_DOCUMENT_KEYS = tuple(f.name for f in fields(DocumentTrace))
+_REQUEST_KEYS = tuple(f.name for f in fields(RequestRecord)) + ("kappa_ratio",)  # kappa_ratio: written, not read
 
 
 def _conversation(obj) -> ConversationTrace:
-    turns = tuple(
-        ConversationTurn(
-            query_tokens=_tokens(t["query_tokens"]),
-            response_tokens=_tokens(t.get("response_tokens", 0)),
-        )
-        for t in obj["turns"]
-    )
-    return ConversationTrace(conversation_id=str(obj["conversation_id"]), turns=turns)
+    check_keys(obj, ("conversation_id", "turns"), "conversation")
+    turns = []
+    for turn in obj["turns"]:
+        check_keys(turn, _TURN_KEYS, "turn")
+        turns.append(ConversationTurn(**turn))
+    return ConversationTrace(str(obj["conversation_id"]), tuple(turns))
 
 
 def _document(obj) -> DocumentTrace:
-    return DocumentTrace(
-        doc_id=str(obj["doc_id"]),
-        doc_tokens=_tokens(obj["doc_tokens"]),
-        question_tokens=tuple(_tokens(q) for q in obj["question_tokens"]),
-    )
+    check_keys(obj, _DOCUMENT_KEYS, "document")
+    return DocumentTrace(str(obj["doc_id"]), obj["doc_tokens"], tuple(obj["question_tokens"]))
 
 
 def _request(obj) -> Optional[RequestRecord]:
-    if "_manifest" in obj:
+    """A stream line's record, with the type rules ``RequestRecord`` leaves to its readers."""
+    if isinstance(obj, dict) and "_manifest" in obj:
         return None
-    return RequestRecord(
-        source_id=str(obj["source_id"]),
-        cached_tokens=_tokens(obj["cached_tokens"]),
-        prefill_tokens=_tokens(obj["prefill_tokens"]),
-        arrival_time=_seconds(obj["arrival_time"]) if obj.get("arrival_time") is not None else None,
-    )
+    check_keys(obj, _REQUEST_KEYS, "request")
+    source_id, cached, prefill = str(obj["source_id"]), obj["cached_tokens"], obj["prefill_tokens"]
+    _check_count(f"request '{source_id}': cached_tokens", cached, 0)
+    _check_count(f"request '{source_id}': prefill_tokens", prefill)
+    arrival = obj.get("arrival_time")
+    if arrival is not None and not is_number(arrival):
+        raise WorkloadError(f"request '{source_id}': arrival_time must be a number, got {json_text(arrival)}")
+    return RequestRecord(source_id, cached, prefill, None if arrival is None else float(arrival))
 
 
 def read_conversations(path: str | Path) -> list[ConversationTrace]:

@@ -359,6 +359,15 @@ class TestOptionsPerCommand:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+    def test_policy_and_compare_are_exclusive(self, capsys):
+        # --compare runs every policy, so a --policy beside it would be ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", "c.json", "--stream", "s.jsonl", "--out", "o",
+                  "--policy", "utilization", "--compare"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+
 class TestCatalogSelection:
     def test_env_var_catalog(self, tmp_path, capsys, monkeypatch):
         models, hardware = default_catalog()
@@ -445,6 +454,29 @@ BAD_INPUTS = {
         GOOD_LINE,
         "simulate",
     ),
+    "misspelled response_tokens": (
+        None, '{"conversation_id": "c", "turns": [{"query_tokens": 5, "respons_tokens": 100}]}\n', "analyze"
+    ),
+    "extra conversation key": (
+        None, '{"conversation_id": "c", "turns": [{"query_tokens": 5}], "title": "x"}\n', "analyze"
+    ),
+    "integral float query_tokens": (None, '{"conversation_id": "c", "turns": [{"query_tokens": 5.0}]}\n', "analyze"),
+    "document questions key": (
+        None, '{"doc_id": "d", "doc_tokens": 5, "question_tokens": [1], "questions": ["q"]}\n', "analyze document"
+    ),
+    "integral float doc_tokens": (
+        None, '{"doc_id": "d", "doc_tokens": 5.0, "question_tokens": [1]}\n', "analyze document"
+    ),
+    "unknown stream key": (
+        PLATFORM,
+        '{"source_id": "a", "cached_tokens": 10, "prefill_tokens": 5, "arrival_time": 0.0, "cached_token": 3}\n',
+        "simulate",
+    ),
+    "integral float cached_tokens": (
+        PLATFORM,
+        '{"source_id": "a", "cached_tokens": 10.0, "prefill_tokens": 5, "arrival_time": 0.0}\n',
+        "simulate",
+    ),
     "roofline zero points per decade": (["--points-per-decade", "0"], "", "roofline"),
     "roofline negative kappa_min": (["--kappa-min", "-1"], "", "roofline"),
     "roofline NaN kappa_min": (["--kappa-min", "nan"], "", "roofline"),
@@ -461,6 +493,15 @@ BAD_INPUTS = {
 }
 
 
+# The BAD_INPUTS whose error comes from one line of the input file, which it names.
+BAD_LINES = {
+    "non-integer cached_tokens", "fractional cached_tokens", "boolean arrival_time", "string arrival_time",
+    "non-integer query_tokens", "misspelled response_tokens", "extra conversation key",
+    "integral float query_tokens", "document questions key", "integral float doc_tokens", "unknown stream key",
+    "integral float cached_tokens",
+}
+
+
 class TestErrorContract:
     """Bad input exits 3 with an ``error:`` line, never a traceback or a hang."""
 
@@ -469,8 +510,8 @@ class TestErrorContract:
         config, text, kind = BAD_INPUTS[case]
         data = tmp_path / "input.jsonl"
         data.write_text(text)
-        if kind == "analyze":
-            args = ["analyze", str(data), "--kind", "conversation"]
+        if kind.startswith("analyze"):
+            args = ["analyze", str(data), "--kind", "document" if kind == "analyze document" else "conversation"]
         elif kind == "roofline":
             args = ["roofline", "--model", "Llama-3.1-70B", *config, "--out", "roofline.csv"]
         elif kind == "synth":
@@ -487,6 +528,35 @@ class TestErrorContract:
         assert proc.returncode == EXIT_DATA, proc.stderr
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr + proc.stdout
+        if case in BAD_LINES:
+            assert f"{data}: line 1: " in proc.stderr
+
+    @pytest.mark.parametrize("name, model", [("m5.json", 5), ("mn.json", "Nope")])
+    def test_spec_errors_name_the_config_file_once(self, tmp_path, capsys, name, model):
+        config = tmp_path / name
+        config.write_text(json.dumps({"model": model, "hardware": "Unified-HBM"}))
+        stream = tmp_path / "input.jsonl"
+        stream.write_text(GOOD_LINE)
+        code, _, err = run(["simulate", "--config", str(config), "--stream", str(stream),
+                            "--out", str(tmp_path / "out")], capsys)
+        assert code == EXIT_DATA
+        assert err.startswith(f"error: {config}: ")
+        assert err.count(name) == 1
+
+    @pytest.mark.parametrize("key, value, shown", [
+        ("token_budget", True, "got true"),
+        ("allow_chunked_prefill", "false", 'got "false"'),
+        ("overlap_alpha", math.nan, "got NaN"),
+    ])
+    def test_bad_config_value_reads_as_json(self, tmp_path, capsys, key, value, shown):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**PLATFORM, key: value}))
+        stream = tmp_path / "input.jsonl"
+        stream.write_text(GOOD_LINE)
+        code, _, err = run(["simulate", "--config", str(config), "--stream", str(stream),
+                            "--out", str(tmp_path / "out")], capsys)
+        assert code == EXIT_DATA
+        assert err.rstrip().endswith(shown)
 
     def test_removed_key_is_named(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -383,10 +383,10 @@ class TestRunSimInvariants:
 
     def test_zero_token_iteration_raises(self, monkeypatch):
         # a policy that picks requests but schedules no tokens would stop the clock
-        def idle_picks(name, chunking):
-            return lambda ready, budget, free, now: [(i, 0) for i in range(len(ready))]
+        def idle_picks(ready, budget, free, now, allow_chunking):
+            return [(i, 0) for i in range(len(ready))]
 
-        monkeypatch.setattr(simulator, "_policy_fn", idle_picks)
+        monkeypatch.setitem(simulator.POLICIES, "fifo", idle_picks)
         stream = [RequestRecord("a", 1, 2, arrival_time=0.0), RequestRecord("b", 0, 3, arrival_time=1.0)]
         with time_limit(5), pytest.raises(SimulationError, match="0 tokens"):
             run_sim(unit_config(), stream, "fifo")
@@ -396,13 +396,13 @@ class TestRunSimInvariants:
         lambda ready: [(0, ready[0].prefill_tokens), (0, 1)],  # the same request twice
     ], ids=["too many tokens", "picked twice"])
     def test_over_scheduling_policy_raises(self, monkeypatch, picks):
-        monkeypatch.setattr(simulator, "_policy_fn", lambda name, chunking: lambda ready, *_: picks(ready))
+        monkeypatch.setitem(simulator.POLICIES, "fifo", lambda ready, *_, **__: picks(ready))
         stream = [RequestRecord("a", 0, 2, arrival_time=0.0)]
         with pytest.raises(SimulationError, match="policy over-scheduled request 'a'"):
             run_sim(unit_config(), stream, "fifo")
 
     def test_policy_that_never_admits_leaves_requests_unfinished(self, monkeypatch):
-        monkeypatch.setattr(simulator, "_policy_fn", lambda name, chunking: lambda *_: [])
+        monkeypatch.setitem(simulator.POLICIES, "fifo", lambda *_, **__: [])
         stream = [RequestRecord("a", 1, 2, arrival_time=0.0), RequestRecord("b", 0, 3, arrival_time=1.0)]
         with time_limit(5), pytest.raises(SimulationError, match="2 unfinished request\\(s\\); first: 'a'"):
             run_sim(unit_config(), stream, "fifo")

@@ -405,6 +405,14 @@ class TestJsonLines:
             (read_conversations, '{"conversation_id": "c", "turns": [{"query_tokens": "x"}]}'),
             (read_conversations, '{"conversation_id": "c", "turns": [{"query_tokens": 0}]}'),
             (read_documents, '{"doc_id": "d", "doc_tokens": 5, "question_tokens": ["q"]}'),
+            # every key is checked, and a token count is a JSON integer: 5.0 is not one
+            (read_conversations, '{"conversation_id": "c", "turns": [{"query_tokens": 5, "respons_tokens": 100}]}'),
+            (read_conversations, '{"conversation_id": "c", "turns": [{"query_tokens": 5}], "title": "x"}'),
+            (read_conversations, '{"conversation_id": "c", "turns": [{"query_tokens": 5.0}]}'),
+            (read_documents, '{"doc_id": "d", "doc_tokens": 5, "question_tokens": [1], "questions": ["q"]}'),
+            (read_documents, '{"doc_id": "d", "doc_tokens": 5.0, "question_tokens": [1]}'),
+            (read_stream, '{"source_id": "a", "cached_tokens": 1, "prefill_tokens": 1, "cached_token": 2}'),
+            (read_stream, '{"source_id": "a", "cached_tokens": 10.0, "prefill_tokens": 1}'),
         ],
     )
     def test_bad_values_report_line_number(self, tmp_path, reader, bad_line):
