@@ -11,12 +11,18 @@ changes. To accept an intended change, run
 
 import hashlib
 import json
+import math
 import os
+import random
 from importlib import resources
 
 import pytest
 
+from kvroof.catalog import HardwareSpec, ModelSpec, by_name, default_catalog
 from kvroof.cli import EXIT_OK, main
+from kvroof.errors import SimulationError
+from kvroof.simulator import SimConfig, compare_policies
+from kvroof.workload import PROFILES, RequestRecord, synthesize_stream
 
 
 def fixture_path(name: str) -> str:
@@ -183,7 +189,63 @@ def test_simulate_compare_greedy_packing(tmp_path, capsys):
     check("simulate-compare-greedy", digests_of(tmp_path, files, stdout))
 
 
+# 4 bytes of KV and 2 FLOPs per token, so small integers give exact sweeps.
+SWEEP_MODEL = ModelSpec(name="sweep-model", total_params=1, active_params=1, attention_kind="GQA",
+                        layers=1, kv_heads=1, head_dim=1, precision_bytes=2)
+
+
+def random_sweep_case(rng: random.Random):
+    """A small random config and stream: infinite or slow compute and links, any alpha, chunking on or off."""
+    peak = rng.choice([math.inf, 4.0, 1e-3, rng.uniform(0.5, 100.0)])
+    hw = HardwareSpec(
+        name="sweep-testbed",
+        compute_throughput=rng.choice([math.inf, 2.0, rng.uniform(0.5, 20.0)]),
+        link_bandwidth_peak=peak,
+        link_bandwidth_sustained=rng.choice([None, peak * rng.uniform(0.1, 1.0)]),
+        vram_effective=4.0 * rng.randint(4, 40),
+    )
+    config = SimConfig(model=SWEEP_MODEL, hardware=hw, bandwidth_mode=rng.choice(["peak", "sustained"]),
+                       token_budget=rng.randint(1, 12), overlap_alpha=rng.choice([0.0, 0.5, 1.0, rng.random()]),
+                       allow_chunked_prefill=rng.random() < 0.7)
+    requests, t = [], 0.0
+    for i in range(rng.randint(0, 8)):
+        t += rng.choice([0.0, rng.uniform(0.0, 3.0)])
+        requests.append(RequestRecord(f"q{i}", rng.choice([0, rng.randint(1, 12)]), rng.randint(1, 10), t))
+    return config, requests
+
+
+def sweep_cases():
+    rng = random.Random(11)
+    for _ in range(600):
+        yield random_sweep_case(rng)
+    models, hardware = (by_name(specs) for specs in default_catalog())
+    stream = synthesize_stream(PROFILES["sharegpt-like"], rps=400, duration_s=0.1, seed=7)
+    for hw in ("H100-PCIe5-measured", "GH-NVLink-C2C", "Unified-HBM"):
+        for alpha in (0.0, 0.5, 1.0):
+            yield SimConfig(models["Qwen3-30B-A3B"], hardware[hw], token_budget=2048, overlap_alpha=alpha), stream
+
+
+def test_run_sim_sweep():
+    # Every report, iteration row and comparison of many small simulations,
+    # in one digest: a change to run_sim or its reports that moves any byte fails here.
+    h = hashlib.sha256()
+    for config, requests in sweep_cases():
+        try:
+            comparison = compare_policies(config, requests)
+        except SimulationError as exc:
+            h.update(f"error: {exc}\n".encode())
+            continue
+        h.update(json.dumps(comparison.to_dict(), sort_keys=True).encode())
+        for _, report in comparison.reports:
+            h.update(json.dumps(report.to_dict(), sort_keys=True).encode())
+            h.update(json.dumps(list(report.iteration_rows())).encode())
+    check("run_sim-sweep", {"digest": h.hexdigest()})
+
+
 GOLDEN = {
+    "run_sim-sweep": {
+        "digest": "77e09bd8a71b60b7babf712a281464baa63e8cb601e4cc21f35a83af72f54c82",
+    },
     "kappa": {
         "kappa.csv": "6b01c5e9ef7d988be69f8be312c769443e86a1191e07b07cfbb372a6c886ba0f",
         "stdout": "29fa473118a34bcfdeded800367eb8d81e060c56d03846f84e04427887da2c3d",
