@@ -299,8 +299,7 @@ def _cmd_simulate(args, catalog: Catalog, manifest: RunManifest) -> int:
         for name, rep in comparison.reports:
             _write_report(rep, out_dir, f"_{name}", manifest)
         _write_json(out_dir / "comparison.json", manifest, "comparison", comparison.to_dict())
-        counts = comparison.iteration_counts()
-        print("iterations per policy: " + ", ".join(f"{k}={v}" for k, v in counts.items()))
+        print("iterations per policy: " + ", ".join(f"{name}={len(rep.iterations)}" for name, rep in comparison.reports))
     else:
         report = run_sim(config, records, args.policy)
         _write_report(report, out_dir, "", manifest)

@@ -31,15 +31,17 @@ compute only, never with its own: a request is not ready until its whole
 cache is on the device, so a lone request's TTFT is the closed form's at
 alpha 0 whatever alpha is.
 
-``run_sim`` is one flat event loop. Each trip first settles the clock t:
-it takes in the arrivals due by t, then starts and releases transfers until
-the one on the channel ends after t. At a boundary (the end of the running
-iteration, or the target of an idle jump) it retires the finished picks,
-continues the residents and asks the policy for admissions; the end of an
-iteration that ran the channel at a rate below 1 is settled again at full
-rate first. The trip then moves t to the earliest of the next boundary,
-arrival and transfer end. A selection of 0 tokens, or an idle jump that
-would not move the clock, raises ``SimulationError`` instead of spinning.
+``run_sim`` is one flat event loop, and each trip at clock t does four
+things in turn. It retires the picks of an iteration that has ended. It
+settles t at the channel rate, alpha while an iteration runs and 1
+otherwise: it takes in the arrivals due by t, then starts transfers and
+releases those that are instant at that rate. With nothing running, it
+continues the residents and asks the policy for admissions; an iteration
+that starts moves the clock from the next trip on, at rate alpha. Last, it
+moves t to the earliest of the running iteration's end, the next arrival
+and the transfer's end, or with nothing to run jumps to the next arrival or
+transfer end. A selection of 0 tokens, or an idle jump that would not move
+the clock, raises ``SimulationError`` instead of spinning.
 
 Requests whose footprint exceeds the whole pool are rejected at admission
 and reported. With chunked prefill off, an accepted request whose T exceeds
@@ -139,14 +141,12 @@ class SimReport:
             "rejected": [{"id": r.id, "vram_bytes": r.vram_bytes} for r in self.rejected],
             "iterations": len(self.iterations),
             "mean_scheduled_tokens": self.mean_scheduled_tokens,
-            "scheduled_token_percentiles": {
-                str(k): v for k, v in sorted(self.scheduled_token_percentiles.items())
-            },
+            "scheduled_token_percentiles": {str(k): v for k, v in self.scheduled_token_percentiles.items()},
             "compute_busy_fraction": self.compute_busy_fraction,
             "transfer_busy_fraction": self.transfer_busy_fraction,
             "simulated_seconds": self.simulated_seconds,
             "mean_power_watts": self.mean_power_watts,
-            "request_ttft": dict(sorted(self.request_ttft.items())),
+            "request_ttft": self.request_ttft,
         }
 
     def iteration_rows(self) -> Iterator[tuple]:
@@ -343,13 +343,13 @@ def run_sim(
         prev = rec.arrival_time
         if rec.vram_tokens > capacity_tokens:
             rejected.append(RejectedRequest(id=rec.source_id, vram_bytes=rec.vram_tokens * b_kv))
-            continue
-        if rec.prefill_tokens > budget and not config.allow_chunked_prefill:
+        elif rec.prefill_tokens > budget and not config.allow_chunked_prefill:
             raise SimulationError(
                 f"request '{rec.source_id}': prefill_tokens {rec.prefill_tokens} exceed token_budget {budget}, "
                 f"and chunked prefill is off"
             )
-        accepted.append(rec)
+        else:
+            accepted.append(rec)
 
     # Where each request is (see the module docstring): accepted[head:],
     # waiting, chan_req, ready, residents, ttfts. All but ttfts hold indices
@@ -371,13 +371,26 @@ def run_sim(
     alpha = config.overlap_alpha
     inf = math.inf
     t_arr = t if accepted else inf  # of accepted[head]
-    running: list[tuple[int, int]] = []  # (index, tokens) of the iteration in progress
-    rate = 1.0  # channel rate: alpha while an iteration runs, 1 otherwise
-    until = t  # the next boundary: the running iteration's end, or the idle jump's target
+    running: list[tuple[int, int]] = []  # (index, tokens) of the iteration in progress; it ends at until
 
     while True:
-        # Settle t: take in due arrivals, then start and release transfers until
-        # the one on the channel ends after t.
+        # Retire the picks of an iteration that has ended.
+        if running and until <= t:
+            for k, n in running:
+                # get: a request a policy picked twice may have finished earlier in this loop
+                remaining = residents.get(k, 0) - n
+                if remaining < 0:
+                    raise SimulationError(f"policy over-scheduled request '{accepted[k].source_id}'")
+                if remaining:
+                    residents[k] = remaining
+                else:
+                    r = accepted[k]
+                    del residents[k]
+                    used_tokens -= r.vram_tokens
+                    ttfts[r.source_id] = t - r.arrival_time
+            running = []
+        rate = alpha if running else 1.0
+        # Settle t: take in due arrivals, then release the transfers that are instant at rate.
         while t_arr <= t:
             if accepted[head].cached_tokens == 0:
                 ready.add(head)
@@ -385,42 +398,24 @@ def run_sim(
                 waiting.append(head)
             head += 1
             t_arr = float(accepted[head].arrival_time) if head < n_accepted else inf
-        while True:
+        while rate:
             if chan_req is None:
                 if not waiting:
-                    t_done = inf
                     break
                 chan_req = waiting.popleft()
                 chan_left = accepted[chan_req].cached_tokens * b_kv
-            if rate == 0:
-                t_done = inf
-                break
-            t_done = t + chan_left / (bw * rate)
-            if t_done > t:
+            if t + chan_left / (bw * rate) > t:
                 break
             # instant on an infinite link, or too little left to move the clock
             ready.add(chan_req)
             chan_req = None
+        t_done = t + chan_left / (bw * rate) if chan_req is not None and rate else inf
+        nxt = t_done if t_done < t_arr else t_arr
 
-        if until <= t:  # a boundary
-            if running:
-                for k, n in running:
-                    # get: a request a policy picked twice may have finished earlier in this loop
-                    remaining = residents.get(k, 0) - n
-                    if remaining < 0:
-                        raise SimulationError(f"policy over-scheduled request '{accepted[k].source_id}'")
-                    if remaining:
-                        residents[k] = remaining
-                    else:
-                        r = accepted[k]
-                        del residents[k]
-                        used_tokens -= r.vram_tokens
-                        ttfts[r.source_id] = t - r.arrival_time
-                running = []
-                if rate != 1.0:
-                    rate = 1.0
-                    if chan_req is not None:
-                        continue  # settle the transfer at full rate before scheduling
+        if running:
+            if until < nxt:
+                nxt = until
+        else:
             # Residents continue first, in arrival order; the policy admits into what is left.
             left = budget
             for k in sorted(residents):
@@ -448,23 +443,15 @@ def run_sim(
                 until = t + duration
                 iterations.append(IterationStats(len(iterations), t, until, sched, used_tokens * b_kv, depth))
                 compute_active += duration
-                rate = alpha
-                if chan_req is not None:
-                    t_done = t + chan_left / (bw * rate) if rate else inf
+                nxt = t  # the iteration moves the clock from the next trip on, with the channel at alpha
             else:
                 # Nothing schedulable: jump to the next event, at full channel rate.
-                until = t_done if t_done < t_arr else t_arr
-                if until == inf:
+                if nxt == inf:
                     break
-                if not until > t:
-                    raise SimulationError(f"idle jump from t={t!r} to {until!r} does not move the clock")
+                if not nxt > t:
+                    raise SimulationError(f"idle jump from t={t!r} to {nxt!r} does not move the clock")
 
-        # Move to the next boundary or event, running the channel at rate.
-        nxt = until
-        if t_arr < nxt:
-            nxt = t_arr
-        if t_done < nxt:
-            nxt = t_done
+        # Move to nxt, running the channel at rate.
         if nxt > t:
             if chan_req is not None and rate > 0:
                 if nxt == t_done:
@@ -517,12 +504,9 @@ class PolicyComparison:
     """The same stream replayed under several policies."""
 
     reports: list[tuple[str, SimReport]]
-    ttft_deltas: list[tuple[str, dict[str, float]]]  # vs. the first policy
-
-    def iteration_counts(self) -> dict[str, int]:
-        return {name: len(rep.iterations) for name, rep in self.reports}
 
     def to_dict(self) -> dict:
+        base = self.reports[0][1].request_ttft
         return {
             "policies": [
                 {
@@ -539,7 +523,8 @@ class PolicyComparison:
                 for name, rep in self.reports
             ],
             "ttft_deltas_vs_first": [
-                {"policy": name, "deltas": dict(sorted(d.items()))} for name, d in self.ttft_deltas
+                {"policy": name, "deltas": {k: v - base[k] for k, v in rep.request_ttft.items() if k in base}}
+                for name, rep in self.reports[1:]
             ],
         }
 
@@ -549,13 +534,7 @@ def compare_policies(
     requests: Sequence[RequestRecord],
     policies: Sequence[str] = tuple(POLICIES),
 ) -> PolicyComparison:
-    """Replay one stream under each policy and pair up the results."""
+    """Replay one stream under each policy."""
     if not policies:
         raise SimulationError("need at least one policy")
-    reports = [(p, run_sim(config, requests, p)) for p in policies]
-    base = reports[0][1].request_ttft
-    deltas = [
-        (name, {rid: rep.request_ttft[rid] - base[rid] for rid in rep.request_ttft if rid in base})
-        for name, rep in reports[1:]
-    ]
-    return PolicyComparison(reports=reports, ttft_deltas=deltas)
+    return PolicyComparison([(p, run_sim(config, requests, p)) for p in policies])

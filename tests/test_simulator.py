@@ -104,16 +104,16 @@ class TestFourRequestInstance:
 
     def test_compare(self):
         comparison = compare_policies(unit_config(), FOUR_REQUESTS)
-        assert comparison.iteration_counts() == {"fifo": 3, "utilization": 2}
+        assert {name: len(rep.iterations) for name, rep in comparison.reports} == {"fifo": 3, "utilization": 2}
         # reordering trades early-request latency for fewer iterations
-        (name, deltas), = comparison.ttft_deltas
-        assert name == "utilization"
-        assert deltas["r4"] < 0
+        (deltas,) = comparison.to_dict()["ttft_deltas_vs_first"]
+        assert deltas["policy"] == "utilization"
+        assert deltas["deltas"]["r4"] < 0
 
     def test_identical_policies_zero_deltas(self):
         comparison = compare_policies(unit_config(), FOUR_REQUESTS, ("fifo", "fifo"))
-        (_, deltas), = comparison.ttft_deltas
-        assert all(d == 0.0 for d in deltas.values())
+        (deltas,) = comparison.to_dict()["ttft_deltas_vs_first"]
+        assert all(d == 0.0 for d in deltas["deltas"].values())
 
     def test_empty_stream(self):
         comparison = compare_policies(unit_config(), [])
