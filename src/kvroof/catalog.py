@@ -231,14 +231,19 @@ def loads_catalog(text: str, source: str = "<string>") -> tuple[list[ModelSpec],
     return tables[0], tables[1]
 
 
+def read_catalog_text(path: str | Path) -> str:
+    """A catalog file's text, read as UTF-8 whatever the locale."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CatalogError(f"cannot read catalog '{path}': {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CatalogError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+
+
 def load_catalog(path: str | Path) -> tuple[list[ModelSpec], list[HardwareSpec]]:
     """Load and validate a catalog file."""
-    p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise CatalogError(f"cannot read catalog '{p}': {exc}") from exc
-    return loads_catalog(text, source=str(p))
+    return loads_catalog(read_catalog_text(path), source=str(path))
 
 
 def serialize_catalog(models: list[ModelSpec], hardware: list[HardwareSpec]) -> str:
@@ -259,7 +264,7 @@ def serialize_catalog(models: list[ModelSpec], hardware: list[HardwareSpec]) -> 
 
 def default_catalog_text() -> str:
     """Raw text of the bundled catalog (useful for hashing)."""
-    return resources.files("kvroof").joinpath(f"data/{_DEFAULT_RESOURCE}").read_text()
+    return resources.files("kvroof").joinpath(f"data/{_DEFAULT_RESOURCE}").read_text(encoding="utf-8")
 
 
 @lru_cache(maxsize=1)

@@ -60,6 +60,7 @@ from .catalog import (
     default_catalog_text,
     json_text,
     loads_catalog,
+    read_catalog_text,
 )
 from .errors import KvroofError
 from .simulator import (
@@ -109,10 +110,7 @@ def _load_active_catalog(path_arg: Optional[str], argv: list[str], seed: Optiona
     """The active catalog and the manifest that records its hash."""
     path = path_arg or os.environ.get(ENV_CATALOG)
     if path:
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise KvroofError(f"cannot read catalog '{path}': {exc}") from exc
+        text = read_catalog_text(path)
         label = str(path)
     else:
         text = default_catalog_text()
@@ -262,7 +260,7 @@ def _resolve_spec(value, pool: dict, cls, kind: str):
 def _load_sim_config(path: str, catalog: Catalog) -> SimConfig:
     """The config's specs resolved against the catalog; SimConfig checks and defaults the rest."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
         check_keys(doc, CONFIG_KEYS, "config")
         if "model" not in doc or "hardware" not in doc:
             raise KvroofError("config needs 'model' and 'hardware' entries")
@@ -273,6 +271,8 @@ def _load_sim_config(path: str, catalog: Catalog) -> SimConfig:
         return SimConfig(**doc)
     except OSError as exc:
         raise KvroofError(f"cannot read config '{path}': {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise KvroofError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise KvroofError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except KvroofError as exc:  # every config error names the file once, here
@@ -301,10 +301,11 @@ def _cmd_simulate(args, catalog: Catalog, manifest: RunManifest) -> int:
         _write_json(out_dir / "comparison.json", manifest, "comparison", comparison.to_dict())
         print("iterations per policy: " + ", ".join(f"{name}={len(rep.iterations)}" for name, rep in comparison.reports))
     else:
-        report = run_sim(config, records, args.policy)
+        policy = args.policy or "fifo"  # default None: argparse sees a given "fifo" beside --compare
+        report = run_sim(config, records, policy)
         _write_report(report, out_dir, "", manifest)
         print(
-            f"{args.policy}: {len(report.iterations)} iterations, "
+            f"{policy}: {len(report.iterations)} iterations, "
             f"mean scheduled tokens {report.mean_scheduled_tokens:.1f}, "
             f"completed {report.completed}, rejected {len(report.rejected)}"
         )
@@ -375,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="simulation config JSON")
     p.add_argument("--stream", required=True, help="JSON Lines stream file")
     how = p.add_mutually_exclusive_group()
-    how.add_argument("--policy", choices=POLICIES, default="fifo")
+    how.add_argument("--policy", choices=POLICIES, help="scheduling policy (default: fifo)")
     how.add_argument("--compare", action="store_true", help="run every policy on the same stream")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_simulate)

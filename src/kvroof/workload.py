@@ -1,10 +1,11 @@
 """Workload traces, request records, and synthetic stream generation.
 
 Traces carry token counts, never text; tokenization happens upstream. Trace
-and stream files are JSON Lines, one object per line, with these keys. Token
-counts are JSON integers (``5.0`` is not one); ids may be any JSON value and
-are read through ``str()``. An unknown key, a missing required key or a
-value of another type is an error that names the file and the line.
+and stream files are UTF-8 JSON Lines, one object per line, with these
+keys. Token counts are JSON integers (``5.0`` is not one); ids may be any
+JSON value and are read through ``str()``. An unknown key, a missing
+required key, a value of another type or a byte that is not UTF-8 is an
+error that names the file and the line.
 
 * conversation trace: ``conversation_id`` and ``turns``, a non-empty array of
   ``{"query_tokens": integer >= 1, "response_tokens": integer >= 0, default
@@ -16,7 +17,8 @@ value of another type is an error that names the file and the line.
 * stream: ``source_id``, ``cached_tokens`` (integer >= 0), ``prefill_tokens``
   (integer >= 1) and ``arrival_time`` (number or null, default null).
   ``write_stream`` also writes ``kappa_ratio``, ignored on read, and a first
-  line ``{"_manifest": ...}``, which readers skip.
+  line ``{"_manifest": ...}``, which readers skip; ``_manifest`` beside any
+  other key is an unknown key.
 
 Synthetic streams draw cached and prefill token counts independently from
 log-normal profiles and arrive as a Poisson process; generation is
@@ -303,23 +305,36 @@ def _read_jsonl(path: str | Path, what: str, build: Callable[[str], object]) -> 
     ``WorkloadError("<path>: line N: ...")``.
     """
     try:
-        fh = open(path)
+        fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise WorkloadError(f"cannot read '{path}': {exc}") from exc
     out = []
     with fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.isspace():
-                continue
-            try:
-                item = build(line)
-            except json.JSONDecodeError as exc:
-                raise WorkloadError(f"{path}: line {lineno}: invalid JSON: {exc.msg}") from exc
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise WorkloadError(f"{path}: line {lineno}: bad {what}: {exc}") from exc
-            if item is not None:
-                out.append(item)
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if line.isspace():
+                    continue
+                try:
+                    item = build(line)
+                except json.JSONDecodeError as exc:
+                    raise WorkloadError(f"{path}: line {lineno}: invalid JSON: {exc.msg}") from exc
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                    raise WorkloadError(f"{path}: line {lineno}: bad {what}: {exc}") from exc
+                if item is not None:
+                    out.append(item)
+        except UnicodeDecodeError as exc:  # raised per chunk read, so the line is found again in the bytes
+            raise WorkloadError(f"{path}: line {_undecodable_line(path)}: not UTF-8 text: {exc.reason}") from exc
     return out
+
+
+def _undecodable_line(path: str | Path) -> int:
+    """The line, counted as text mode counts lines, of the first byte in ``path`` that is not UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        data = data[: exc.start]
+    return 1 + len(re.findall(rb"\r\n?|\n", data))
 
 
 _TURN_KEYS = tuple(f.name for f in fields(ConversationTurn))
@@ -343,8 +358,8 @@ def _document(obj) -> DocumentTrace:
 
 def _request(obj) -> Optional[RequestRecord]:
     """A stream line's record, with the type rules ``RequestRecord`` leaves to its readers."""
-    if isinstance(obj, dict) and "_manifest" in obj:
-        return None
+    if isinstance(obj, dict) and obj.keys() == {"_manifest"}:
+        return None  # the line write_stream writes first; check_keys refuses _manifest beside other keys
     check_keys(obj, _REQUEST_KEYS, "request")
     source_id, cached, prefill = str(obj["source_id"]), obj["cached_tokens"], obj["prefill_tokens"]
     _check_count(f"request '{source_id}': cached_tokens", cached, 0)

@@ -12,7 +12,7 @@ import pytest
 
 import kvroof
 from kvroof.analytics import kappa_crit, kappa_hw, kappa_model
-from kvroof.catalog import by_name, default_catalog, serialize_catalog
+from kvroof.catalog import by_name, default_catalog, default_catalog_text, serialize_catalog
 from kvroof.cli import EXIT_DATA, EXIT_OK, main
 
 MODELS, HARDWARE = default_catalog()
@@ -367,6 +367,14 @@ class TestOptionsPerCommand:
         assert exc.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
 
+    def test_default_policy_and_compare_are_exclusive(self, capsys):
+        # "fifo" is the default policy, but given beside --compare it is still ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", "c.json", "--stream", "s.jsonl", "--out", "o",
+                  "--policy", "fifo", "--compare"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
 
 class TestCatalogSelection:
     def test_env_var_catalog(self, tmp_path, capsys, monkeypatch):
@@ -477,6 +485,12 @@ BAD_INPUTS = {
         '{"source_id": "a", "cached_tokens": 10.0, "prefill_tokens": 5, "arrival_time": 0.0}\n',
         "simulate",
     ),
+    "manifest key beside request keys": (
+        PLATFORM,
+        '{"_manifest": {}, "source_id": "a", "cached_tokens": 10, "prefill_tokens": 5, "arrival_time": 0.0}\n'
+        + GOOD_LINE.replace('"a"', '"b"'),
+        "simulate",
+    ),
     "roofline zero points per decade": (["--points-per-decade", "0"], "", "roofline"),
     "roofline negative kappa_min": (["--kappa-min", "-1"], "", "roofline"),
     "roofline NaN kappa_min": (["--kappa-min", "nan"], "", "roofline"),
@@ -498,7 +512,15 @@ BAD_LINES = {
     "non-integer cached_tokens", "fractional cached_tokens", "boolean arrival_time", "string arrival_time",
     "non-integer query_tokens", "misspelled response_tokens", "extra conversation key",
     "integral float query_tokens", "document questions key", "integral float doc_tokens", "unknown stream key",
-    "integral float cached_tokens",
+    "integral float cached_tokens", "manifest key beside request keys",
+}
+
+# Each file simulate reads, with a byte that is never UTF-8: "\xff".
+NOT_UTF8 = {
+    "stream": GOOD_LINE.encode()
+    + b'{"source_id": "b\xff", "cached_tokens": 1, "prefill_tokens": 1, "arrival_time": 1.0}\n',
+    "config": b'{"model": "Qwen3-30B-A3B\xff", "hardware": "Unified-HBM"}',
+    "catalog": b'{"models": [], "hardware": [], "\xff": 1}',
 }
 
 
@@ -530,6 +552,18 @@ class TestErrorContract:
         assert "Traceback" not in proc.stderr + proc.stdout
         if case in BAD_LINES:
             assert f"{data}: line 1: " in proc.stderr
+
+    @pytest.mark.parametrize("bad", sorted(NOT_UTF8))
+    def test_bytes_that_are_not_utf8_exit_3(self, tmp_path, capsys, bad):
+        good = {"stream": GOOD_LINE.encode(), "config": json.dumps(PLATFORM).encode(),
+                "catalog": default_catalog_text().encode()}
+        for name, data in good.items():
+            (tmp_path / name).write_bytes(NOT_UTF8[name] if name == bad else data)
+        code, _, err = run(["simulate", "--catalog", str(tmp_path / "catalog"), "--config", str(tmp_path / "config"),
+                            "--stream", str(tmp_path / "stream"), "--out", str(tmp_path / "out")], capsys)
+        assert code == EXIT_DATA
+        assert err.startswith(f"error: {tmp_path / bad}: " + ("line 2: " if bad == "stream" else ""))
+        assert "not UTF-8" in err
 
     @pytest.mark.parametrize("name, model", [("m5.json", 5), ("mn.json", "Nope")])
     def test_spec_errors_name_the_config_file_once(self, tmp_path, capsys, name, model):
