@@ -301,8 +301,8 @@ def synthesize_stream(
 def _read_jsonl(path: str | Path, what: str, build: Callable[[str], object]) -> list:
     """Apply ``build`` to each non-blank line, read one at a time, dropping ``None`` results.
 
-    Malformed JSON, missing keys, wrong types and bad values all surface as
-    ``WorkloadError("<path>: line N: ...")``.
+    Bytes that are not UTF-8, malformed JSON, missing keys, wrong types and
+    bad values all surface as ``WorkloadError("<path>: line N: ...")``.
     """
     try:
         fh = open(path, encoding="utf-8")

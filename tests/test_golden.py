@@ -1,11 +1,12 @@
 """Golden-output guard: SHA-256 digests of what the CLI writes.
 
 Each case runs one CLI command on fixed inputs and hashes its output files
-and standard output. Manifest lines are stripped first, because they record
-temporary paths. JSON reports are checked to be in their canonical form and
-then hashed with the manifest removed and ``mean_power_watts`` popped, so
-the guard covers every other byte. A digest changes only when an output
-changes. To accept an intended change, run
+and standard output; the ``run_sim`` sweep instead hashes the reports of
+many small seeded simulations run in-process. Manifest lines are stripped
+first, because they record temporary paths. JSON reports are checked to be
+in their canonical form and then hashed with the manifest removed and
+``mean_power_watts`` popped, so the guard covers every other byte. A digest
+changes only when an output changes. To accept an intended change, run
 ``GOLDEN_PRINT=1 pytest -s tests/test_golden.py`` and copy the printed digests.
 """
 
