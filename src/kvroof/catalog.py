@@ -18,12 +18,14 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .errors import CatalogError
 
 GQA = "GQA"
 MLA = "MLA"
+# The fields each attention kind sets; a model leaves the other kind's fields unset.
+ATTENTION_FIELDS = {GQA: ("kv_heads", "head_dim"), MLA: ("kv_lora_rank", "qk_rope_dim")}
 
 _DEFAULT_RESOURCE = "default_catalog.json"
 
@@ -44,6 +46,18 @@ def json_text(value) -> str:
         return json.dumps(value)
     except (TypeError, ValueError):
         return repr(value)
+
+
+def refuse(where: str, name: str, value, rule: str, error: type[Exception] = CatalogError) -> NoReturn:
+    """Raise ``error("<where><name> must be <rule>, got <value as JSON>")``."""
+    raise error(f"{where}{name} must be {rule}, got {json_text(value)}")
+
+
+def lookup(pool: dict, name, kind: str, error: type[Exception] = CatalogError):
+    """``pool[name]``, or ``error`` naming the unknown ``kind`` and every name ``pool`` has."""
+    if name not in pool:
+        raise error(f"unknown {kind} {json_text(name)}; available: {', '.join(sorted(pool))}")
+    return pool[name]
 
 
 @dataclass(frozen=True)
@@ -69,50 +83,25 @@ class ModelSpec:
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
-            raise CatalogError("model name must be a non-empty string")
+            refuse("model ", "name", self.name, "a non-empty string")
+        where = f"model '{self.name}': "
         if self.attention_kind not in (GQA, MLA):
-            raise CatalogError(
-                f"model '{self.name}': attention_kind must be 'GQA' or 'MLA', "
-                f"got {json_text(self.attention_kind)}"
-            )
+            refuse(where, "attention_kind", self.attention_kind, "'GQA' or 'MLA'")
         for fname in ("total_params", "active_params", "layers"):
             if not is_count(getattr(self, fname)):
-                raise CatalogError(f"model '{self.name}': {fname} must be a positive integer")
+                refuse(where, fname, getattr(self, fname), "a positive integer")
         if self.active_params > self.total_params:
-            raise CatalogError(
-                f"model '{self.name}': active_params exceeds total_params"
-            )
+            refuse(where, "active_params", self.active_params, "<= total_params")
         bits = 8.0 * self.precision_bytes if is_number(self.precision_bytes) else math.nan
         if not 0 < bits < math.inf or abs(bits - round(bits)) > 1e-9 or round(bits) < 1:
-            raise CatalogError(
-                f"model '{self.name}': precision_bytes must map to a positive "
-                f"whole number of bits, got {json_text(self.precision_bytes)}"
-            )
-        if self.attention_kind == GQA:
-            self._require_set("kv_heads", "head_dim")
-            self._require_unset("kv_lora_rank", "qk_rope_dim")
-        else:
-            self._require_set("kv_lora_rank", "qk_rope_dim")
-            self._require_unset("kv_heads", "head_dim")
-
-    def _require_set(self, *names: str) -> None:
-        for fname in names:
-            value = getattr(self, fname)
-            if value is None:
-                raise CatalogError(
-                    f"model '{self.name}': attention_kind {self.attention_kind} "
-                    f"requires field '{fname}'"
-                )
-            if not is_count(value):
-                raise CatalogError(f"model '{self.name}': {fname} must be a positive integer")
-
-    def _require_unset(self, *names: str) -> None:
-        for fname in names:
-            if getattr(self, fname) is not None:
-                raise CatalogError(
-                    f"model '{self.name}': field '{fname}' does not apply to "
-                    f"attention_kind {self.attention_kind}"
-                )
+            refuse(where, "precision_bytes", self.precision_bytes, "a positive multiple of 1/8 (whole bits)")
+        own = ATTENTION_FIELDS[self.attention_kind]
+        for fname in own:
+            if not is_count(getattr(self, fname)):
+                refuse(where, fname, getattr(self, fname), "a positive integer")
+        for fname in ATTENTION_FIELDS[GQA] + ATTENTION_FIELDS[MLA]:
+            if fname not in own and getattr(self, fname) is not None:
+                refuse(where, fname, getattr(self, fname), f"null or absent for attention_kind {self.attention_kind}")
 
     @property
     def precision_bits(self) -> int:
@@ -138,29 +127,27 @@ class HardwareSpec:
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
-            raise CatalogError("hardware name must be a non-empty string")
+            refuse("hardware ", "name", self.name, "a non-empty string")
+        where = f"hardware '{self.name}': "
         for fname in ("compute_throughput", "link_bandwidth_peak", "vram_effective"):
             value = getattr(self, fname)
             if not (is_number(value) and value > 0):
-                raise CatalogError(f"hardware '{self.name}': {fname} must be a number > 0")
+                refuse(where, fname, value, "a number > 0")
         if self.link_bandwidth_sustained is None:
             object.__setattr__(self, "link_bandwidth_sustained", self.link_bandwidth_peak)
         sustained = self.link_bandwidth_sustained
         if not (is_number(sustained) and 0 < sustained <= self.link_bandwidth_peak):
-            raise CatalogError(
-                f"hardware '{self.name}': link_bandwidth_sustained must satisfy "
-                f"0 < sustained <= peak"
-            )
+            refuse(where, "link_bandwidth_sustained", sustained, "a number > 0 and <= link_bandwidth_peak")
         for fname in ("tdp_watts", "idle_watts"):
             value = getattr(self, fname)
             if value is not None and not (is_number(value) and 0 <= value < math.inf):
-                raise CatalogError(f"hardware '{self.name}': {fname} must be a finite number >= 0")
+                refuse(where, fname, value, "a finite number >= 0")
         if (
             self.tdp_watts is not None
             and self.idle_watts is not None
             and self.idle_watts > self.tdp_watts
         ):
-            raise CatalogError(f"hardware '{self.name}': idle_watts exceeds tdp_watts")
+            refuse(where, "idle_watts", self.idle_watts, "<= tdp_watts")
 
     def bandwidth(self, use_sustained: bool = True) -> float:
         """Selected host-device bandwidth in bytes/s."""
@@ -220,7 +207,7 @@ def loads_catalog(text: str, source: str = "<string>") -> tuple[list[ModelSpec],
     for key, cls in (("models", ModelSpec), ("hardware", HardwareSpec)):
         entries = doc.get(key, [])
         if not isinstance(entries, list):
-            raise CatalogError(f"{source}: {key} must be a JSON array")
+            refuse(f"{source}: ", key, entries, "a JSON array")
         specs: dict = {}
         for i, entry in enumerate(entries):
             spec = build_spec(cls, entry, f"{source}: {key}[{i}]")

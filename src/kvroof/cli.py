@@ -58,18 +58,17 @@ from .catalog import (
     by_name,
     check_keys,
     default_catalog_text,
-    json_text,
     loads_catalog,
+    lookup,
     read_catalog_text,
+    refuse,
 )
-from .errors import KvroofError
+from .errors import KvroofError, SimulationError
 from .simulator import (
     ITERATION_CSV_COLUMNS,
     POLICIES,
     SimConfig,
-    SimReport,
     compare_policies,
-    run_sim,
 )
 
 ENV_CATALOG = "KVROOF_CATALOG"
@@ -129,19 +128,12 @@ def _load_active_catalog(path_arg: Optional[str], argv: list[str], seed: Optiona
 def _pick(pool: dict, names: Optional[str], kind: str) -> list:
     if not names or names == "all":
         return list(pool.values())
-    chosen = []
-    for name in names.split(","):
-        name = name.strip()
-        if name not in pool:
-            available = ", ".join(sorted(pool))
-            raise KvroofError(f"unknown {kind} '{name}'; available: {available}")
-        chosen.append(pool[name])
-    return chosen
+    return [lookup(pool, name.strip(), kind) for name in names.split(",")]
 
 
 def _write_csv(path, manifest: RunManifest, header: Sequence[str], rows) -> None:
     """CSV with the manifest as a leading comment line."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# {manifest.as_comment()}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -229,12 +221,9 @@ def _cmd_analyze(args, catalog: Catalog, manifest: RunManifest) -> int:
 # --- synth --------------------------------------------------------------------
 
 def _cmd_synth(args, catalog: Catalog, manifest: RunManifest) -> int:
-    profile = workload.PROFILES.get(args.profile) or workload.PROFILES.get(args.profile + "-like")
-    if profile is None:
-        raise KvroofError(
-            f"unknown profile '{args.profile}'; available: {', '.join(sorted(workload.PROFILES))} "
-            f"(the '-like' suffix may be omitted)"
-        )
+    # A profile may be named without its "-like" suffix.
+    profiles = {**workload.PROFILES, **{n.removesuffix("-like"): p for n, p in workload.PROFILES.items()}}
+    profile = lookup(profiles, args.profile, "profile")
     records = workload.synthesize_stream(profile, rps=args.rps, duration_s=args.duration, seed=args.seed)
     workload.write_stream(records, args.out, manifest=manifest.as_dict())
     print(f"wrote {len(records)} requests to {args.out}")
@@ -248,13 +237,10 @@ CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(SimConfig)) + ("vram_effe
 
 def _resolve_spec(value, pool: dict, cls, kind: str):
     if isinstance(value, str):
-        if value not in pool:
-            available = ", ".join(sorted(pool))
-            raise KvroofError(f"config references unknown {kind} '{value}'; available: {available}")
-        return pool[value]
+        return lookup(pool, value, kind)
     if isinstance(value, dict):
         return build_spec(cls, value, kind)
-    raise KvroofError(f"config field '{kind}' must be a catalog name or an inline object, got {json_text(value)}")
+    refuse("", kind, value, "a catalog name or an inline object")
 
 
 def _load_sim_config(path: str, catalog: Catalog) -> SimConfig:
@@ -281,12 +267,7 @@ def _load_sim_config(path: str, catalog: Catalog) -> SimConfig:
 
 def _write_json(path: Path, manifest: RunManifest, key: str, body: dict) -> None:
     doc = {"manifest": manifest.as_dict(), key: body}
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _write_report(report: SimReport, out_dir: Path, suffix: str, manifest: RunManifest) -> None:
-    _write_json(out_dir / f"report{suffix}.json", manifest, "report", report.to_dict())
-    _write_csv(out_dir / f"iterations{suffix}.csv", manifest, ITERATION_CSV_COLUMNS, report.iteration_rows())
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _cmd_simulate(args, catalog: Catalog, manifest: RunManifest) -> int:
@@ -294,16 +275,21 @@ def _cmd_simulate(args, catalog: Catalog, manifest: RunManifest) -> int:
     records = workload.read_stream(args.stream)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # default None: argparse sees a given "fifo" beside --compare
+    policies = tuple(POLICIES) if args.compare else (args.policy or "fifo",)
+    try:
+        comparison = compare_policies(config, records, policies)
+    except SimulationError as exc:  # a fault the simulator finds in the stream: name its file
+        raise SimulationError(f"{args.stream}: {exc}") from exc
+    for name, rep in comparison.reports:
+        suffix = f"_{name}" if args.compare else ""
+        _write_json(out_dir / f"report{suffix}.json", manifest, "report", rep.to_dict())
+        _write_csv(out_dir / f"iterations{suffix}.csv", manifest, ITERATION_CSV_COLUMNS, rep.iteration_rows())
     if args.compare:
-        comparison = compare_policies(config, records)
-        for name, rep in comparison.reports:
-            _write_report(rep, out_dir, f"_{name}", manifest)
         _write_json(out_dir / "comparison.json", manifest, "comparison", comparison.to_dict())
         print("iterations per policy: " + ", ".join(f"{name}={len(rep.iterations)}" for name, rep in comparison.reports))
     else:
-        policy = args.policy or "fifo"  # default None: argparse sees a given "fifo" beside --compare
-        report = run_sim(config, records, policy)
-        _write_report(report, out_dir, "", manifest)
+        policy, report = comparison.reports[0]
         print(
             f"{policy}: {len(report.iterations)} iterations, "
             f"mean scheduled tokens {report.mean_scheduled_tokens:.1f}, "
@@ -386,6 +372,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    if hasattr(sys.stdout, "reconfigure"):  # what the locale cannot encode prints escaped, as on stderr
+        sys.stdout.reconfigure(errors="backslashreplace")
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -166,7 +166,7 @@ def write_series_csv(
     are formatted once for as long as the next series holds the same objects.
     """
     if isinstance(destination, (str, Path)):
-        with open(destination, "w", newline="") as fh:
+        with open(destination, "w", newline="", encoding="utf-8") as fh:
             write_series_csv(series, fh, header_comment)
         return
     if header_comment:

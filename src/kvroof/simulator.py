@@ -69,8 +69,8 @@ from functools import partial
 from operator import attrgetter
 from typing import Iterator, Optional, Sequence
 
-from .catalog import (HardwareSpec, ModelSpec, flops_per_token, is_count, is_number, json_text,
-                      kv_bytes_per_token)
+from .catalog import (HardwareSpec, ModelSpec, flops_per_token, is_count, is_number, kv_bytes_per_token, lookup,
+                      refuse)
 from .errors import SimulationError
 from .workload import RequestRecord, nearest_rank_percentile
 
@@ -100,7 +100,7 @@ class SimConfig:
             ("allow_chunked_prefill", isinstance(self.allow_chunked_prefill, bool), "true or false"),
         ):
             if not ok:
-                raise SimulationError(f"{name} must be {rule}, got {json_text(getattr(self, name))}")
+                refuse("", name, getattr(self, name), rule, SimulationError)
 
 
 @dataclass(slots=True)
@@ -314,9 +314,7 @@ def run_sim(
 
     ``requests`` must be sorted by arrival time and carry arrival times.
     """
-    if policy not in POLICIES:
-        raise SimulationError(f"unknown policy '{policy}' (expected {' or '.join(map(repr, POLICIES))})")
-    select = partial(POLICIES[policy], allow_chunking=config.allow_chunked_prefill)
+    select = partial(lookup(POLICIES, policy, "policy", SimulationError), allow_chunking=config.allow_chunked_prefill)
     hw = config.hardware
     b_kv = kv_bytes_per_token(config.model)
     f_pf = flops_per_token(config.model)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
-from .catalog import check_keys, is_count, is_number, json_text
+from .catalog import check_keys, is_count, is_number, refuse
 from .errors import WorkloadError
 
 PERCENTILES = (10, 50, 90, 95, 99)
@@ -62,7 +62,7 @@ class ConversationTrace:
 
     def __post_init__(self) -> None:
         if not self.turns:
-            raise WorkloadError(f"conversation '{self.conversation_id}' has no turns")
+            refuse(f"conversation '{self.conversation_id}': ", "turns", self.turns, "a non-empty array", WorkloadError)
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ class RequestRecord:
 def _check_count(what: str, value, low: int = 1) -> None:
     """Refuse a token count that is not an integer >= ``low``; ``what`` names it in the error."""
     if not is_count(value, low):
-        raise WorkloadError(f"{what} must be an integer >= {low}, got {json_text(value)}")
+        refuse("", what, value, f"an integer >= {low}", WorkloadError)
 
 
 @dataclass(frozen=True)
@@ -191,18 +191,14 @@ class StreamProfile:
     description: str = ""
 
     def __post_init__(self) -> None:
-        for label, sigma in (
-            ("prefill_log_sigma", self.prefill_log_sigma),
-            ("cached_log_sigma", self.cached_log_sigma),
-        ):
+        where = f"profile '{self.name}': "
+        for fname in ("prefill_log_sigma", "cached_log_sigma"):
+            sigma = getattr(self, fname)
             if not math.isfinite(sigma) or sigma <= 0:
-                raise WorkloadError(f"profile '{self.name}': {label} must be finite and > 0")
-        for label, mu in (
-            ("prefill_log_mean", self.prefill_log_mean),
-            ("cached_log_mean", self.cached_log_mean),
-        ):
-            if not math.isfinite(mu):
-                raise WorkloadError(f"profile '{self.name}': {label} must be finite")
+                refuse(where, fname, sigma, "a finite number > 0", WorkloadError)
+        for fname in ("prefill_log_mean", "cached_log_mean"):
+            if not math.isfinite(getattr(self, fname)):
+                refuse(where, fname, getattr(self, fname), "a finite number", WorkloadError)
 
     @property
     def mean_prefill_tokens(self) -> float:
@@ -265,12 +261,11 @@ def synthesize_stream(
     Deterministic for a fixed seed: identical arguments reproduce the exact
     same records.
     """
-    if not rps > 0:
-        raise WorkloadError("rps must be > 0")
-    if not duration_s > 0:
-        raise WorkloadError("duration_s must be > 0")
+    for name, value in (("rps", rps), ("duration_s", duration_s)):
+        if not value > 0:
+            refuse("", name, value, "> 0", WorkloadError)
     if not rps * duration_s <= MAX_STREAM_REQUESTS:
-        raise WorkloadError(f"rps * duration_s must be <= {MAX_STREAM_REQUESTS}, got {rps!r} * {duration_s!r}")
+        refuse("", "rps * duration_s", rps * duration_s, f"<= {MAX_STREAM_REQUESTS}", WorkloadError)
     import numpy as np  # here, not at module level: only synthesis needs it
 
     rng = np.random.default_rng(seed)
@@ -366,7 +361,7 @@ def _request(obj) -> Optional[RequestRecord]:
     _check_count(f"request '{source_id}': prefill_tokens", prefill)
     arrival = obj.get("arrival_time")
     if arrival is not None and not is_number(arrival):
-        raise WorkloadError(f"request '{source_id}': arrival_time must be a number, got {json_text(arrival)}")
+        refuse(f"request '{source_id}': ", "arrival_time", arrival, "a number", WorkloadError)
     return RequestRecord(source_id, cached, prefill, None if arrival is None else float(arrival))
 
 
@@ -398,8 +393,8 @@ def _stream_line(r: RequestRecord) -> str:
 
     A str id, int token counts and a finite float (or absent) arrival take
     the direct path, with the same bytes: json.dumps writes a float as its
-    ``repr`` and escapes a string as ``encode_basestring_ascii`` does. Other
-    types (booleans, numpy scalars, non-finite floats) go through json.dumps.
+    ``repr`` and escapes a string as ``encode_basestring_ascii`` does. Others
+    go through json.dumps once they pass the reader's checks with a finite arrival.
     """
     sid, k, t, a = r.source_id, r.cached_tokens, r.prefill_tokens, r.arrival_time
     if type(sid) is str and type(k) is int and type(t) is int:
@@ -411,12 +406,15 @@ def _stream_line(r: RequestRecord) -> str:
             return "{" + tail
         if type(a) is float and math.isfinite(a):
             return f'{{"arrival_time": {a!r}, ' + tail
+    _request(record_to_dict(r))  # refuses what read_stream would: a bool or numpy count
+    if a is not None and not math.isfinite(a):  # NaN and Infinity are not JSON
+        refuse(f"request '{sid}': ", "arrival_time", a, "a finite number or null", WorkloadError)
     return json.dumps(record_to_dict(r), sort_keys=True) + "\n"
 
 
 def write_stream(records: Iterable[RequestRecord], path: str | Path, manifest: Optional[dict] = None) -> None:
     """Write records as JSON Lines; an optional manifest goes on line one."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         if manifest is not None:
             fh.write(json.dumps({"_manifest": manifest}, sort_keys=True) + "\n")
         fh.writelines(_stream_line(r) for r in records)

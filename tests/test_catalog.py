@@ -14,9 +14,11 @@ from kvroof.catalog import (
     kv_bytes_per_token,
     load_catalog,
     loads_catalog,
+    lookup,
     serialize_catalog,
 )
-from kvroof.errors import CatalogError
+from kvroof.errors import CatalogError, KvroofError, SimulationError
+from kvroof.workload import SHAREGPT_LIKE, StreamProfile, synthesize_stream
 
 
 def gqa(name="m", total=int(1e9), active=int(1e9), layers=80, heads=8, dim=128, p=2.0):
@@ -277,3 +279,73 @@ def test_bad_catalog_raises_catalog_error(case):
     assert type(info.value) is CatalogError
     assert fragment in str(info.value)
     assert str(info.value).startswith("c.json: ")
+
+
+GOOD_MLA = {**GOOD_MODEL, "attention_kind": "MLA", "kv_heads": None, "head_dim": None, "kv_lora_rank": 4,
+            "qk_rope_dim": 2}
+GOOD_POWER_HW = {**GOOD_HW, "tdp_watts": 300, "idle_watts": 50}
+GOOD_PROFILE = {"name": "p", "prefill_log_mean": 3.0, "prefill_log_sigma": 1.2, "cached_log_mean": 8.0,
+                "cached_log_sigma": 1.4}
+
+
+def _synth(**kw):
+    return synthesize_stream(SHAREGPT_LIKE, seed=0, **kw)
+
+
+# (builder, valid arguments, field, bad value, the end of the refusal)
+REFUSALS = [
+    (ModelSpec, GOOD_MODEL, "name", "", 'model name must be a non-empty string, got ""'),
+    (ModelSpec, GOOD_MODEL, "attention_kind", "gqa", "attention_kind must be 'GQA' or 'MLA', got \"gqa\""),
+    (ModelSpec, GOOD_MODEL, "total_params", 10.0, "total_params must be a positive integer, got 10.0"),
+    (ModelSpec, GOOD_MODEL, "active_params", 0, "active_params must be a positive integer, got 0"),
+    (ModelSpec, GOOD_MODEL, "active_params", 20, "active_params must be <= total_params, got 20"),
+    (ModelSpec, GOOD_MODEL, "layers", True, "layers must be a positive integer, got true"),
+    (ModelSpec, GOOD_MODEL, "precision_bytes", 0.3,
+     "precision_bytes must be a positive multiple of 1/8 (whole bits), got 0.3"),
+    (ModelSpec, GOOD_MODEL, "kv_heads", -1, "kv_heads must be a positive integer, got -1"),
+    (ModelSpec, GOOD_MODEL, "head_dim", None, "head_dim must be a positive integer, got null"),
+    (ModelSpec, GOOD_MODEL, "kv_lora_rank", 4, "kv_lora_rank must be null or absent for attention_kind GQA, got 4"),
+    (ModelSpec, GOOD_MODEL, "qk_rope_dim", 2, "qk_rope_dim must be null or absent for attention_kind GQA, got 2"),
+    (ModelSpec, GOOD_MLA, "kv_lora_rank", None, "kv_lora_rank must be a positive integer, got null"),
+    (ModelSpec, GOOD_MLA, "qk_rope_dim", "2", 'qk_rope_dim must be a positive integer, got "2"'),
+    (ModelSpec, GOOD_MLA, "kv_heads", 8, "kv_heads must be null or absent for attention_kind MLA, got 8"),
+    (ModelSpec, GOOD_MLA, "head_dim", 128, "head_dim must be null or absent for attention_kind MLA, got 128"),
+    (HardwareSpec, GOOD_HW, "name", 5, "hardware name must be a non-empty string, got 5"),
+    (HardwareSpec, GOOD_HW, "compute_throughput", "fast", 'compute_throughput must be a number > 0, got "fast"'),
+    (HardwareSpec, GOOD_HW, "link_bandwidth_peak", math.nan, "link_bandwidth_peak must be a number > 0, got NaN"),
+    (HardwareSpec, GOOD_HW, "vram_effective", 0, "vram_effective must be a number > 0, got 0"),
+    (HardwareSpec, GOOD_HW, "link_bandwidth_sustained", 64e9,
+     "link_bandwidth_sustained must be a number > 0 and <= link_bandwidth_peak, got 64000000000.0"),
+    (HardwareSpec, GOOD_HW, "tdp_watts", math.inf, "tdp_watts must be a finite number >= 0, got Infinity"),
+    (HardwareSpec, GOOD_HW, "idle_watts", -1, "idle_watts must be a finite number >= 0, got -1"),
+    (HardwareSpec, GOOD_POWER_HW, "idle_watts", 400, "idle_watts must be <= tdp_watts, got 400"),
+    (StreamProfile, GOOD_PROFILE, "prefill_log_sigma", 0, "prefill_log_sigma must be a finite number > 0, got 0"),
+    (StreamProfile, GOOD_PROFILE, "cached_log_sigma", math.inf,
+     "cached_log_sigma must be a finite number > 0, got Infinity"),
+    (StreamProfile, GOOD_PROFILE, "prefill_log_mean", math.nan, "prefill_log_mean must be a finite number, got NaN"),
+    (StreamProfile, GOOD_PROFILE, "cached_log_mean", -math.inf,
+     "cached_log_mean must be a finite number, got -Infinity"),
+    (_synth, {"rps": 10.0, "duration_s": 1.0}, "rps", 0, "rps must be > 0, got 0"),
+    (_synth, {"rps": 10.0, "duration_s": 1.0}, "duration_s", -1.5, "duration_s must be > 0, got -1.5"),
+    (_synth, {"rps": 10.0, "duration_s": 1.0}, "rps", 2e7, "rps * duration_s must be <= 10000000, got 20000000.0"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, good, field, value, text",
+    [pytest.param(*case, id=f"{case[0].__name__}-{case[2]}-{case[3]!r}") for case in REFUSALS],
+)
+def test_refusal_names_the_field_and_shows_the_value_as_json(build, good, field, value, text):
+    build(**good)  # the valid arguments alone are accepted
+    with pytest.raises(KvroofError) as info:
+        build(**{**good, field: value})
+    assert str(info.value).endswith(text)
+
+
+def test_lookup_lists_every_name():
+    pool = {"b": 1, "a": 2}
+    assert lookup(pool, "a", "model") == 2
+    with pytest.raises(CatalogError, match=r'^unknown model "c"; available: a, b$'):
+        lookup(pool, "c", "model")
+    with pytest.raises(SimulationError, match=r'^unknown policy "C"; available: a, b$'):
+        lookup(pool, "C", "policy", SimulationError)

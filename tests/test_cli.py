@@ -1,4 +1,6 @@
+import ast
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -515,6 +517,9 @@ BAD_LINES = {
     "integral float cached_tokens", "manifest key beside request keys",
 }
 
+# The BAD_INPUTS whose stream fault only the simulator finds; simulate names the stream file.
+BAD_STREAMS = {"duplicate id", "NaN arrival", "infinite arrival"}
+
 # Each file simulate reads, with a byte that is never UTF-8: "\xff".
 NOT_UTF8 = {
     "stream": GOOD_LINE.encode()
@@ -552,6 +557,18 @@ class TestErrorContract:
         assert "Traceback" not in proc.stderr + proc.stdout
         if case in BAD_LINES:
             assert f"{data}: line 1: " in proc.stderr
+        if case in BAD_STREAMS:
+            assert f"{data}: " in proc.stderr
+
+    def test_stream_without_arrivals_names_the_file(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(PLATFORM))
+        stream = tmp_path / "input.jsonl"
+        stream.write_text('{"source_id": "a", "cached_tokens": 10, "prefill_tokens": 5}\n')
+        code, _, err = run(["simulate", "--config", str(config), "--stream", str(stream),
+                            "--out", str(tmp_path / "out")], capsys)
+        assert code == EXIT_DATA
+        assert err == f"error: {stream}: request 'a' has no arrival_time\n"
 
     @pytest.mark.parametrize("bad", sorted(NOT_UTF8))
     def test_bytes_that_are_not_utf8_exit_3(self, tmp_path, capsys, bad):
@@ -601,3 +618,57 @@ class TestErrorContract:
                             "--out", str(tmp_path / "out")], capsys)
         assert code == EXIT_DATA
         assert "unknown key(s) ['aging']" in err
+
+
+# A locale whose encoding is ASCII, with Python's UTF-8 mode and locale coercion off.
+ASCII_LOCALE = {"LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+class TestLocale:
+    """Outputs are UTF-8 and stdout escapes what the locale cannot encode, whatever the locale."""
+
+    def run_ascii(self, args, cwd):
+        env = {k: v for k, v in subprocess_env().items() if k != "PYTHONIOENCODING"}
+        proc = subprocess.run([sys.executable, "-m", "kvroof.cli", *args], cwd=cwd, env={**env, **ASCII_LOCALE},
+                              capture_output=True, timeout=60)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert b"Traceback" not in proc.stdout + proc.stderr
+        return proc.stdout
+
+    def test_analyze_out(self, tmp_path):
+        (tmp_path / "eur.jsonl").write_text('{"conversation_id": "c\u20ac", "turns": [{"query_tokens": 5}]}\n',
+                                            encoding="utf-8")
+        self.run_ascii(["analyze", "eur.jsonl", "--kind", "conversation", "--out", "eur.csv"], tmp_path)
+        assert (tmp_path / "eur.csv").read_bytes().splitlines()[2] == "c\u20ac/turn1,0,5,0.0".encode()
+
+    def test_kappa_out(self, tmp_path):
+        models, hardware = default_catalog()
+        catalog = serialize_catalog([dataclasses.replace(models[0], name="M\u20ac")], hardware[:1])
+        (tmp_path / "cat.json").write_text(catalog, encoding="utf-8")
+        stdout = self.run_ascii(["kappa", "--catalog", "cat.json", "--out", "k.csv"], tmp_path)
+        assert stdout.splitlines()[1].startswith(b"M\\u20ac ")
+        assert (tmp_path / "k.csv").read_bytes().splitlines()[2].startswith("M\u20ac,".encode())
+
+
+def _text_mode_calls_without_encoding(path: Path) -> list[str]:
+    """``open``, ``read_text`` and ``write_text`` calls in ``path`` that use text mode without ``encoding=``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        if name not in ("open", "read_text", "write_text"):
+            continue
+        keywords = {k.arg: k.value for k in node.keywords}
+        mode = keywords.get("mode", node.args[1] if name == "open" and len(node.args) > 1 else None)
+        if isinstance(mode, ast.Constant) and "b" in str(mode.value):
+            continue  # binary
+        if "encoding" not in keywords:
+            found.append(f"{path.name}:{node.lineno} {name}")
+    return found
+
+
+def test_every_text_file_is_opened_with_an_encoding():
+    sources = sorted(Path(kvroof.__file__).parent.glob("*.py"))
+    assert sources
+    assert [call for path in sources for call in _text_mode_calls_without_encoding(path)] == []

@@ -272,7 +272,6 @@ class TestJsonLines:
             RequestRecord("back\\slash\tand\nnewline", 123456789, 1, arrival_time=123456.789),
             RequestRecord("no-arrival", 10, 3),
             RequestRecord("\x00\x1f\x7f", 2**40, 999, arrival_time=1e22),
-            RequestRecord("infinite-arrival", 5, 5, arrival_time=math.inf),
             RequestRecord("int-arrival", 5, 5, arrival_time=3),
         ]
         records += synthesize_stream(SHAREGPT_LIKE, rps=50, duration_s=2, seed=9)
@@ -293,7 +292,36 @@ class TestJsonLines:
         arrival=st.one_of(st.none(), st.floats(), st.integers(0, 10**30)),
     )
     def test_fast_path_reads_written_lines_as_json_loads(self, source_id, cached, prefill, arrival):
-        assert_reads_like_json_loads(_stream_line(RequestRecord(source_id, cached, prefill, arrival)))
+        finite = arrival is None or math.isfinite(arrival)
+        try:
+            line = _stream_line(RequestRecord(source_id, cached, prefill, arrival))
+        except WorkloadError as exc:
+            assert not finite and "arrival_time must be a finite number or null" in str(exc)
+        else:
+            assert finite  # NaN and Infinity are not JSON
+            assert_reads_like_json_loads(line)
+
+    @pytest.mark.parametrize("record, text", [
+        (RequestRecord("a", True, 2, 1.0), "request 'a': cached_tokens must be an integer >= 0, got true"),
+        (RequestRecord("b", np.int64(3), 2, 1.0), "request 'b': cached_tokens must be an integer >= 0, got "),
+        (RequestRecord("c", 3, np.int64(2), 1.0), "request 'c': prefill_tokens must be an integer >= 1, got "),
+        (RequestRecord("d", 3, 2, math.nan), "request 'd': arrival_time must be a finite number or null, got NaN"),
+        (RequestRecord("e", 3, 2, math.inf),
+         "request 'e': arrival_time must be a finite number or null, got Infinity"),
+        (RequestRecord("f", 3, 2, -math.inf),
+         "request 'f': arrival_time must be a finite number or null, got -Infinity"),
+    ], ids=["bool count", "numpy cached count", "numpy prefill count", "NaN arrival", "inf arrival",
+            "-inf arrival"])
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, record, text):
+        path = tmp_path / "s.jsonl"
+        with pytest.raises(WorkloadError) as info:
+            write_stream([RequestRecord("ok", 1, 1, 0.0), record], path)
+        assert str(info.value).startswith(text)
+
+    def test_writer_takes_numpy_float_arrivals(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        write_stream([RequestRecord("a", 3, 2, np.float64(0.5))], path)
+        assert [(r.source_id, r.arrival_time) for r in read_stream(path)] == [("a", 0.5)]
 
     def test_fast_path_takes_synthesized_lines(self):
         for r in synthesize_stream(SHAREGPT_LIKE, rps=50, duration_s=2, seed=9):
