@@ -11,7 +11,8 @@ and only ``synth`` takes ``--seed``; the simulator draws no random numbers.
 
 Every output carries a manifest block recording the tool version, command
 line, catalog hash, and the seed where there is one, so re-running with the
-recorded inputs reproduces byte-identical files. Internals are SI units;
+recorded inputs reproduces byte-identical files. Files are written as UTF-8
+whatever the locale. Internals are SI units;
 tables display KB/GFLOP and GFLOP/KB unless ``--si`` is given.
 
 ``simulate --config`` takes a JSON object with these keys; any other key, a

@@ -660,7 +660,8 @@ def _text_mode_calls_without_encoding(path: Path) -> list[str]:
         if name not in ("open", "read_text", "write_text"):
             continue
         keywords = {k.arg: k.value for k in node.keywords}
-        mode = keywords.get("mode", node.args[1] if name == "open" and len(node.args) > 1 else None)
+        at = 1 if isinstance(node.func, ast.Name) else 0  # open(path, mode) or Path(path).open(mode)
+        mode = keywords.get("mode", node.args[at] if name == "open" and len(node.args) > at else None)
         if isinstance(mode, ast.Constant) and "b" in str(mode.value):
             continue  # binary
         if "encoding" not in keywords:
