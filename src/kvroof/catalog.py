@@ -178,7 +178,7 @@ _SPEC_KEYS = {cls: tuple(f.name for f in fields(cls)) for cls in (ModelSpec, Har
 def check_keys(obj, allowed: Sequence[str], where: str) -> None:
     """Refuse anything but a JSON object whose keys are all in ``allowed``."""
     if not isinstance(obj, dict):
-        raise CatalogError(f"{where} must be a JSON object")
+        refuse("", where, obj, "a JSON object")
     for key in obj:  # no set per call: traces check every turn
         if key not in allowed:
             unknown = sorted(obj.keys() - allowed)

@@ -267,8 +267,10 @@ def _load_sim_config(path: str, catalog: Catalog) -> SimConfig:
 
 
 def _write_json(path: Path, manifest: RunManifest, key: str, body: dict) -> None:
-    doc = {"manifest": manifest.as_dict(), key: body}
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """The bytes of ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, written as they are encoded."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"manifest": manifest.as_dict(), key: body}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _cmd_simulate(args, catalog: Catalog, manifest: RunManifest) -> int:

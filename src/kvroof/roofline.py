@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .analytics import arithmetic_intensity, kappa_crit
-from .catalog import HardwareSpec, ModelSpec
+from .catalog import HardwareSpec, ModelSpec, json_text, refuse
 from .errors import RooflineError
 
 if TYPE_CHECKING:
@@ -92,10 +92,12 @@ def attainable_flops(
 
 def kappa_grid(kappa_min: float, kappa_max: float, points_per_decade: int = 16) -> np.ndarray:
     """Logarithmic K/T grid with both endpoints included."""
-    if not 0 < kappa_min < kappa_max < math.inf:
-        raise RooflineError(f"need 0 < kappa_min < kappa_max < inf, got {kappa_min!r} and {kappa_max!r}")
-    if points_per_decade < 1:
-        raise RooflineError(f"points_per_decade must be >= 1, got {points_per_decade}")
+    if not 0 < kappa_min < math.inf:
+        refuse("", "kappa_min", kappa_min, "a finite number > 0", RooflineError)
+    if not kappa_min < kappa_max < math.inf:
+        refuse("", "kappa_max", kappa_max, f"a finite number > kappa_min ({json_text(kappa_min)})", RooflineError)
+    if not points_per_decade >= 1:
+        refuse("", "points_per_decade", points_per_decade, "a number >= 1", RooflineError)
     import numpy as np  # here, not at module level: kvroof.cli starts faster without it
 
     decades = np.log10(kappa_max / kappa_min)

@@ -56,6 +56,10 @@ VRAM is accounted in integer token-equivalents (K + T per request) so that
 pool arithmetic is exact; byte figures in reports are scaled back through
 kv_bytes_per_token.
 
+The iteration log is kept as five typed columns (``IterationLog``), 40
+bytes per iteration, so a run of 10^6 iterations holds no object per
+iteration; rows are built only when read.
+
 The loop is single-threaded and deterministic: identical inputs produce
 identical reports. Independent simulations may run concurrently.
 """
@@ -63,16 +67,18 @@ identical reports. Independent simulations may run concurrently.
 from __future__ import annotations
 
 import math
-from collections import deque
+from array import array
+from bisect import bisect_left
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import partial
-from operator import attrgetter
+from itertools import accumulate, count, starmap
 from typing import Iterator, Optional, Sequence
 
 from .catalog import (HardwareSpec, ModelSpec, flops_per_token, is_count, is_number, kv_bytes_per_token, lookup,
                       refuse)
 from .errors import SimulationError
-from .workload import RequestRecord, nearest_rank_percentile
+from .workload import RequestRecord, nearest_rank
 
 ITERATION_CSV_COLUMNS = ["iter", "t_start", "t_end", "scheduled_tokens", "vram_used_bytes", "queue_depth"]
 
@@ -81,6 +87,10 @@ REPORT_PERCENTILES = (50, 90, 99)
 # The utilization-aware policy packs leftover budget by exhaustive subset
 # search when at most this many candidates remain, greedily otherwise.
 EXACT_SEARCH_LIMIT = 12
+
+# An iteration schedules at most token_budget tokens, and the log keeps them
+# as 64-bit signed integers.
+MAX_TOKEN_BUDGET = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -95,7 +105,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         for name, ok, rule in (
             ("bandwidth_mode", self.bandwidth_mode in ("peak", "sustained"), "'peak' or 'sustained'"),
-            ("token_budget", is_count(self.token_budget), "an integer >= 1"),
+            ("token_budget", is_count(self.token_budget) and self.token_budget <= MAX_TOKEN_BUDGET,
+             f"an integer in [1, {MAX_TOKEN_BUDGET}]"),
             ("overlap_alpha", is_number(self.overlap_alpha) and 0.0 <= self.overlap_alpha <= 1.0, "a number in [0, 1]"),
             ("allow_chunked_prefill", isinstance(self.allow_chunked_prefill, bool), "true or false"),
         ):
@@ -113,7 +124,43 @@ class IterationStats:
     queue_depth: int  # requests known but not yet running at the boundary
 
 
-_ITERATION_ROW = attrgetter("index", "t_start", "t_end", "scheduled_tokens", "vram_used", "queue_depth")
+class IterationLog(Sequence):
+    """A run's iterations as five typed columns; iteration i is position i of each.
+
+    Indexing and iteration build ``IterationStats`` rows on demand; ``rows``
+    gives the ``ITERATION_CSV_COLUMNS`` of each as raw ints and floats.
+    """
+
+    __slots__ = ("t_start", "t_end", "scheduled_tokens", "vram_used", "queue_depth")
+
+    def __init__(self) -> None:
+        self.t_start = array("d")
+        self.t_end = array("d")
+        self.scheduled_tokens = array("q")
+        self.vram_used = array("d")
+        self.queue_depth = array("q")
+
+    def append(self, t_start: float, t_end: float, scheduled_tokens: int, vram_used: float, queue_depth: int) -> None:
+        self.t_start.append(t_start)
+        self.t_end.append(t_end)
+        self.scheduled_tokens.append(scheduled_tokens)
+        self.vram_used.append(vram_used)
+        self.queue_depth.append(queue_depth)
+
+    def __len__(self) -> int:
+        return len(self.t_start)
+
+    def __getitem__(self, i: int) -> IterationStats:
+        i = range(len(self))[i]  # a negative index counts from the end; out of range raises IndexError
+        return IterationStats(
+            i, self.t_start[i], self.t_end[i], self.scheduled_tokens[i], self.vram_used[i], self.queue_depth[i]
+        )
+
+    def __iter__(self) -> Iterator[IterationStats]:
+        return starmap(IterationStats, self.rows())
+
+    def rows(self) -> Iterator[tuple]:
+        return zip(count(), self.t_start, self.t_end, self.scheduled_tokens, self.vram_used, self.queue_depth)
 
 
 @dataclass(frozen=True)
@@ -124,7 +171,9 @@ class RejectedRequest:
 
 @dataclass
 class SimReport:
-    iterations: list[IterationStats]
+    """One run's results; its iterations are kept as columns (``IterationLog``)."""
+
+    iterations: IterationLog
     request_ttft: dict[str, float]
     rejected: list[RejectedRequest]
     mean_scheduled_tokens: float
@@ -154,7 +203,7 @@ class SimReport:
 
         ``csv.writer`` writes a float as its ``repr``.
         """
-        return map(_ITERATION_ROW, self.iterations)
+        return self.iterations.rows()
 
 
 # (position in the ready list the policy was given, tokens to run)
@@ -352,7 +401,7 @@ def run_sim(
     # Where each request is (see the module docstring): accepted[head:],
     # waiting, chan_req, ready, residents, ttfts. All but ttfts hold indices
     # into accepted, the arrival rank, so sorting them gives arrival order.
-    iterations: list[IterationStats] = []
+    iterations = IterationLog()
     ttfts: dict[str, float] = {}
     n_accepted = len(accepted)
     head = 0
@@ -439,7 +488,7 @@ def run_sim(
                     raise SimulationError(f"policy scheduled {sched} tokens at t={t!r}; the clock would stop")
                 duration = sched * f_pf / c_eff
                 until = t + duration
-                iterations.append(IterationStats(len(iterations), t, until, sched, used_tokens * b_kv, depth))
+                iterations.append(t, until, sched, used_tokens * b_kv, depth)
                 compute_active += duration
                 nxt = t  # the iteration moves the clock from the next trip on, with the channel at alpha
             else:
@@ -466,12 +515,7 @@ def run_sim(
         )
 
     span = t - t_begin
-    sched_values = sorted(float(s.scheduled_tokens) for s in iterations)
-    mean_sched = sum(sched_values) / len(sched_values) if sched_values else 0.0
-    percentiles = {
-        p: (nearest_rank_percentile(sched_values, p) if sched_values else 0.0)
-        for p in REPORT_PERCENTILES
-    }
+    mean_sched, percentiles = _scheduled_token_stats(iterations.scheduled_tokens)
     # min: the sum of iteration durations can round above the clock span
     compute_busy = min(1.0, compute_active / span) if span > 0 else (1.0 if compute_active > 0 else 0.0)
     transfer_busy = chan_active / span if span > 0 else 0.0
@@ -487,6 +531,25 @@ def run_sim(
         completed=len(ttfts),
         mean_power_watts=_maybe_power(config, compute_busy),
     )
+
+
+def _scheduled_token_stats(scheduled: array) -> tuple[float, dict[int, float]]:
+    """The mean and ``REPORT_PERCENTILES`` of the scheduled tokens, from a count per value.
+
+    These are the mean and ``nearest_rank_percentile`` of the sorted tokens
+    as floats, bit for bit: the integer sum divided by n is, because every
+    partial sum of integer-valued floats below 2**53 is exact (above, this
+    is the correctly rounded mean), and the nearest rank is found by walking
+    the counts. Zero iterations give 0.0 throughout.
+    """
+    n = len(scheduled)
+    if not n:
+        return 0.0, dict.fromkeys(REPORT_PERCENTILES, 0.0)
+    counts = sorted(Counter(scheduled).items())
+    reached = list(accumulate(k for _, k in counts))  # iterations at or below each value
+    return sum(scheduled) / n, {
+        p: float(counts[bisect_left(reached, nearest_rank(n, p))][0]) for p in REPORT_PERCENTILES
+    }
 
 
 def _maybe_power(config: SimConfig, busy_fraction: float) -> Optional[float]:

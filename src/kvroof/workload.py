@@ -144,13 +144,17 @@ def expand_document(trace: DocumentTrace) -> list[RequestRecord]:
     ]
 
 
+def nearest_rank(n: int, pct: float) -> int:
+    """The nearest-rank percentile's 1-indexed rank among n values: ceil(pct/100 * n), within [1, n]."""
+    return min(n, max(1, math.ceil(pct / 100.0 * n)))
+
+
 def nearest_rank_percentile(sorted_values: Sequence[float], pct: float) -> float:
-    """Nearest-rank percentile: value at rank ceil(pct/100 * n), 1-indexed."""
+    """Nearest-rank percentile: the value at ``nearest_rank`` in ``sorted_values``."""
     n = len(sorted_values)
     if n == 0:
         raise WorkloadError("cannot take percentile of empty data")
-    rank = max(1, math.ceil(pct / 100.0 * n))
-    return sorted_values[min(rank, n) - 1]
+    return sorted_values[nearest_rank(n, pct) - 1]
 
 
 def _field_stats(values: list[float]) -> FieldStats:
@@ -394,7 +398,8 @@ def _stream_line(r: RequestRecord) -> str:
     A str id, int token counts and a finite float (or absent) arrival take
     the direct path, with the same bytes: json.dumps writes a float as its
     ``repr`` and escapes a string as ``encode_basestring_ascii`` does. Others
-    go through json.dumps once they pass the reader's checks with a finite arrival.
+    go through json.dumps once they pass the reader's checks with a finite
+    arrival; every refusal is a ``WorkloadError`` naming the request.
     """
     sid, k, t, a = r.source_id, r.cached_tokens, r.prefill_tokens, r.arrival_time
     if type(sid) is str and type(k) is int and type(t) is int:
@@ -406,10 +411,14 @@ def _stream_line(r: RequestRecord) -> str:
             return "{" + tail
         if type(a) is float and math.isfinite(a):
             return f'{{"arrival_time": {a!r}, ' + tail
-    _request(record_to_dict(r))  # refuses what read_stream would: a bool or numpy count
+    try:
+        _request(record_to_dict(r))  # refuses what read_stream would: a bool or numpy count
+        line = json.dumps(record_to_dict(r), sort_keys=True) + "\n"
+    except (OverflowError, TypeError) as exc:  # an int arrival no float holds, an id JSON cannot hold
+        raise WorkloadError(f"request '{sid}': {exc}") from exc
     if a is not None and not math.isfinite(a):  # NaN and Infinity are not JSON
         refuse(f"request '{sid}': ", "arrival_time", a, "a finite number or null", WorkloadError)
-    return json.dumps(record_to_dict(r), sort_keys=True) + "\n"
+    return line
 
 
 def write_stream(records: Iterable[RequestRecord], path: str | Path, manifest: Optional[dict] = None) -> None:

@@ -15,7 +15,9 @@ import pytest
 import kvroof
 from kvroof.analytics import kappa_crit, kappa_hw, kappa_model
 from kvroof.catalog import by_name, default_catalog, default_catalog_text, serialize_catalog
-from kvroof.cli import EXIT_DATA, EXIT_OK, main
+from kvroof.cli import EXIT_DATA, EXIT_OK, Catalog, RunManifest, _load_sim_config, _write_json, main
+from kvroof.simulator import compare_policies
+from kvroof.workload import read_stream
 
 MODELS, HARDWARE = default_catalog()
 M = by_name(MODELS)
@@ -250,6 +252,18 @@ class TestSimulateCommand:
         assert iter_csv[1] == "iter,t_start,t_end,scheduled_tokens,vram_used_bytes,queue_depth"
         assert len(iter_csv) == 2 + 3
 
+    def test_json_outputs_are_the_bytes_of_json_dumps(self, tmp_path):
+        catalog = Catalog(M, H)
+        config = _load_sim_config(fixture_path("scheduling_fixture_config.json"), catalog)
+        comparison = compare_policies(config, read_stream(fixture_path("scheduling_fixture_stream.jsonl")))
+        manifest = RunManifest(tool="kvroof test", command=["kvroof", "simulate", "--compare"], catalog="<bundled>",
+                               catalog_sha256="0" * 64)
+        for key, body in (("report", comparison.reports[0][1].to_dict()), ("comparison", comparison.to_dict())):
+            path = tmp_path / f"{key}.json"
+            _write_json(path, manifest, key, body)
+            doc = {"manifest": manifest.as_dict(), key: body}
+            assert path.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
     def test_zero_length_stream_empty_report(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
@@ -453,6 +467,7 @@ BAD_INPUTS = {
     "integral float token_budget": ({**PLATFORM, "token_budget": 4000.0}, GOOD_LINE, "simulate"),
     "boolean token_budget": ({**PLATFORM, "token_budget": True}, GOOD_LINE, "simulate"),
     "string token_budget": ({**PLATFORM, "token_budget": "50"}, GOOD_LINE, "simulate"),
+    "token_budget beyond 64 bits": ({**PLATFORM, "token_budget": 2**63}, GOOD_LINE, "simulate"),
     "boolean overlap_alpha": ({**PLATFORM, "overlap_alpha": True}, GOOD_LINE, "simulate"),
     "string overlap_alpha": ({**PLATFORM, "overlap_alpha": "0.5"}, GOOD_LINE, "simulate"),
     "boolean vram_effective": ({**PLATFORM, "vram_effective": True}, GOOD_LINE, "simulate"),
@@ -560,6 +575,19 @@ class TestErrorContract:
         if case in BAD_STREAMS:
             assert f"{data}: " in proc.stderr
 
+    def test_non_object_trace_line_shows_the_value(self, tmp_path, capsys):
+        trace = tmp_path / "bad.jsonl"
+        trace.write_text("[1]\n")
+        code, _, err = run(["analyze", str(trace), "--kind", "conversation"], capsys)
+        assert code == EXIT_DATA
+        assert err == f"error: {trace}: line 1: bad conversation object: conversation must be a JSON object, got [1]\n"
+
+    def test_roofline_grid_refusal_reads_as_json(self, tmp_path, capsys):
+        code, _, err = run(["roofline", "--model", "Llama-3.1-70B", "--kappa-min", "nan",
+                            "--out", str(tmp_path / "r.csv")], capsys)
+        assert code == EXIT_DATA
+        assert err == "error: kappa_min must be a finite number > 0, got NaN\n"
+
     def test_stream_without_arrivals_names_the_file(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(PLATFORM))
@@ -596,6 +624,7 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("key, value, shown", [
         ("token_budget", True, "got true"),
+        ("token_budget", 2**63, "must be an integer in [1, 9223372036854775807], got 9223372036854775808"),
         ("allow_chunked_prefill", "false", 'got "false"'),
         ("overlap_alpha", math.nan, "got NaN"),
     ])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from kvroof.analytics import arithmetic_intensity, kappa_crit
 from kvroof.catalog import HardwareSpec, ModelSpec, by_name, default_catalog
+from kvroof.errors import RooflineError
 from kvroof.roofline import (
     CSV_COLUMNS,
     Regime,
@@ -183,3 +184,18 @@ class TestCsv:
         assert grid[0] == pytest.approx(0.1)
         assert grid[-1] == pytest.approx(1e5)
         assert len(grid) == 6 * 16 + 1
+
+    @pytest.mark.parametrize("args, text", [
+        ((math.nan, 1e5), "kappa_min must be a finite number > 0, got NaN"),
+        ((-1, 1e5), "kappa_min must be a finite number > 0, got -1"),
+        ((math.inf, 1e5), "kappa_min must be a finite number > 0, got Infinity"),
+        ((10.0, 1.0), "kappa_max must be a finite number > kappa_min (10.0), got 1.0"),
+        ((0.1, math.inf), "kappa_max must be a finite number > kappa_min (0.1), got Infinity"),
+        ((0.1, math.nan), "kappa_max must be a finite number > kappa_min (0.1), got NaN"),
+        ((0.1, 1e5, 0), "points_per_decade must be a number >= 1, got 0"),
+        ((0.1, 1e5, math.nan), "points_per_decade must be a number >= 1, got NaN"),
+    ])
+    def test_grid_refusals_show_the_value_as_json(self, args, text):
+        with pytest.raises(RooflineError) as info:
+            kappa_grid(*args)
+        assert str(info.value) == text

@@ -3,6 +3,8 @@ import json
 import math
 import random
 import signal
+import tracemalloc
+from array import array
 from contextlib import contextmanager
 
 import pytest
@@ -14,13 +16,16 @@ from kvroof.analytics import RequestShape, ttft
 from kvroof.catalog import HardwareSpec, ModelSpec, by_name, default_catalog, kv_bytes_per_token
 from kvroof.errors import SimulationError
 from kvroof.simulator import (
+    MAX_TOKEN_BUDGET,
+    REPORT_PERCENTILES,
+    IterationStats,
     SimConfig,
     compare_policies,
     run_sim,
     schedule_fifo,
     schedule_utilization_aware,
 )
-from kvroof.workload import RequestRecord
+from kvroof.workload import SHAREGPT_LIKE, RequestRecord, nearest_rank_percentile, synthesize_stream
 
 MODELS, HARDWARE = default_catalog()
 M = by_name(MODELS)
@@ -489,6 +494,68 @@ class TestRunSimProperties:
             prev_end = s.t_end
         assert 0.0 <= report.compute_busy_fraction <= 1.0
         assert 0.0 <= report.transfer_busy_fraction <= 1.0
+
+    @given(sim_case())
+    @settings(max_examples=200, deadline=None)
+    def test_token_stats_and_rows_match_the_sorted_reference(self, case):
+        report = run_sim(*case)
+        log = report.iterations
+        assert list(report.iteration_rows()) == [
+            (s.index, s.t_start, s.t_end, s.scheduled_tokens, s.vram_used, s.queue_depth)
+            for s in (log[i] for i in range(len(log)))
+        ]
+        values = sorted(float(s) for s in log.scheduled_tokens)
+        if values:
+            assert report.mean_scheduled_tokens == sum(values) / len(values)
+            assert report.scheduled_token_percentiles == {
+                p: nearest_rank_percentile(values, p) for p in REPORT_PERCENTILES
+            }
+        else:
+            assert report.mean_scheduled_tokens == 0.0
+            assert report.scheduled_token_percentiles == dict.fromkeys(REPORT_PERCENTILES, 0.0)
+
+    @given(st.lists(st.integers(1, 2**40), min_size=1, max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_token_stats_from_counts_over_wide_values(self, tokens):
+        mean, percentiles = simulator._scheduled_token_stats(array("q", tokens))
+        values = sorted(float(s) for s in tokens)
+        assert mean == sum(values) / len(values)
+        assert percentiles == {p: nearest_rank_percentile(values, p) for p in REPORT_PERCENTILES}
+
+
+class TestIterationLog:
+    def test_reads_as_a_sequence_of_rows(self):
+        log = run_sim(unit_config(), FOUR_REQUESTS, "fifo").iterations
+        rows = list(log)
+        assert [s.index for s in rows] == [0, 1, 2]
+        assert log[-1] == rows[2] == IterationStats(2, rows[2].t_start, rows[2].t_end, 2, rows[2].vram_used, 0)
+        assert list(reversed(log)) == rows[::-1]
+        with pytest.raises(IndexError):
+            log[3]
+
+    def test_budget_up_to_64_bits(self):
+        hw = dataclasses.replace(UNIT_HW, vram_effective=1e300)
+        config = dataclasses.replace(unit_config(), hardware=hw, token_budget=MAX_TOKEN_BUDGET)
+        report = run_sim(config, [RequestRecord("a", 0, MAX_TOKEN_BUDGET, arrival_time=0.0)], "fifo")
+        assert [s.scheduled_tokens for s in report.iterations] == [MAX_TOKEN_BUDGET]
+        with pytest.raises(SimulationError, match=r"token_budget must be an integer in \[1, 9223372036854775807\]"):
+            dataclasses.replace(config, token_budget=MAX_TOKEN_BUDGET + 1)
+
+    def test_report_retains_under_64_bytes_per_iteration(self):
+        # A seeded 20k-request stream on the sustained pairing: about one iteration per request.
+        stream = synthesize_stream(SHAREGPT_LIKE, rps=200, duration_s=100, seed=20)
+        config = SimConfig(M["Qwen3-30B-A3B"], H["Unified-HBM"])
+        tracemalloc.start()
+        try:
+            report = run_sim(config, stream, "fifo")
+            n = len(report.iterations)
+            held = tracemalloc.get_traced_memory()[0]
+            report.iterations = None
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert n > 10_000
+        assert freed / n < 64
 
 
 class TestTransferChannel:

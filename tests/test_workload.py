@@ -310,8 +310,10 @@ class TestJsonLines:
          "request 'e': arrival_time must be a finite number or null, got Infinity"),
         (RequestRecord("f", 3, 2, -math.inf),
          "request 'f': arrival_time must be a finite number or null, got -Infinity"),
+        (RequestRecord("g", 1, 2, 10**400), "request 'g': int too large to convert to float"),
+        (RequestRecord({1}, 1, 2, 1.0), "request '{1}': Object of type set is not JSON serializable"),
     ], ids=["bool count", "numpy cached count", "numpy prefill count", "NaN arrival", "inf arrival",
-            "-inf arrival"])
+            "-inf arrival", "int arrival beyond floats", "set id"])
     def test_writer_refuses_what_the_reader_refuses(self, tmp_path, record, text):
         path = tmp_path / "s.jsonl"
         with pytest.raises(WorkloadError) as info:
