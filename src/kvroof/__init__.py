@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 from .analytics import (
     AnalyticBreakdown,
     ConcurrencyLimit,
-    RequestShape,
     SchedTokens,
     arithmetic_intensity,
     kappa_crit,

@@ -21,28 +21,21 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .catalog import HardwareSpec, ModelSpec, flops_per_token, kv_bytes_per_token
+from .catalog import HardwareSpec, ModelSpec, flops_per_token, is_number, kv_bytes_per_token, refuse
+from .errors import CatalogError, RooflineError, SimulationError
+from .workload import RequestRecord
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class RequestShape:
-    """Token counts of one prefill request: K cached, T newly computed."""
+def RequestShape(cached_tokens: int, prefill_tokens: int) -> RequestRecord:
+    """``RequestRecord("", cached_tokens, prefill_tokens)``: K cached, T newly computed.
 
-    cached_tokens: int
-    prefill_tokens: int
-
-    def __post_init__(self) -> None:
-        if self.cached_tokens < 0:
-            raise ValueError("cached_tokens must be >= 0")
-        if self.prefill_tokens < 1:
-            raise ValueError("prefill_tokens must be >= 1")
-
-    @property
-    def kappa_ratio(self) -> float:
-        return self.cached_tokens / self.prefill_tokens
+    Only the name is left, for ``perfbench``, which builds ``RequestShape(K, T)``
+    to call :func:`ttft`; ROADMAP item 6 removes it.
+    """
+    return RequestRecord("", cached_tokens, prefill_tokens)
 
 
 @dataclass(frozen=True)
@@ -88,7 +81,7 @@ def kappa_crit(model: ModelSpec, hw: HardwareSpec, use_sustained: bool = True) -
 
 
 def ttft(
-    shape: RequestShape,
+    request: RequestRecord,
     model: ModelSpec,
     hw: HardwareSpec,
     overlap_alpha: float = 0.0,
@@ -99,10 +92,10 @@ def ttft(
     ``overlap_alpha`` in [0, 1] scales how much of the shorter phase hides
     behind the longer one: 0 is fully sequential, 1 is perfect overlap.
     """
-    if not 0.0 <= overlap_alpha <= 1.0:
-        raise ValueError(f"overlap_alpha must be in [0, 1], got {overlap_alpha}")
-    t_pcie = shape.cached_tokens * kv_bytes_per_token(model) / hw.bandwidth(use_sustained)
-    t_prefill = shape.prefill_tokens * flops_per_token(model) / hw.compute_throughput
+    if not (is_number(overlap_alpha) and 0.0 <= overlap_alpha <= 1.0):
+        refuse("", "overlap_alpha", overlap_alpha, "a number in [0, 1]", SimulationError)
+    t_pcie = request.cached_tokens * kv_bytes_per_token(model) / hw.bandwidth(use_sustained)
+    t_prefill = request.prefill_tokens * flops_per_token(model) / hw.compute_throughput
     total = t_pcie + t_prefill - overlap_alpha * min(t_pcie, t_prefill)
     return AnalyticBreakdown(
         t_pcie=t_pcie,
@@ -110,34 +103,33 @@ def ttft(
         ttft=total,
         utilization=t_prefill / total,
         pcie_overhead=t_pcie / t_prefill,
-        kappa_ratio=shape.kappa_ratio,
+        kappa_ratio=request.kappa_ratio,
     )
 
 
-def max_concurrent(shape: RequestShape, model: ModelSpec, vram_effective: float) -> ConcurrencyLimit:
-    """How many requests of this shape fit in the KV VRAM pool at once.
+def max_concurrent(request: RequestRecord, model: ModelSpec, vram_effective: float) -> ConcurrencyLimit:
+    """How many requests of this size fit in the KV VRAM pool at once.
 
     Each resident request pins (K + T) * kv_bytes_per_token bytes. The
     un-floored value is reported alongside the floor because throughput
     estimates use the fractional figure.
     """
-    if vram_effective <= 0:
-        raise ValueError("vram_effective must be > 0")
-    per_request = (shape.cached_tokens + shape.prefill_tokens) * kv_bytes_per_token(model)
-    value = vram_effective / per_request
+    if not (is_number(vram_effective) and 0 < vram_effective < math.inf):
+        refuse("", "vram_effective", vram_effective, "a finite number > 0", CatalogError)
+    value = vram_effective / (request.vram_tokens * kv_bytes_per_token(model))
     return ConcurrencyLimit(value=value, floor=math.floor(value))
 
 
-def sched_tokens(shape: RequestShape, model: ModelSpec, vram_effective: float) -> SchedTokens:
+def sched_tokens(request: RequestRecord, model: ModelSpec, vram_effective: float) -> SchedTokens:
     """Prefill tokens schedulable per iteration under the VRAM constraint.
 
     The exact form multiplies the un-floored concurrency limit by T. The
     approximate form drops T from the denominator and is within 2% of the
     exact form once K >= 100 * T.
     """
-    limit = max_concurrent(shape, model, vram_effective)
-    exact = limit.value * shape.prefill_tokens
-    ratio = shape.kappa_ratio
+    limit = max_concurrent(request, model, vram_effective)
+    exact = limit.value * request.prefill_tokens
+    ratio = request.kappa_ratio
     if ratio == 0:
         approx = math.inf
     else:
@@ -152,22 +144,23 @@ def arithmetic_intensity(kappa_ratio: float | np.ndarray, model: ModelSpec) -> f
     compute). At the critical ratio this equals the machine balance point
     compute_throughput / bandwidth.
 
-    A float64 array of ratios, each > 0, gives the array of intensities,
-    every element bit-identical to the float form (IEEE division and
-    multiplication round the same way in numpy).
+    A float64 array of finite ratios, each > 0, gives the array of
+    intensities, every element bit-identical to the float form (IEEE
+    division and multiplication round the same way in numpy).
     """
     if getattr(kappa_ratio, "ndim", 0):
-        if not (kappa_ratio > 0).all():
-            raise ValueError("kappa_ratio entries must be > 0")
-    elif kappa_ratio < 0:
-        raise ValueError("kappa_ratio must be >= 0")
+        bad = kappa_ratio[~((kappa_ratio > 0) & (kappa_ratio < math.inf))]
+        if bad.size:
+            refuse("", "each kappa_ratio", bad[0].item(), "a finite number > 0", RooflineError)
+    elif not 0 <= kappa_ratio < math.inf:
+        refuse("", "kappa_ratio", kappa_ratio, "a finite number >= 0", RooflineError)
     elif kappa_ratio == 0:
         return math.inf
     return flops_per_token(model) / (kappa_ratio * kv_bytes_per_token(model))
 
 
 def memory_bound(
-    shape: RequestShape, model: ModelSpec, hw: HardwareSpec, use_sustained: bool = True
+    request: RequestRecord, model: ModelSpec, hw: HardwareSpec, use_sustained: bool = True
 ) -> bool:
     """True when the transfer phase dominates (K/T above the critical ratio)."""
-    return shape.kappa_ratio > kappa_crit(model, hw, use_sustained)
+    return request.kappa_ratio > kappa_crit(model, hw, use_sustained)

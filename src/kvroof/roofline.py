@@ -82,8 +82,12 @@ def attainable_flops(
     same bits as the float form.
     """
     array = getattr(ai, "ndim", 0) > 0
-    if not ((ai > 0).all() if array else ai > 0):
-        raise RooflineError("arithmetic intensity must be > 0")
+    if array:
+        bad = ai[~(ai > 0)]
+        if bad.size:
+            refuse("", "each arithmetic intensity", bad[0].item(), "> 0", RooflineError)
+    elif not ai > 0:
+        refuse("", "arithmetic intensity", ai, "> 0", RooflineError)
     diagonal = ai * hw.bandwidth(use_sustained)
     if array:
         return diagonal.clip(max=hw.compute_throughput)
@@ -123,7 +127,7 @@ def roofline_sweep(
     per formula, and then split into points holding Python floats.
     """
     if not hw_list:
-        raise RooflineError("hardware list must not be empty")
+        refuse("", "hardware list", hw_list, "non-empty", RooflineError)
     import numpy as np  # here, not at module level: kvroof.cli starts faster without it
 
     grid = kappa_grid(kappa_min, kappa_max, points_per_decade)

@@ -270,6 +270,8 @@ def synthesize_stream(
             refuse("", name, value, "> 0", WorkloadError)
     if not rps * duration_s <= MAX_STREAM_REQUESTS:
         refuse("", "rps * duration_s", rps * duration_s, f"<= {MAX_STREAM_REQUESTS}", WorkloadError)
+    if not is_count(seed, 0):
+        refuse("", "seed", seed, "an integer >= 0", WorkloadError)
     import numpy as np  # here, not at module level: only synthesis needs it
 
     rng = np.random.default_rng(seed)
@@ -343,16 +345,22 @@ _REQUEST_KEYS = tuple(f.name for f in fields(RequestRecord)) + ("kappa_ratio",) 
 
 def _conversation(obj) -> ConversationTrace:
     check_keys(obj, ("conversation_id", "turns"), "conversation")
+    cid, raw_turns = str(obj["conversation_id"]), obj["turns"]
+    if not isinstance(raw_turns, list):
+        refuse(f"conversation '{cid}': ", "turns", raw_turns, "a non-empty array", WorkloadError)
     turns = []
-    for turn in obj["turns"]:
+    for turn in raw_turns:
         check_keys(turn, _TURN_KEYS, "turn")
         turns.append(ConversationTurn(**turn))
-    return ConversationTrace(str(obj["conversation_id"]), tuple(turns))
+    return ConversationTrace(cid, tuple(turns))
 
 
 def _document(obj) -> DocumentTrace:
     check_keys(obj, _DOCUMENT_KEYS, "document")
-    return DocumentTrace(str(obj["doc_id"]), obj["doc_tokens"], tuple(obj["question_tokens"]))
+    doc_id, questions = str(obj["doc_id"]), obj["question_tokens"]
+    if not isinstance(questions, list):
+        refuse(f"document '{doc_id}': ", "question_tokens", questions, "an array", WorkloadError)
+    return DocumentTrace(doc_id, obj["doc_tokens"], tuple(questions))
 
 
 def _request(obj) -> Optional[RequestRecord]:

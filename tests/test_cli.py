@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import kvroof
+import kvroof.errors
 from kvroof.analytics import kappa_crit, kappa_hw, kappa_model
 from kvroof.catalog import by_name, default_catalog, default_catalog_text, serialize_catalog
 from kvroof.cli import EXIT_DATA, EXIT_OK, Catalog, RunManifest, _load_sim_config, _write_json, main
@@ -492,6 +493,9 @@ BAD_INPUTS = {
     "integral float doc_tokens": (
         None, '{"doc_id": "d", "doc_tokens": 5.0, "question_tokens": [1]}\n', "analyze document"
     ),
+    "string turns": (None, '{"conversation_id": "c", "turns": "ab"}\n', "analyze"),
+    "object turns": (None, '{"conversation_id": "c", "turns": {"a": 1}}\n', "analyze"),
+    "integer question_tokens": (None, '{"doc_id": "d", "doc_tokens": 5, "question_tokens": 5}\n', "analyze document"),
     "unknown stream key": (
         PLATFORM,
         '{"source_id": "a", "cached_tokens": 10, "prefill_tokens": 5, "arrival_time": 0.0, "cached_token": 3}\n',
@@ -519,6 +523,7 @@ BAD_INPUTS = {
     "synth infinite rps": (["--rps", "inf", "--duration", "1"], "", "synth"),
     "synth rps times duration overflows": (["--rps", "1e200", "--duration", "1e200"], "", "synth"),
     "synth stream too large": (["--rps", "1e18", "--duration", "10"], "", "synth"),
+    "synth negative seed": (["--rps", "10", "--duration", "1", "--seed", "-1"], "", "synth"),
     "roofline grid too large": (["--points-per-decade", "1000000000000000000"], "", "roofline"),
     "roofline points per decade overflow a float": (["--points-per-decade", "1" + "0" * 400], "", "roofline"),
 }
@@ -529,7 +534,8 @@ BAD_LINES = {
     "non-integer cached_tokens", "fractional cached_tokens", "boolean arrival_time", "string arrival_time",
     "non-integer query_tokens", "misspelled response_tokens", "extra conversation key",
     "integral float query_tokens", "document questions key", "integral float doc_tokens", "unknown stream key",
-    "integral float cached_tokens", "manifest key beside request keys",
+    "integral float cached_tokens", "manifest key beside request keys", "string turns", "object turns",
+    "integer question_tokens",
 }
 
 # The BAD_INPUTS whose stream fault only the simulator finds; simulate names the stream file.
@@ -702,3 +708,29 @@ def test_every_text_file_is_opened_with_an_encoding():
     sources = sorted(Path(kvroof.__file__).parent.glob("*.py"))
     assert sources
     assert [call for path in sources for call in _text_mode_calls_without_encoding(path)] == []
+
+
+def _raises_of_other_errors(path: Path) -> list[str]:
+    """``raise`` statements in ``path`` that raise neither a ``kvroof.errors`` class nor the
+    ``error`` parameter of ``refuse``/``lookup``; a bare ``raise`` re-raises and passes."""
+    package_errors = {name for name, cls in vars(kvroof.errors).items()
+                      if isinstance(cls, type) and issubclass(cls, kvroof.errors.KvroofError)}
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    in_helpers = {node for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                  and func.name in ("refuse", "lookup") for node in ast.walk(func)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        name = getattr(raised, "id", None)
+        if name in package_errors or (name == "error" and node in in_helpers):
+            continue
+        found.append(f"{path.name}:{node.lineno} raise {ast.unparse(raised)}")
+    return found
+
+
+def test_every_raise_is_a_package_error():
+    sources = sorted(Path(kvroof.__file__).parent.glob("*.py"))
+    assert sources
+    assert [r for path in sources for r in _raises_of_other_errors(path)] == []

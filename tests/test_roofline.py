@@ -3,6 +3,7 @@ import dataclasses
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -185,17 +186,22 @@ class TestCsv:
         assert grid[-1] == pytest.approx(1e5)
         assert len(grid) == 6 * 16 + 1
 
-    @pytest.mark.parametrize("args, text", [
-        ((math.nan, 1e5), "kappa_min must be a finite number > 0, got NaN"),
-        ((-1, 1e5), "kappa_min must be a finite number > 0, got -1"),
-        ((math.inf, 1e5), "kappa_min must be a finite number > 0, got Infinity"),
-        ((10.0, 1.0), "kappa_max must be a finite number > kappa_min (10.0), got 1.0"),
-        ((0.1, math.inf), "kappa_max must be a finite number > kappa_min (0.1), got Infinity"),
-        ((0.1, math.nan), "kappa_max must be a finite number > kappa_min (0.1), got NaN"),
-        ((0.1, 1e5, 0), "points_per_decade must be a number >= 1, got 0"),
-        ((0.1, 1e5, math.nan), "points_per_decade must be a number >= 1, got NaN"),
+    @pytest.mark.parametrize("call, args, text", [
+        (kappa_grid, (math.nan, 1e5), "kappa_min must be a finite number > 0, got NaN"),
+        (kappa_grid, (-1, 1e5), "kappa_min must be a finite number > 0, got -1"),
+        (kappa_grid, (math.inf, 1e5), "kappa_min must be a finite number > 0, got Infinity"),
+        (kappa_grid, (10.0, 1.0), "kappa_max must be a finite number > kappa_min (10.0), got 1.0"),
+        (kappa_grid, (0.1, math.inf), "kappa_max must be a finite number > kappa_min (0.1), got Infinity"),
+        (kappa_grid, (0.1, math.nan), "kappa_max must be a finite number > kappa_min (0.1), got NaN"),
+        (kappa_grid, (0.1, 1e5, 0), "points_per_decade must be a number >= 1, got 0"),
+        (kappa_grid, (0.1, 1e5, math.nan), "points_per_decade must be a number >= 1, got NaN"),
+        (attainable_flops, (0.0, H["H100-PCIe5"]), "arithmetic intensity must be > 0, got 0.0"),
+        (attainable_flops, (math.nan, H["H100-PCIe5"]), "arithmetic intensity must be > 0, got NaN"),
+        (attainable_flops, (np.array([1.0, -2.0, 0.0]), H["H100-PCIe5"]),
+         "each arithmetic intensity must be > 0, got -2.0"),
+        (roofline_sweep, (M["Qwen3-235B-A22B"], []), "hardware list must be non-empty, got []"),
     ])
-    def test_grid_refusals_show_the_value_as_json(self, args, text):
+    def test_grid_refusals_show_the_value_as_json(self, call, args, text):
         with pytest.raises(RooflineError) as info:
-            kappa_grid(*args)
+            call(*args)
         assert str(info.value) == text

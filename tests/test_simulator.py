@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvroof import simulator
-from kvroof.analytics import RequestShape, ttft
+from kvroof.analytics import ttft
 from kvroof.catalog import HardwareSpec, ModelSpec, by_name, default_catalog, kv_bytes_per_token
 from kvroof.errors import SimulationError
 from kvroof.simulator import (
@@ -296,7 +296,7 @@ class TestRunSimInvariants:
         config = SimConfig(model=model, hardware=hw, bandwidth_mode="sustained", token_budget=4000)
         rec = RequestRecord("solo", 65_536, 64, arrival_time=2.5)
         report = run_sim(config, [rec], "fifo")
-        expected = ttft(RequestShape(65_536, 64), model, hw, 0.0, True).ttft
+        expected = ttft(RequestRecord("solo", 65_536, 64), model, hw, 0.0, True).ttft
         assert report.request_ttft["solo"] == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
@@ -307,7 +307,7 @@ class TestRunSimInvariants:
         hw = H["H100-PCIe5-measured"]
         config = SimConfig(model=model, hardware=hw, bandwidth_mode="sustained", token_budget=4000,
                            overlap_alpha=alpha)
-        expected = ttft(RequestShape(65_536, 64), model, hw, 0.0, True).ttft
+        expected = ttft(RequestRecord("solo", 65_536, 64), model, hw, 0.0, True).ttft
         at_zero = run_sim(config, [RequestRecord("solo", 65_536, 64, arrival_time=0.0)], "fifo")
         assert at_zero.request_ttft["solo"] == expected
         # TTFT is a difference of clock readings, so a later arrival may differ in the last bits
@@ -315,7 +315,7 @@ class TestRunSimInvariants:
         report = run_sim(config, [rec], "fifo")
         assert report.request_ttft["solo"] == pytest.approx(expected, rel=1e-9)
         if alpha > 0:  # the closed form overlaps within the request; the simulator does not
-            assert ttft(RequestShape(65_536, 64), model, hw, alpha, True).ttft < expected
+            assert ttft(RequestRecord("solo", 65_536, 64), model, hw, alpha, True).ttft < expected
 
     def test_pure_compute_single_iteration(self):
         model = M["Qwen3-235B-A22B"]

@@ -251,6 +251,8 @@ class TestSynthesizeStream:
             synthesize_stream(SHAREGPT_LIKE, rps=0, duration_s=10, seed=1)
         with pytest.raises(WorkloadError):
             synthesize_stream(SHAREGPT_LIKE, rps=5, duration_s=0, seed=1)
+        with pytest.raises(WorkloadError, match="^seed must be an integer >= 0, got -1$"):
+            synthesize_stream(SHAREGPT_LIKE, rps=5, duration_s=1, seed=-1)
 
 
 class TestJsonLines:
@@ -455,3 +457,21 @@ class TestJsonLines:
         path.write_text(good + "\n" + bad_line + "\n")
         with pytest.raises(WorkloadError, match="bad.jsonl: line 2: "):
             reader(path)
+
+    @pytest.mark.parametrize(
+        "reader, line, text",
+        [
+            (read_conversations, '{"conversation_id": "c", "turns": "ab"}',
+             'bad conversation object: conversation \'c\': turns must be a non-empty array, got "ab"'),
+            (read_conversations, '{"conversation_id": "c", "turns": {"a": 1}}',
+             'bad conversation object: conversation \'c\': turns must be a non-empty array, got {"a": 1}'),
+            (read_documents, '{"doc_id": "d", "doc_tokens": 5, "question_tokens": 5}',
+             "bad document object: document 'd': question_tokens must be an array, got 5"),
+        ],
+    )
+    def test_array_fields_refuse_other_values_by_name(self, tmp_path, reader, line, text):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(WorkloadError) as info:
+            reader(path)
+        assert str(info.value) == f"{path}: line 1: {text}"
