@@ -37,7 +37,6 @@ from .catalog import (
     default_catalog,
     flops_per_token,
     kv_bytes_per_token,
-    load_catalog,
     loads_catalog,
     serialize_catalog,
 )

@@ -117,6 +117,8 @@ def max_concurrent(request: RequestRecord, model: ModelSpec, vram_effective: flo
     if not (is_number(vram_effective) and 0 < vram_effective < math.inf):
         refuse("", "vram_effective", vram_effective, "a finite number > 0", CatalogError)
     value = vram_effective / (request.vram_tokens * kv_bytes_per_token(model))
+    if not value < math.inf:  # the pool overflows a float in units of one request's bytes
+        refuse("", "vram_effective / ((K + T) * kv_bytes_per_token)", value, "a finite number", CatalogError)
     return ConcurrencyLimit(value=value, floor=math.floor(value))
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -46,6 +46,8 @@ def json_text(value) -> str:
         return json.dumps(value)
     except (TypeError, ValueError):
         return repr(value)
+    except RecursionError:  # too deep for the encoder, and so for repr
+        return "a value nested too deeply to show"
 
 
 def refuse(where: str, name: str, value, rule: str, error: type[Exception] = CatalogError) -> NoReturn:
@@ -172,37 +174,61 @@ def flops_per_token(model: ModelSpec) -> float:
     return 2.0 * model.active_params
 
 
-_SPEC_KEYS = {cls: tuple(f.name for f in fields(cls)) for cls in (ModelSpec, HardwareSpec)}
+def json_keys(cls, *extra: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Accepted keys (the fields of dataclass ``cls``, then ``extra``) and required keys (fields with no default)."""
+    return tuple(f.name for f in fields(cls)) + extra, tuple(f.name for f in fields(cls) if f.default is MISSING)
 
 
-def check_keys(obj, allowed: Sequence[str], where: str) -> None:
-    """Refuse anything but a JSON object whose keys are all in ``allowed``."""
+def check_keys(obj, keys: tuple[Sequence[str], Sequence[str]], where: str) -> None:
+    """Refuse anything but a JSON object whose keys are all accepted and include every required one."""
+    accepted, required = keys
     if not isinstance(obj, dict):
         refuse("", where, obj, "a JSON object")
     for key in obj:  # no set per call: traces check every turn
-        if key not in allowed:
-            unknown = sorted(obj.keys() - allowed)
-            raise CatalogError(f"{where}: unknown key(s) {unknown}; accepted: {', '.join(allowed)}")
+        if key not in accepted:
+            unknown = sorted(obj.keys() - accepted)
+            raise CatalogError(f"{where}: unknown key(s) {unknown}; accepted: {', '.join(accepted)}")
+    for key in required:
+        if key not in obj:
+            missing = [k for k in required if k not in obj]  # in field order
+            raise CatalogError(f"{where}: missing key(s) {missing}; required: {', '.join(required)}")
 
 
 def build_spec(cls, entry, where: str):
     """A validated ``cls`` (ModelSpec or HardwareSpec) from a JSON object; ``where`` prefixes every error."""
-    check_keys(entry, _SPEC_KEYS[cls], where)
+    check_keys(entry, json_keys(cls), where)
     try:
         return cls(**entry)
-    except (TypeError, CatalogError) as exc:  # a missing field, or a failed check
+    except CatalogError as exc:
         raise CatalogError(f"{where}: {exc}") from exc
+
+
+def read_document(path: str | Path, what: str) -> str:
+    """The text of a JSON document file (a catalog or a config), read as UTF-8 whatever the locale."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CatalogError(f"cannot read {what} '{path}': {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CatalogError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+
+
+def parse_document(text: str, source: str):
+    """The JSON value ``text`` holds; malformed or too deeply nested JSON is an error naming ``source``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CatalogError(f"{source}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise CatalogError(f"{source}: JSON nested too deeply to read") from exc
 
 
 def loads_catalog(text: str, source: str = "<string>") -> tuple[list[ModelSpec], list[HardwareSpec]]:
     """Parse a catalog document. Empty input yields an empty catalog."""
     if not text.strip():
         return [], []
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CatalogError(f"{source}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    check_keys(doc, ("models", "hardware"), f"{source}: catalog root")
+    doc = parse_document(text, source)
+    check_keys(doc, (("models", "hardware"), ()), f"{source}: catalog root")
     tables = []
     for key, cls in (("models", ModelSpec), ("hardware", HardwareSpec)):
         entries = doc.get(key, [])
@@ -216,21 +242,6 @@ def loads_catalog(text: str, source: str = "<string>") -> tuple[list[ModelSpec],
             specs[spec.name] = spec
         tables.append(list(specs.values()))
     return tables[0], tables[1]
-
-
-def read_catalog_text(path: str | Path) -> str:
-    """A catalog file's text, read as UTF-8 whatever the locale."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CatalogError(f"cannot read catalog '{path}': {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise CatalogError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
-
-
-def load_catalog(path: str | Path) -> tuple[list[ModelSpec], list[HardwareSpec]]:
-    """Load and validate a catalog file."""
-    return loads_catalog(read_catalog_text(path), source=str(path))
 
 
 def serialize_catalog(models: list[ModelSpec], hardware: list[HardwareSpec]) -> str:

@@ -15,8 +15,7 @@ recorded inputs reproduces byte-identical files. Files are written as UTF-8
 whatever the locale. Internals are SI units;
 tables display KB/GFLOP and GFLOP/KB unless ``--si`` is given.
 
-``simulate --config`` takes a JSON object with these keys; any other key, a
-missing required key or a value of another type is a data error:
+``simulate --config`` takes a JSON object with these keys:
 
 * ``model``, ``hardware`` (required): a string naming a catalog entry, or an
   inline object with the catalog's fields and checks;
@@ -29,7 +28,10 @@ missing required key or a value of another type is a data error:
   (default 0.0);
 * ``allow_chunked_prefill``: ``true`` (default) or ``false``.
 
-A JSON ``true`` or ``false`` is never a number, here or in a catalog.
+Any other key, a missing required key or a value of another type is a data
+error, and so is JSON nested too deeply to parse: ``<file>: config: missing
+key(s) [...]; required: ...``, ``<file>: JSON nested too deeply to read``. A
+JSON ``true`` or ``false`` is never a number, here or in a catalog.
 
 A report's ``mean_power_watts`` comes from the platform's ``idle_watts`` and
 ``tdp_watts``; it is null when the platform lacks either.
@@ -59,9 +61,11 @@ from .catalog import (
     by_name,
     check_keys,
     default_catalog_text,
+    json_keys,
     loads_catalog,
     lookup,
-    read_catalog_text,
+    parse_document,
+    read_document,
     refuse,
 )
 from .errors import KvroofError, SimulationError
@@ -110,7 +114,7 @@ def _load_active_catalog(path_arg: Optional[str], argv: list[str], seed: Optiona
     """The active catalog and the manifest that records its hash."""
     path = path_arg or os.environ.get(ENV_CATALOG)
     if path:
-        text = read_catalog_text(path)
+        text = read_document(path, "catalog")
         label = str(path)
     else:
         text = default_catalog_text()
@@ -173,7 +177,7 @@ def _cmd_kappa(args, catalog: Catalog, manifest: RunManifest) -> int:
 # --- roofline ----------------------------------------------------------------
 
 def _cmd_roofline(args, catalog: Catalog, manifest: RunManifest) -> int:
-    model = _pick(catalog.models, args.model, "model")[0]
+    model = lookup(catalog.models, args.model, "model")
     chosen_hw = _pick(catalog.hardware, args.hw, "hardware")
     series = roofline.roofline_sweep(
         model,
@@ -233,9 +237,6 @@ def _cmd_synth(args, catalog: Catalog, manifest: RunManifest) -> int:
 
 # --- simulate -----------------------------------------------------------------
 
-CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(SimConfig)) + ("vram_effective",)
-
-
 def _resolve_spec(value, pool: dict, cls, kind: str):
     if isinstance(value, str):
         return lookup(pool, value, kind)
@@ -246,22 +247,14 @@ def _resolve_spec(value, pool: dict, cls, kind: str):
 
 def _load_sim_config(path: str, catalog: Catalog) -> SimConfig:
     """The config's specs resolved against the catalog; SimConfig checks and defaults the rest."""
+    doc = parse_document(read_document(path, "config"), path)
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        check_keys(doc, CONFIG_KEYS, "config")
-        if "model" not in doc or "hardware" not in doc:
-            raise KvroofError("config needs 'model' and 'hardware' entries")
+        check_keys(doc, json_keys(SimConfig, "vram_effective"), "config")
         doc["model"] = _resolve_spec(doc["model"], catalog.models, ModelSpec, "model")
         doc["hardware"] = _resolve_spec(doc["hardware"], catalog.hardware, HardwareSpec, "hardware")
         if "vram_effective" in doc:
             doc["hardware"] = dataclasses.replace(doc["hardware"], vram_effective=doc.pop("vram_effective"))
         return SimConfig(**doc)
-    except OSError as exc:
-        raise KvroofError(f"cannot read config '{path}': {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise KvroofError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
-    except json.JSONDecodeError as exc:
-        raise KvroofError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except KvroofError as exc:  # every config error names the file once, here
         raise KvroofError(f"{path}: {exc}") from exc
 

@@ -6,7 +6,7 @@ class KvroofError(Exception):
 
 
 class CatalogError(KvroofError, ValueError):
-    """Invalid model/hardware specification or catalog file."""
+    """Invalid model/hardware specification, or a catalog or config file that cannot be read as JSON."""
 
 
 class WorkloadError(KvroofError, ValueError):

@@ -4,8 +4,10 @@ Traces carry token counts, never text; tokenization happens upstream. Trace
 and stream files are UTF-8 JSON Lines, one object per line, with these
 keys. Token counts are JSON integers (``5.0`` is not one); ids may be any
 JSON value and are read through ``str()``. An unknown key, a missing
-required key, a value of another type or a byte that is not UTF-8 is an
-error that names the file and the line.
+required key, a value of another type, a byte that is not UTF-8 or JSON
+nested too deeply to parse is an error that names the file and the line,
+such as ``<file>: line N: bad request record: request: missing key(s)
+[...]; required: ...`` or ``<file>: line N: JSON nested too deeply to read``.
 
 * conversation trace: ``conversation_id`` and ``turns``, a non-empty array of
   ``{"query_tokens": integer >= 1, "response_tokens": integer >= 0, default
@@ -31,11 +33,11 @@ import functools
 import json
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
-from .catalog import check_keys, is_count, is_number, refuse
+from .catalog import check_keys, is_count, is_number, json_keys, refuse
 from .errors import WorkloadError
 
 PERCENTILES = (10, 50, 90, 95, 99)
@@ -87,9 +89,9 @@ class RequestRecord:
     arrival_time: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.cached_tokens < 0:
+        if not 0 <= self.cached_tokens < math.inf:  # NaN and inf fail too
             _check_count(f"request '{self.source_id}': cached_tokens", self.cached_tokens, 0)
-        if self.prefill_tokens < 1:
+        if not 1 <= self.prefill_tokens < math.inf:
             _check_count(f"request '{self.source_id}': prefill_tokens", self.prefill_tokens)
 
     @property
@@ -302,8 +304,8 @@ def synthesize_stream(
 def _read_jsonl(path: str | Path, what: str, build: Callable[[str], object]) -> list:
     """Apply ``build`` to each non-blank line, read one at a time, dropping ``None`` results.
 
-    Bytes that are not UTF-8, malformed JSON, missing keys, wrong types and
-    bad values all surface as ``WorkloadError("<path>: line N: ...")``.
+    Bytes that are not UTF-8, malformed or too deeply nested JSON, missing keys,
+    wrong types and bad values all surface as ``WorkloadError("<path>: line N: ...")``.
     """
     try:
         fh = open(path, encoding="utf-8")
@@ -319,7 +321,9 @@ def _read_jsonl(path: str | Path, what: str, build: Callable[[str], object]) -> 
                     item = build(line)
                 except json.JSONDecodeError as exc:
                     raise WorkloadError(f"{path}: line {lineno}: invalid JSON: {exc.msg}") from exc
-                except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                except RecursionError as exc:
+                    raise WorkloadError(f"{path}: line {lineno}: JSON nested too deeply to read") from exc
+                except (ValueError, OverflowError) as exc:
                     raise WorkloadError(f"{path}: line {lineno}: bad {what}: {exc}") from exc
                 if item is not None:
                     out.append(item)
@@ -338,13 +342,14 @@ def _undecodable_line(path: str | Path) -> int:
     return 1 + len(re.findall(rb"\r\n?|\n", data))
 
 
-_TURN_KEYS = tuple(f.name for f in fields(ConversationTurn))
-_DOCUMENT_KEYS = tuple(f.name for f in fields(DocumentTrace))
-_REQUEST_KEYS = tuple(f.name for f in fields(RequestRecord)) + ("kappa_ratio",)  # kappa_ratio: written, not read
+_CONVERSATION_KEYS = json_keys(ConversationTrace)
+_TURN_KEYS = json_keys(ConversationTurn)
+_DOCUMENT_KEYS = json_keys(DocumentTrace)
+_REQUEST_KEYS = json_keys(RequestRecord, "kappa_ratio")  # kappa_ratio: written, not read
 
 
 def _conversation(obj) -> ConversationTrace:
-    check_keys(obj, ("conversation_id", "turns"), "conversation")
+    check_keys(obj, _CONVERSATION_KEYS, "conversation")
     cid, raw_turns = str(obj["conversation_id"]), obj["turns"]
     if not isinstance(raw_turns, list):
         refuse(f"conversation '{cid}': ", "turns", raw_turns, "a non-empty array", WorkloadError)

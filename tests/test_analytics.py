@@ -307,6 +307,10 @@ REFUSALS = {
                      "vram_effective must be a finite number > 0, got true"),
     "zero vram": (lambda: sched_tokens(RequestRecord("r", 3, 1), EXACT_MODEL, 0), CatalogError,
                   "vram_effective must be a finite number > 0, got 0"),
+    # a 1-bit toy model holds 0.25 KV bytes per token, so 1.7e308 bytes overflow a float in requests
+    "pool overflows the request count": (
+        lambda: max_concurrent(RequestRecord("r", 0, 1), toy_model(p=0.125), 1.7e308), CatalogError,
+        "vram_effective / ((K + T) * kv_bytes_per_token) must be a finite number, got Infinity"),
     "NaN ratio": (lambda: arithmetic_intensity(math.nan, EXACT_MODEL), RooflineError,
                   "kappa_ratio must be a finite number >= 0, got NaN"),
     "infinite ratio": (lambda: arithmetic_intensity(math.inf, EXACT_MODEL), RooflineError,
@@ -334,6 +338,12 @@ class TestShapes:
             RequestShape(-1, 1)
         with pytest.raises(WorkloadError, match="^request '': prefill_tokens must be an integer >= 1, got 0$"):
             RequestShape(0, 0)
+
+    @pytest.mark.parametrize("count, shown", [(math.nan, "NaN"), (math.inf, "Infinity"), (-math.inf, "-Infinity")])
+    def test_non_finite_counts_never_reach_max_concurrent(self, count, shown):
+        # NaN passed the old "< 0" test and ended in a bare ValueError from math.floor
+        with pytest.raises(WorkloadError, match=f"^request '': cached_tokens must be an integer >= 0, got {shown}$"):
+            max_concurrent(RequestShape(count, 1), EXACT_MODEL, 1e9)
 
     def test_kappa_ratio_exact(self):
         assert RequestShape(65_000, 32).kappa_ratio == 2031.25

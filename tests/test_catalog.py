@@ -12,9 +12,9 @@ from kvroof.catalog import (
     default_catalog,
     flops_per_token,
     kv_bytes_per_token,
-    load_catalog,
     loads_catalog,
     lookup,
+    read_document,
     serialize_catalog,
 )
 from kvroof.errors import CatalogError, KvroofError, SimulationError
@@ -203,7 +203,7 @@ class TestCatalogIO:
     def test_empty_file_is_empty_catalog(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text("")
-        models, hardware = load_catalog(path)
+        models, hardware = loads_catalog(read_document(path, "catalog"))
         assert models == [] and hardware == []
 
     def test_negative_bandwidth_cites_field(self):
@@ -269,6 +269,20 @@ BAD_CATALOGS = {
     "negative tdp_watts": ({"hardware": [{**GOOD_HW, "tdp_watts": -5}]}, "tdp_watts"),
     "numeric hardware name": ({"hardware": [{**GOOD_HW, "name": 5}]}, "name"),
 }
+
+# Each catalog table's valid entry and its required keys; an entry without one is named by its place.
+REQUIRED_KEYS = {
+    "models": (GOOD_MODEL, ("name", "total_params", "active_params", "attention_kind", "layers")),
+    "hardware": (GOOD_HW, ("name", "compute_throughput", "link_bandwidth_peak")),
+}
+BAD_CATALOGS.update({
+    f"{table} entry without {key}": (
+        {table: [{k: v for k, v in good.items() if k != key}]},
+        f"c.json: {table}[0]: missing key(s) ['{key}']; required: {', '.join(required)}",
+    )
+    for table, (good, required) in REQUIRED_KEYS.items()
+    for key in required
+})
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CATALOGS))

@@ -1,6 +1,8 @@
 import ast
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -11,6 +13,8 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import kvroof
 import kvroof.errors
@@ -150,6 +154,15 @@ class TestRooflineCommand:
         )
         assert code == EXIT_DATA
         assert "error" in err
+
+    @pytest.mark.parametrize("name", ["all", "Llama-3.1-70B,Qwen3-30B-A3B"])
+    def test_model_takes_one_catalog_name(self, tmp_path, capsys, name):
+        # a list or "all" once wrote the first model's sweep alone, without a word
+        out_path = tmp_path / "roof.csv"
+        code, _, err = run(["roofline", "--model", name, "--out", str(out_path)], capsys)
+        assert code == EXIT_DATA
+        assert err == f'error: unknown model "{name}"; available: {", ".join(sorted(M))}\n'
+        assert not out_path.exists()
 
 
 class TestAnalyzeCommand:
@@ -528,6 +541,39 @@ BAD_INPUTS = {
     "roofline points per decade overflow a float": (["--points-per-decade", "1" + "0" * 400], "", "roofline"),
 }
 
+VALID_CONFIG = {**PLATFORM, "token_budget": 100}
+VALID_CONVERSATION = {"conversation_id": "c", "turns": [{"query_tokens": 5, "response_tokens": 2}]}
+VALID_DOCUMENT = {"doc_id": "d", "doc_tokens": 100, "question_tokens": [4, 5]}
+VALID_REQUEST = {"source_id": "a", "cached_tokens": 10, "prefill_tokens": 5, "arrival_time": 0.0}
+
+# Each kind of object a config, trace or stream holds: a valid one, the start of its key errors, its required keys.
+KEY_KINDS = {
+    "config": (VALID_CONFIG, "config", ("model", "hardware")),
+    "conversation": (VALID_CONVERSATION, "bad conversation object: conversation", ("conversation_id", "turns")),
+    "turn": (VALID_CONVERSATION["turns"][0], "bad conversation object: turn", ("query_tokens",)),
+    "document": (VALID_DOCUMENT, "bad document object: document", ("doc_id", "doc_tokens", "question_tokens")),
+    "request": (VALID_REQUEST, "bad request record: request", ("source_id", "cached_tokens", "prefill_tokens")),
+}
+
+
+def _without(kind: str, key: str) -> tuple:
+    """The BAD_INPUTS entry for a ``kind`` object that lacks ``key``; a turn sits in a valid conversation."""
+    obj = {k: v for k, v in KEY_KINDS[kind][0].items() if k != key}
+    if kind == "config":
+        return obj, GOOD_LINE, "simulate"
+    if kind == "request":
+        return PLATFORM, json.dumps(obj) + "\n", "simulate"
+    line = {**VALID_CONVERSATION, "turns": [obj]} if kind == "turn" else obj
+    return None, json.dumps(line) + "\n", "analyze document" if kind == "document" else "analyze"
+
+
+# The end of the error for each missing required key.
+MISSING_KEY_TEXTS = {
+    f"{kind} without {key}": f"{where}: missing key(s) ['{key}']; required: {', '.join(required)}"
+    for kind, (_, where, required) in KEY_KINDS.items()
+    for key in required
+}
+BAD_INPUTS.update({case: _without(*case.split(" without ")) for case in MISSING_KEY_TEXTS})
 
 # The BAD_INPUTS whose error comes from one line of the input file, which it names.
 BAD_LINES = {
@@ -536,7 +582,7 @@ BAD_LINES = {
     "integral float query_tokens", "document questions key", "integral float doc_tokens", "unknown stream key",
     "integral float cached_tokens", "manifest key beside request keys", "string turns", "object turns",
     "integer question_tokens",
-}
+} | {case for case in MISSING_KEY_TEXTS if not case.startswith("config")}
 
 # The BAD_INPUTS whose stream fault only the simulator finds; simulate names the stream file.
 BAD_STREAMS = {"duplicate id", "NaN arrival", "infinite arrival"}
@@ -580,6 +626,9 @@ class TestErrorContract:
             assert f"{data}: line 1: " in proc.stderr
         if case in BAD_STREAMS:
             assert f"{data}: " in proc.stderr
+        if case in MISSING_KEY_TEXTS:
+            where = "config.json" if case.startswith("config") else f"{data}: line 1"
+            assert proc.stderr == f"error: {where}: {MISSING_KEY_TEXTS[case]}\n"
 
     def test_non_object_trace_line_shows_the_value(self, tmp_path, capsys):
         trace = tmp_path / "bad.jsonl"
@@ -653,6 +702,131 @@ class TestErrorContract:
                             "--out", str(tmp_path / "out")], capsys)
         assert code == EXIT_DATA
         assert "unknown key(s) ['aging']" in err
+
+    def test_inline_spec_missing_key_is_named(self, tmp_path, capsys):
+        # was "hardware: HardwareSpec.__init__() missing 1 required positional argument: 'link_bandwidth_peak'"
+        config = tmp_path / "config.json"
+        hardware = {k: v for k, v in INLINE_HW.items() if k not in ("bogus", "link_bandwidth_peak")}
+        config.write_text(json.dumps({**PLATFORM, "hardware": hardware}))
+        stream = tmp_path / "input.jsonl"
+        stream.write_text(GOOD_LINE)
+        code, _, err = run(["simulate", "--config", str(config), "--stream", str(stream),
+                            "--out", str(tmp_path / "out")], capsys)
+        assert code == EXIT_DATA
+        assert err == (f"error: {config}: hardware: missing key(s) ['link_bandwidth_peak']; "
+                       "required: name, compute_throughput, link_bandwidth_peak\n")
+
+    @pytest.mark.parametrize("kind", ["catalog", "config", "stream", "conversation", "document"])
+    def test_too_deep_json_exits_3(self, tmp_path, capsys, kind):
+        # 10^5 "[" once ended in a RecursionError traceback with exit 1
+        files = {"catalog": default_catalog_text(), "config": json.dumps(PLATFORM), "stream": GOOD_LINE,
+                 "conversation": json.dumps(VALID_CONVERSATION), "document": json.dumps(VALID_DOCUMENT)}
+        files[kind] = "[" * 10**5
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        if kind in ("conversation", "document"):
+            args = ["analyze", str(tmp_path / kind), "--kind", kind]
+        else:
+            args = ["simulate", "--catalog", str(tmp_path / "catalog"), "--config", str(tmp_path / "config"),
+                    "--stream", str(tmp_path / "stream"), "--out", str(tmp_path / "out")]
+        code, _, err = run(args, capsys)
+        assert code == EXIT_DATA
+        line = "" if kind in ("catalog", "config") else "line 1: "
+        assert err == f"error: {tmp_path / kind}: {line}JSON nested too deeply to read\n"
+
+
+CATALOG_MODEL = {"name": "m", "total_params": 10, "active_params": 10, "attention_kind": "GQA", "layers": 2,
+                 "kv_heads": 1, "head_dim": 1, "precision_bytes": 2}
+CATALOG_HW = {"name": "h", "compute_throughput": 1e15, "link_bandwidth_peak": 32e9, "vram_effective": 1e9,
+              "tdp_watts": 300, "idle_watts": 50}
+
+# Each kind of JSON object kvroof reads: a valid one with every key it takes, the file that holds it, and
+# how it sits in that file.
+FUZZ_KINDS = {
+    "model": (CATALOG_MODEL, "catalog.json", lambda o: {"models": [o], "hardware": [CATALOG_HW]}),
+    "hardware": (CATALOG_HW, "catalog.json", lambda o: {"models": [CATALOG_MODEL], "hardware": [o]}),
+    "config": ({**VALID_CONFIG, "vram_effective": 1e10, "bandwidth_mode": "peak", "overlap_alpha": 0.5,
+                "allow_chunked_prefill": False}, "config.json", lambda o: o),
+    "conversation": (VALID_CONVERSATION, "trace.jsonl", lambda o: o),
+    "turn": (VALID_CONVERSATION["turns"][0], "trace.jsonl", lambda o: {**VALID_CONVERSATION, "turns": [o]}),
+    "document": (VALID_DOCUMENT, "trace.jsonl", lambda o: o),
+    "request": (VALID_REQUEST, "stream.jsonl", lambda o: o),
+}
+# A value of each JSON type, to put in place of another.
+JSON_VALUES = [None, True, False, "x", "", 0, -1, 1.5, [], [1], {}, {"a": 1}]
+NEST = "\x00nest\x00"  # stands for a nested array in the object until it is written out
+
+
+def nested_text(kind: str, key: str, depth: int) -> str:
+    """The text of a ``kind`` file whose object holds ``depth`` nested arrays under ``key``."""
+    valid, _, place = FUZZ_KINDS[kind]
+    return json.dumps(place({**valid, key: NEST})).replace(json.dumps(NEST), "[" * depth + "]" * depth)
+
+
+@st.composite
+def mutated_text(draw, kind: str) -> str:
+    """The text of a ``kind`` file whose object has one key dropped, renamed, retyped or nested deeply."""
+    valid, _, place = FUZZ_KINDS[kind]
+    obj = dict(valid)
+    key = draw(st.sampled_from(sorted(obj)))
+    how = draw(st.sampled_from(["drop", "rename", "retype", "nest"]))
+    if how == "nest":
+        return nested_text(kind, key, draw(st.sampled_from([2, 10**5])))
+    if how == "drop":
+        del obj[key]
+    elif how == "rename":
+        new = draw(st.text(max_size=12))
+        obj = {new if k == key else k: v for k, v in obj.items()}
+    else:
+        obj[key] = draw(st.sampled_from(JSON_VALUES))
+    return json.dumps(place(obj))
+
+
+class TestMutatedInputs:
+    """A valid object of each kind, mutated once, is read (exit 0) or refused with one error line (exit 3)."""
+
+    def check(self, tmp_path, kind, text):
+        files = {"catalog.json": "", "config.json": json.dumps(PLATFORM), "stream.jsonl": GOOD_LINE,
+                 "trace.jsonl": ""}
+        name = FUZZ_KINDS[kind][1]
+        files[name] = text
+        for file, content in files.items():
+            (tmp_path / file).write_text(content, encoding="utf-8")
+        path = tmp_path / name
+        if kind in ("model", "hardware"):
+            args = ["kappa", "--catalog", str(path)]
+        elif kind in ("conversation", "turn", "document"):
+            args = ["analyze", str(path), "--kind", "document" if kind == "document" else "conversation"]
+        else:
+            args = ["simulate", "--config", str(tmp_path / "config.json"), "--stream", str(tmp_path / "stream.jsonl"),
+                    "--out", str(tmp_path / "out")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(args)
+        err = err.getvalue()
+        assert code in (EXIT_OK, EXIT_DATA), err
+        if code == EXIT_DATA:
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+            # Faults of a line name the line; two are faults of the whole file: a request only the
+            # simulator refuses, and a trace without one request.
+            whole_file = (f"error: {path}: request ", f"error: trace file '{path}' produced no requests")
+            assert err.startswith(f"error: {path}: line 1: " if name.endswith(".jsonl") else f"error: {path}: ") or (
+                name.endswith(".jsonl") and err.startswith(whole_file)), err
+
+    @pytest.mark.parametrize("kind", sorted(FUZZ_KINDS))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exit_0_or_3_with_one_error_line(self, tmp_path, kind, data):
+        self.check(tmp_path, kind, data.draw(mutated_text(kind)))
+
+    @pytest.mark.parametrize("kind", sorted(FUZZ_KINDS))
+    def test_nesting_about_the_recursion_limit(self, tmp_path, kind):
+        # the parser follows a value nested just short of the limit, and showing it in an error then recursed
+        # deeper: those depths ended in a RecursionError traceback
+        key = next(iter(FUZZ_KINDS[kind][0]))
+        limit = sys.getrecursionlimit()
+        for depth in range(limit - 150, limit + 1):
+            self.check(tmp_path, kind, nested_text(kind, key, depth))
 
 
 # A locale whose encoding is ASCII, with Python's UTF-8 mode and locale coercion off.

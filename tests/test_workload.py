@@ -53,6 +53,14 @@ def read_outcome(build, line):
     )
 
 
+# One valid line for each reader.
+VALID_LINES = {
+    read_stream: '{"source_id": "ok", "cached_tokens": 1, "prefill_tokens": 1}',
+    read_conversations: '{"conversation_id": "ok", "turns": [{"query_tokens": 1}]}',
+    read_documents: '{"doc_id": "ok", "doc_tokens": 5, "question_tokens": [1]}',
+}
+
+
 def assert_reads_like_json_loads(line):
     assert read_outcome(_request_line, line) == read_outcome(lambda x: _request(json.loads(x)), line)
 
@@ -322,6 +330,29 @@ class TestJsonLines:
             write_stream([RequestRecord("ok", 1, 1, 0.0), record], path)
         assert str(info.value).startswith(text)
 
+    @pytest.mark.parametrize("value, shown", [(math.nan, "NaN"), (math.inf, "Infinity"), (-math.inf, "-Infinity")])
+    @pytest.mark.parametrize("field, low, make", [
+        ("cached_tokens", 0, lambda v: RequestRecord("r", v, 1)),
+        ("prefill_tokens", 1, lambda v: RequestRecord("r", 0, v)),
+    ])
+    def test_record_refuses_non_finite_counts(self, value, shown, field, low, make):
+        # NaN passed the old "< 0" and "< 1" range tests, and +inf passed them too
+        with pytest.raises(WorkloadError) as info:
+            make(value)
+        assert str(info.value) == f"request 'r': {field} must be an integer >= {low}, got {shown}"
+
+    @pytest.mark.parametrize("reader, line", [
+        (read_stream, "[" * 10**5),
+        (read_conversations, '{"conversation_id": "c", "turns": ' + "[" * 10**5),
+        (read_documents, '{"doc_id": ' + "[" * 10**5),
+    ], ids=["stream", "conversation", "document"])
+    def test_too_deep_json_names_the_line(self, tmp_path, reader, line):
+        path = tmp_path / "deep.jsonl"
+        path.write_text(VALID_LINES[reader] + "\n" + line + "\n")
+        with pytest.raises(WorkloadError) as info:
+            reader(path)
+        assert str(info.value) == f"{path}: line 2: JSON nested too deeply to read"
+
     def test_writer_takes_numpy_float_arrivals(self, tmp_path):
         path = tmp_path / "s.jsonl"
         write_stream([RequestRecord("a", 3, 2, np.float64(0.5))], path)
@@ -448,13 +479,8 @@ class TestJsonLines:
         ],
     )
     def test_bad_values_report_line_number(self, tmp_path, reader, bad_line):
-        good = {
-            read_stream: '{"source_id": "ok", "cached_tokens": 1, "prefill_tokens": 1}',
-            read_conversations: '{"conversation_id": "ok", "turns": [{"query_tokens": 1}]}',
-            read_documents: '{"doc_id": "ok", "doc_tokens": 5, "question_tokens": [1]}',
-        }[reader]
         path = tmp_path / "bad.jsonl"
-        path.write_text(good + "\n" + bad_line + "\n")
+        path.write_text(VALID_LINES[reader] + "\n" + bad_line + "\n")
         with pytest.raises(WorkloadError, match="bad.jsonl: line 2: "):
             reader(path)
 
