@@ -9,7 +9,8 @@ two per-token constants derived in :mod:`kvroof.catalog`:
 
 The cached-to-new ratio K/T is compared against the critical ratio
 (model factor F/B times hardware factor BW/C); above it the transfer
-dominates and prefill is memory-bound.
+dominates and prefill is memory-bound. The VRAM pool bounds how many
+requests are resident at once (:func:`max_concurrent`).
 
 All functions are pure, operate in SI base units (bytes, FLOPs, seconds,
 tokens), and are safe under concurrent invocation.
@@ -60,11 +61,6 @@ class ConcurrencyLimit(NamedTuple):
     floor: int
 
 
-class SchedTokens(NamedTuple):
-    exact: float  # concurrency limit (un-floored) times prefill tokens
-    approximate: float  # vram / (kappa_ratio * kv_bytes), valid when K >> T
-
-
 def kappa_model(model: ModelSpec) -> float:
     """Model factor: prefill FLOPs per KV byte moved (FLOP/byte)."""
     return flops_per_token(model) / kv_bytes_per_token(model)
@@ -111,8 +107,9 @@ def max_concurrent(request: RequestRecord, model: ModelSpec, vram_effective: flo
     """How many requests of this size fit in the KV VRAM pool at once.
 
     Each resident request pins (K + T) * kv_bytes_per_token bytes. The
-    un-floored value is reported alongside the floor because throughput
-    estimates use the fractional figure.
+    floor is the simulator's peak residents for identical requests on a
+    link and token budget that never bind; ``value * T`` is the prefill
+    tokens such a full pool holds.
     """
     if not (is_number(vram_effective) and 0 < vram_effective < math.inf):
         refuse("", "vram_effective", vram_effective, "a finite number > 0", CatalogError)
@@ -120,23 +117,6 @@ def max_concurrent(request: RequestRecord, model: ModelSpec, vram_effective: flo
     if not value < math.inf:  # the pool overflows a float in units of one request's bytes
         refuse("", "vram_effective / ((K + T) * kv_bytes_per_token)", value, "a finite number", CatalogError)
     return ConcurrencyLimit(value=value, floor=math.floor(value))
-
-
-def sched_tokens(request: RequestRecord, model: ModelSpec, vram_effective: float) -> SchedTokens:
-    """Prefill tokens schedulable per iteration under the VRAM constraint.
-
-    The exact form multiplies the un-floored concurrency limit by T. The
-    approximate form drops T from the denominator and is within 2% of the
-    exact form once K >= 100 * T.
-    """
-    limit = max_concurrent(request, model, vram_effective)
-    exact = limit.value * request.prefill_tokens
-    ratio = request.kappa_ratio
-    if ratio == 0:
-        approx = math.inf
-    else:
-        approx = vram_effective / (ratio * kv_bytes_per_token(model))
-    return SchedTokens(exact=exact, approximate=approx)
 
 
 def arithmetic_intensity(kappa_ratio: float | np.ndarray, model: ModelSpec) -> float | np.ndarray:
@@ -159,10 +139,3 @@ def arithmetic_intensity(kappa_ratio: float | np.ndarray, model: ModelSpec) -> f
     elif kappa_ratio == 0:
         return math.inf
     return flops_per_token(model) / (kappa_ratio * kv_bytes_per_token(model))
-
-
-def memory_bound(
-    request: RequestRecord, model: ModelSpec, hw: HardwareSpec, use_sustained: bool = True
-) -> bool:
-    """True when the transfer phase dominates (K/T above the critical ratio)."""
-    return request.kappa_ratio > kappa_crit(model, hw, use_sustained)

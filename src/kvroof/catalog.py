@@ -40,14 +40,24 @@ def is_count(value, minimum: int = 1) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
 
 
+# Largest token count a request, trace or stream may hold: summaries and the scheduled-token
+# statistics take counts as floats, which hold every integer up to 2**53 exactly.
+MAX_TOKENS = 2**53
+# Most characters of a refused value that an error shows; the rest is cut.
+SHOWN_CHARS = 100
+
+
 def json_text(value) -> str:
-    """``value`` as the JSON text that would hold it, or its ``repr`` if JSON cannot."""
+    """``value`` as the JSON text that would hold it, or its ``repr`` if JSON cannot, cut after ``SHOWN_CHARS``."""
     try:
-        return json.dumps(value)
+        text = json.dumps(value)
     except (TypeError, ValueError):
-        return repr(value)
+        text = repr(value)
     except RecursionError:  # too deep for the encoder, and so for repr
         return "a value nested too deeply to show"
+    if len(text) > SHOWN_CHARS:
+        return f"{text[:SHOWN_CHARS]}... (cut; {len(text)} characters in all)"
+    return text
 
 
 def refuse(where: str, name: str, value, rule: str, error: type[Exception] = CatalogError) -> NoReturn:
@@ -219,6 +229,8 @@ def parse_document(text: str, source: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise CatalogError(f"{source}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer of more digits than int() converts
+        raise CatalogError(f"{source}: {exc}") from exc
     except RecursionError as exc:
         raise CatalogError(f"{source}: JSON nested too deeply to read") from exc
 

@@ -68,7 +68,7 @@ from .catalog import (
     read_document,
     refuse,
 )
-from .errors import KvroofError, SimulationError
+from .errors import KvroofError, SimulationError, WorkloadError
 from .simulator import (
     ITERATION_CSV_COLUMNS,
     POLICIES,
@@ -195,14 +195,15 @@ def _cmd_roofline(args, catalog: Catalog, manifest: RunManifest) -> int:
 # --- analyze ------------------------------------------------------------------
 
 def _cmd_analyze(args, catalog: Catalog, manifest: RunManifest) -> int:
-    if args.kind == "conversation":
-        traces = workload.read_conversations(args.trace)
-        records = [r for tr in traces for r in workload.expand_conversation(tr)]
-    else:
-        traces = workload.read_documents(args.trace)
-        records = [r for tr in traces for r in workload.expand_document(tr)]
+    read, expand = ((workload.read_conversations, workload.expand_conversation) if args.kind == "conversation"
+                    else (workload.read_documents, workload.expand_document))
+    traces = read(args.trace)
+    try:
+        records = [r for tr in traces for r in expand(tr)]
+    except WorkloadError as exc:  # a conversation's history outgrew MAX_TOKENS: name its file
+        raise WorkloadError(f"{args.trace}: {exc}") from exc
     if not records:
-        raise KvroofError(f"trace file '{args.trace}' produced no requests")
+        raise WorkloadError(f"{args.trace}: trace produced no requests")
     summary = workload.summarize(records)
     print(f"requests: {summary.count}")
     for title, stats in (

@@ -200,9 +200,3 @@ def _csv_row(cells: list[str]) -> str:
     buf = io.StringIO()
     csv.writer(buf).writerow(cells)
     return buf.getvalue()
-
-
-def series_csv_text(series: Iterable[RooflineSeries], header_comment: Optional[str] = None) -> str:
-    buf = io.StringIO()
-    write_series_csv(series, buf, header_comment)
-    return buf.getvalue()

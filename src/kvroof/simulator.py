@@ -124,11 +124,11 @@ class IterationStats:
     queue_depth: int  # requests known but not yet running at the boundary
 
 
-class IterationLog(Sequence):
+class IterationLog:
     """A run's iterations as five typed columns; iteration i is position i of each.
 
-    Indexing and iteration build ``IterationStats`` rows on demand; ``rows``
-    gives the ``ITERATION_CSV_COLUMNS`` of each as raw ints and floats.
+    Iteration builds ``IterationStats`` rows on demand; ``rows`` gives the
+    ``ITERATION_CSV_COLUMNS`` of each as raw ints and floats.
     """
 
     __slots__ = ("t_start", "t_end", "scheduled_tokens", "vram_used", "queue_depth")
@@ -149,12 +149,6 @@ class IterationLog(Sequence):
 
     def __len__(self) -> int:
         return len(self.t_start)
-
-    def __getitem__(self, i: int) -> IterationStats:
-        i = range(len(self))[i]  # a negative index counts from the end; out of range raises IndexError
-        return IterationStats(
-            i, self.t_start[i], self.t_end[i], self.scheduled_tokens[i], self.vram_used[i], self.queue_depth[i]
-        )
 
     def __iter__(self) -> Iterator[IterationStats]:
         return starmap(IterationStats, self.rows())

@@ -2,8 +2,10 @@
 
 Traces carry token counts, never text; tokenization happens upstream. Trace
 and stream files are UTF-8 JSON Lines, one object per line, with these
-keys. Token counts are JSON integers (``5.0`` is not one); ids may be any
-JSON value and are read through ``str()``. An unknown key, a missing
+keys. Token counts are JSON integers (``5.0`` is not one) of at most
+``MAX_TOKENS`` (2**53), a bound that also holds for the history a
+conversation turn finds cached; ids may be any JSON value and are read
+through ``str()``. An unknown key, a missing
 required key, a value of another type, a byte that is not UTF-8 or JSON
 nested too deeply to parse is an error that names the file and the line,
 such as ``<file>: line N: bad request record: request: missing key(s)
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
-from .catalog import check_keys, is_count, is_number, json_keys, refuse
+from .catalog import MAX_TOKENS, check_keys, is_count, is_number, json_keys, refuse
 from .errors import WorkloadError
 
 PERCENTILES = (10, 50, 90, 95, 99)
@@ -89,9 +91,9 @@ class RequestRecord:
     arrival_time: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not 0 <= self.cached_tokens < math.inf:  # NaN and inf fail too
+        if not 0 <= self.cached_tokens <= MAX_TOKENS:  # NaN and inf fail too
             _check_count(f"request '{self.source_id}': cached_tokens", self.cached_tokens, 0)
-        if not 1 <= self.prefill_tokens < math.inf:
+        if not 1 <= self.prefill_tokens <= MAX_TOKENS:
             _check_count(f"request '{self.source_id}': prefill_tokens", self.prefill_tokens)
 
     @property
@@ -105,9 +107,11 @@ class RequestRecord:
 
 
 def _check_count(what: str, value, low: int = 1) -> None:
-    """Refuse a token count that is not an integer >= ``low``; ``what`` names it in the error."""
+    """Refuse a token count that is not an integer in [``low``, ``MAX_TOKENS``]; ``what`` names it in the error."""
     if not is_count(value, low):
         refuse("", what, value, f"an integer >= {low}", WorkloadError)
+    if value > MAX_TOKENS:
+        refuse("", what, value, f"an integer <= {MAX_TOKENS}", WorkloadError)
 
 
 @dataclass(frozen=True)

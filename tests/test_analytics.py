@@ -12,8 +12,6 @@ from kvroof.analytics import (
     kappa_hw,
     kappa_model,
     max_concurrent,
-    memory_bound,
-    sched_tokens,
     ttft,
 )
 from kvroof.catalog import (
@@ -213,12 +211,6 @@ class TestUtilizationAndOverhead:
         poh = ttft(record, model, hw).pcie_overhead
         assert u == pytest.approx(1.0 / (1.0 + poh), rel=1e-9)
 
-    @given(record=rand_record, model=rand_model, hw=rand_hw)
-    @settings(max_examples=150, deadline=None)
-    def test_memory_bound_iff_transfer_dominates(self, record, model, hw):
-        out = ttft(record, model, hw)
-        assert memory_bound(record, model, hw) == (out.t_pcie > out.t_prefill)
-
 
 class TestVramOps:
     def test_b200_case_study(self):
@@ -239,32 +231,19 @@ class TestVramOps:
         two = max_concurrent(record, model, 2 * vram)
         assert two.value == pytest.approx(2 * one.value, rel=1e-12)
 
-    def test_sched_tokens_b200(self):
-        out = sched_tokens(RequestRecord("r", 65_000, 32), M["Llama-3.1-405B"], 60e9)
-        assert out.exact == pytest.approx(57, abs=1)
-        assert out.exact / 4000 == pytest.approx(0.0143, abs=0.001)
+    # Prefill tokens a full pool holds: the concurrency limit, un-floored, times T.
+    def test_schedulable_tokens_b200(self):
+        tokens = max_concurrent(RequestRecord("r", 65_000, 32), M["Llama-3.1-405B"], 60e9).value * 32
+        assert tokens == pytest.approx(57, abs=1)
+        assert tokens / 4000 == pytest.approx(0.0143, abs=0.001)
 
-    def test_sched_tokens_moderate(self):
-        out = sched_tokens(RequestRecord("r", 6_400, 100), M["Llama-3.1-405B"], 60e9)
-        assert out.exact / 4000 == pytest.approx(0.45, abs=0.02)
+    def test_schedulable_tokens_moderate(self):
+        tokens = max_concurrent(RequestRecord("r", 6_400, 100), M["Llama-3.1-405B"], 60e9).value * 100
+        assert tokens / 4000 == pytest.approx(0.45, abs=0.02)
 
-    def test_sched_tokens_sharegpt_averages(self):
-        out = sched_tokens(RequestRecord("r", 11_115, 82), M["Qwen3-235B-A22B"], 92e9)
-        assert out.exact == pytest.approx(3509, rel=0.01)
-        assert out.approximate == pytest.approx(3509, rel=0.01)
-
-    @given(
-        prefill=st.integers(1, 1000),
-        mult=st.integers(100, 10_000),
-        model=rand_model,
-        vram=st.floats(1e9, 1e12),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_approximation_within_2pct_when_k_large(self, prefill, mult, model, vram):
-        record = RequestRecord("r", prefill * mult, prefill)
-        out = sched_tokens(record, model, vram)
-        assert out.exact >= 0
-        assert out.approximate == pytest.approx(out.exact, rel=0.02)
+    def test_schedulable_tokens_sharegpt_averages(self):
+        tokens = max_concurrent(RequestRecord("r", 11_115, 82), M["Qwen3-235B-A22B"], 92e9).value * 82
+        assert tokens == pytest.approx(3509, rel=0.01)
 
 
 class TestArithmeticIntensity:
@@ -305,7 +284,7 @@ REFUSALS = {
                  "vram_effective must be a finite number > 0, got NaN"),
     "boolean vram": (lambda: max_concurrent(RequestRecord("r", 3, 1), EXACT_MODEL, True), CatalogError,
                      "vram_effective must be a finite number > 0, got true"),
-    "zero vram": (lambda: sched_tokens(RequestRecord("r", 3, 1), EXACT_MODEL, 0), CatalogError,
+    "zero vram": (lambda: max_concurrent(RequestRecord("r", 3, 1), EXACT_MODEL, 0), CatalogError,
                   "vram_effective must be a finite number > 0, got 0"),
     # a 1-bit toy model holds 0.25 KV bytes per token, so 1.7e308 bytes overflow a float in requests
     "pool overflows the request count": (

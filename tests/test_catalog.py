@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvroof.catalog import (
+    SHOWN_CHARS,
     HardwareSpec,
     ModelSpec,
     by_name,
     default_catalog,
     flops_per_token,
+    json_text,
     kv_bytes_per_token,
     loads_catalog,
     lookup,
@@ -183,6 +185,17 @@ class TestSpecInvariants:
                 tdp_watts=400,
                 idle_watts=500,
             )
+
+
+class TestJsonText:
+    def test_value_longer_than_shown_chars_is_cut(self):
+        fits = "x" * (SHOWN_CHARS - 2)  # SHOWN_CHARS characters with its quotes
+        assert json_text(fits) == json.dumps(fits)
+        longer = json.dumps(fits + "y")
+        assert json_text(fits + "y") == f"{longer[:SHOWN_CHARS]}... (cut; {SHOWN_CHARS + 1} characters in all)"
+
+    def test_repr_is_cut_too(self):
+        assert json_text({1} | set(range(2, 100))).endswith(" characters in all)")
 
 
 class TestCatalogIO:

@@ -735,6 +735,78 @@ class TestErrorContract:
         assert err == f"error: {tmp_path / kind}: {line}JSON nested too deeply to read\n"
 
 
+# A token count of 401 digits, as refusals show it: its first SHOWN_CHARS characters.
+HUGE_COUNT = "1" + "0" * 99 + "... (cut; 401 characters in all)"
+
+
+class TestOversizedInputs:
+    """Counts no float holds and values too long to show exit 3 with one short line naming the field."""
+
+    def simulate(self, tmp_path, capsys, config, stream_text):
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        (tmp_path / "s.jsonl").write_text(stream_text)
+        return run(["simulate", "--config", str(tmp_path / "config.json"), "--stream", str(tmp_path / "s.jsonl"),
+                    "--out", str(tmp_path / "out")], capsys)
+
+    def test_stream_count_beyond_max_tokens(self, tmp_path, capsys):
+        # was an OverflowError traceback with exit 1
+        line = json.dumps({**VALID_REQUEST, "cached_tokens": 10**400}) + "\n"
+        code, _, err = self.simulate(tmp_path, capsys, PLATFORM, line)
+        assert code == EXIT_DATA
+        assert err == (f"error: {tmp_path / 's.jsonl'}: line 1: bad request record: request 'a': cached_tokens "
+                       f"must be an integer <= 9007199254740992, got {HUGE_COUNT}\n")
+
+    def test_stream_count_at_max_tokens_is_read(self, tmp_path, capsys):
+        line = json.dumps({**VALID_REQUEST, "cached_tokens": 2**53}) + "\n"
+        code, out, _ = self.simulate(tmp_path, capsys, PLATFORM, line)
+        assert code == EXIT_OK
+        assert "completed 0, rejected 1" in out
+
+    def test_document_count_beyond_max_tokens(self, tmp_path, capsys):
+        # was an OverflowError traceback with exit 1
+        trace = tmp_path / "d.jsonl"
+        trace.write_text(json.dumps({**VALID_DOCUMENT, "doc_tokens": 10**400}) + "\n")
+        code, _, err = run(["analyze", str(trace), "--kind", "document"], capsys)
+        assert code == EXIT_DATA
+        assert err == (f"error: {trace}: line 1: bad document object: document 'd': doc_tokens "
+                       f"must be an integer <= 9007199254740992, got {HUGE_COUNT}\n")
+
+    def test_conversation_history_beyond_max_tokens(self, tmp_path, capsys):
+        trace = tmp_path / "c.jsonl"
+        turns = [{"query_tokens": 2**53, "response_tokens": 2**53}, {"query_tokens": 1}]
+        trace.write_text(json.dumps({"conversation_id": "c", "turns": turns}) + "\n")
+        code, _, err = run(["analyze", str(trace), "--kind", "conversation"], capsys)
+        assert code == EXIT_DATA
+        assert err == (f"error: {trace}: request 'c/turn2': cached_tokens "
+                       f"must be an integer <= 9007199254740992, got 18014398509481984\n")
+
+    def test_integer_of_more_digits_than_python_reads(self, tmp_path, capsys):
+        # was a ValueError traceback with exit 1
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(PLATFORM)[:-1] + ', "token_budget": ' + "9" * 5000 + "}")
+        (tmp_path / "s.jsonl").write_text(GOOD_LINE)
+        code, _, err = run(["simulate", "--config", str(config), "--stream", str(tmp_path / "s.jsonl"),
+                            "--out", str(tmp_path / "out")], capsys)
+        assert code == EXIT_DATA
+        assert err.startswith(f"error: {config}: Exceeds the limit (4300 digits) for integer string conversion")
+        assert err.count("\n") == 1
+
+    def test_long_value_is_cut(self, tmp_path, capsys):
+        # the whole array was shown: an error line of 3 MB
+        code, _, err = self.simulate(tmp_path, capsys, {**PLATFORM, "model": [0] * 10**6}, GOOD_LINE)
+        assert code == EXIT_DATA
+        shown = "[" + "0, " * 33 + "... (cut; 3000000 characters in all)"
+        assert err == (f"error: {tmp_path / 'config.json'}: model must be a catalog name or an inline object, "
+                       f"got {shown}\n")
+
+    def test_trace_without_requests_names_the_file(self, tmp_path, capsys):
+        trace = tmp_path / "d.jsonl"
+        trace.write_text(json.dumps({**VALID_DOCUMENT, "question_tokens": []}) + "\n")
+        code, _, err = run(["analyze", str(trace), "--kind", "document"], capsys)
+        assert code == EXIT_DATA
+        assert err == f"error: {trace}: trace produced no requests\n"
+
+
 CATALOG_MODEL = {"name": "m", "total_params": 10, "active_params": 10, "attention_kind": "GQA", "layers": 2,
                  "kv_heads": 1, "head_dim": 1, "precision_bytes": 2}
 CATALOG_HW = {"name": "h", "compute_throughput": 1e15, "link_bandwidth_peak": 32e9, "vram_effective": 1e9,
@@ -753,7 +825,7 @@ FUZZ_KINDS = {
     "request": (VALID_REQUEST, "stream.jsonl", lambda o: o),
 }
 # A value of each JSON type, to put in place of another.
-JSON_VALUES = [None, True, False, "x", "", 0, -1, 1.5, [], [1], {}, {"a": 1}]
+JSON_VALUES = [None, True, False, "x", "", 0, -1, 1.5, 2**53 + 1, [], [1], {}, {"a": 1}]
 NEST = "\x00nest\x00"  # stands for a nested array in the object until it is written out
 
 
@@ -809,7 +881,7 @@ class TestMutatedInputs:
             assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
             # Faults of a line name the line; two are faults of the whole file: a request only the
             # simulator refuses, and a trace without one request.
-            whole_file = (f"error: {path}: request ", f"error: trace file '{path}' produced no requests")
+            whole_file = (f"error: {path}: request ", f"error: {path}: trace produced no requests")
             assert err.startswith(f"error: {path}: line 1: " if name.endswith(".jsonl") else f"error: {path}: ") or (
                 name.endswith(".jsonl") and err.startswith(whole_file)), err
 

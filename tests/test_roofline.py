@@ -17,7 +17,7 @@ from kvroof.roofline import (
     attainable_flops,
     kappa_grid,
     roofline_sweep,
-    series_csv_text,
+    write_series_csv,
 )
 
 MODELS, HARDWARE = default_catalog()
@@ -154,8 +154,9 @@ class TestSweep:
 class TestCsv:
     def test_columns_and_regime_strings(self):
         series = roofline_sweep(M["DeepSeek-V3"], [H["H100-PCIe5"]])
-        text = series_csv_text(series, header_comment="meta")
-        lines = text.strip().splitlines()
+        buf = io.StringIO()
+        write_series_csv(series, buf, header_comment="meta")
+        lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "# meta"
         assert lines[1] == ",".join(CSV_COLUMNS)
         assert any(",compute-bound," in line for line in lines[2:])
@@ -178,7 +179,9 @@ class TestCsv:
                     repr(s.kappa_crit_marker),
                 ])
         assert {p.regime for s in series for p in s.points} == set(Regime)
-        assert series_csv_text(series, header_comment="meta") == expected.getvalue()
+        written = io.StringIO()
+        write_series_csv(series, written, header_comment="meta")
+        assert written.getvalue() == expected.getvalue()
 
     def test_grid_default_span(self):
         grid = kappa_grid(0.1, 1e5, 16)

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvroof import simulator
-from kvroof.analytics import ttft
-from kvroof.catalog import HardwareSpec, ModelSpec, by_name, default_catalog, kv_bytes_per_token
+from kvroof.analytics import max_concurrent, ttft
+from kvroof.catalog import MAX_TOKENS, HardwareSpec, ModelSpec, by_name, default_catalog, kv_bytes_per_token
 from kvroof.errors import SimulationError
 from kvroof.simulator import (
     MAX_TOKEN_BUDGET,
@@ -100,12 +100,12 @@ class TestFourRequestInstance:
     def test_fifo_three_iterations(self):
         report = run_sim(unit_config(), FOUR_REQUESTS, "fifo")
         assert [s.scheduled_tokens for s in report.iterations] == [3, 5, 2]
-        assert report.iterations[0].vram_used == 40.0  # 10/10 token-equivalents
+        assert report.iterations.vram_used[0] == 40.0  # 10/10 token-equivalents
 
     def test_utilization_two_iterations(self):
         report = run_sim(unit_config(), FOUR_REQUESTS, "utilization")
         assert [s.scheduled_tokens for s in report.iterations] == [5, 5]
-        assert report.iterations[0].vram_used == 40.0
+        assert report.iterations.vram_used[0] == 40.0
 
     def test_compare(self):
         comparison = compare_policies(unit_config(), FOUR_REQUESTS)
@@ -323,7 +323,7 @@ class TestRunSimInvariants:
         config = SimConfig(model=model, hardware=hw, token_budget=4000)
         report = run_sim(config, [RequestRecord("p", 0, 100, arrival_time=0.0)], "fifo")
         assert len(report.iterations) == 1
-        assert report.iterations[0].scheduled_tokens == 100
+        assert report.iterations.scheduled_tokens[0] == 100
         assert report.compute_busy_fraction == 1.0
 
     def test_deterministic_byte_identical(self):
@@ -502,7 +502,7 @@ class TestRunSimProperties:
         log = report.iterations
         assert list(report.iteration_rows()) == [
             (s.index, s.t_start, s.t_end, s.scheduled_tokens, s.vram_used, s.queue_depth)
-            for s in (log[i] for i in range(len(log)))
+            for s in log
         ]
         values = sorted(float(s) for s in log.scheduled_tokens)
         if values:
@@ -523,20 +523,52 @@ class TestRunSimProperties:
         assert percentiles == {p: nearest_rank_percentile(values, p) for p in REPORT_PERCENTILES}
 
 
+class TestClosedFormConcurrency:
+    """Where the simulator and the closed form model the same case, they agree: identical requests at
+    t = 0, on a link and token budget that never bind, peak at ``max_concurrent``'s floor resident."""
+
+    @given(
+        model=st.sampled_from(MODELS),
+        hw=st.sampled_from(HARDWARE),
+        cached=st.integers(0, 10**6),
+        prefill=st.integers(1, 10**5),
+        # the pool in units of one request's footprint; whole units put the pool on the boundary
+        pool=st.one_of(st.integers(1, 40).map(float), st.floats(0.0, 40.0, exclude_min=True)),
+        alpha=st.sampled_from([0.0, 1.0]),
+        policy=st.sampled_from(sorted(simulator.POLICIES)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_peak_residents_are_the_floor(self, model, hw, cached, prefill, pool, alpha, policy):
+        tokens, b_kv = cached + prefill, kv_bytes_per_token(model)
+        # Both link figures, since setting only the peak leaves a catalog's sustained figure in use; and
+        # infinite, since at alpha 0 even 1e30 B/s binds: 27 GB take 2.7e-20 s, not below half the spacing
+        # of floats at t = 2.4e-4 s, so each boundary of a short iteration released one more request.
+        hw = dataclasses.replace(hw, link_bandwidth_peak=math.inf, link_bandwidth_sustained=math.inf,
+                                 vram_effective=pool * tokens * b_kv)
+        config = SimConfig(model, hw, token_budget=10**9, overlap_alpha=alpha)
+        record = RequestRecord("r", cached, prefill)
+        limit = max_concurrent(record, model, hw.vram_effective)
+        # one more than fits, so that the pool, not the stream, bounds the peak
+        stream = [RequestRecord(f"r{i}", cached, prefill, 0.0) for i in range(limit.floor + 1)]
+        report = run_sim(config, stream, policy)
+        assert max(report.iterations.vram_used, default=0.0) == limit.floor * tokens * b_kv
+        assert report.completed == (len(stream) if limit.floor else 0)
+
+
 class TestIterationLog:
-    def test_reads_as_a_sequence_of_rows(self):
+    def test_iterates_as_rows_of_its_columns(self):
         log = run_sim(unit_config(), FOUR_REQUESTS, "fifo").iterations
         rows = list(log)
-        assert [s.index for s in rows] == [0, 1, 2]
-        assert log[-1] == rows[2] == IterationStats(2, rows[2].t_start, rows[2].t_end, 2, rows[2].vram_used, 0)
-        assert list(reversed(log)) == rows[::-1]
-        with pytest.raises(IndexError):
-            log[3]
+        assert len(log) == 3 and [s.index for s in rows] == [0, 1, 2]
+        assert rows[2] == IterationStats(2, log.t_start[2], log.t_end[2], 2, log.vram_used[2], 0)
 
     def test_budget_up_to_64_bits(self):
         hw = dataclasses.replace(UNIT_HW, vram_effective=1e300)
         config = dataclasses.replace(unit_config(), hardware=hw, token_budget=MAX_TOKEN_BUDGET)
-        report = run_sim(config, [RequestRecord("a", 0, MAX_TOKEN_BUDGET, arrival_time=0.0)], "fifo")
+        # 1023 requests of MAX_TOKENS (2**53) and one of 2**53 - 1 fill the budget in one iteration
+        stream = [RequestRecord(f"r{i}", 0, MAX_TOKENS, arrival_time=0.0) for i in range(1023)]
+        stream.append(RequestRecord("last", 0, MAX_TOKENS - 1, arrival_time=0.0))
+        report = run_sim(config, stream, "fifo")
         assert [s.scheduled_tokens for s in report.iterations] == [MAX_TOKEN_BUDGET]
         with pytest.raises(SimulationError, match=r"token_budget must be an integer in \[1, 9223372036854775807\]"):
             dataclasses.replace(config, token_budget=MAX_TOKEN_BUDGET + 1)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kvroof.catalog import MAX_TOKENS
 from kvroof.errors import WorkloadError
 from kvroof.workload import (
     FINQA_LIKE,
@@ -303,12 +304,16 @@ class TestJsonLines:
     )
     def test_fast_path_reads_written_lines_as_json_loads(self, source_id, cached, prefill, arrival):
         finite = arrival is None or math.isfinite(arrival)
+        fits = max(cached, prefill) <= MAX_TOKENS
         try:
             line = _stream_line(RequestRecord(source_id, cached, prefill, arrival))
         except WorkloadError as exc:
-            assert not finite and "arrival_time must be a finite number or null" in str(exc)
+            if fits:
+                assert not finite and "arrival_time must be a finite number or null" in str(exc)
+            else:
+                assert f"_tokens must be an integer <= {MAX_TOKENS}, got " in str(exc)
         else:
-            assert finite  # NaN and Infinity are not JSON
+            assert finite and fits  # NaN and Infinity are not JSON
             assert_reads_like_json_loads(line)
 
     @pytest.mark.parametrize("record, text", [
