@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 from importlib import resources
@@ -31,8 +32,8 @@ _DEFAULT_RESOURCE = "default_catalog.json"
 
 
 def is_number(value) -> bool:
-    """True for an int or float; a bool, which JSON writes as true/false, is not a number."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """True for a float (NaN and the infinities too) or an int a float can hold; a bool (JSON true/false) is not."""
+    return isinstance(value, float) or (is_count(value, -sys.float_info.max) and value <= sys.float_info.max)
 
 
 def is_count(value, minimum: int = 1) -> bool:
@@ -43,7 +44,9 @@ def is_count(value, minimum: int = 1) -> bool:
 # Largest token count a request, trace or stream may hold: summaries and the scheduled-token
 # statistics take counts as floats, which hold every integer up to 2**53 exactly.
 MAX_TOKENS = 2**53
-# Most characters of a refused value that an error shows; the rest is cut.
+# Largest integer a model field may hold: the KV and FLOP formulas take products of them as floats.
+MAX_MODEL_INT = 2**53
+# Most characters of a refused value, an id, a name or a key that an error shows; the rest is cut.
 SHOWN_CHARS = 100
 
 
@@ -52,12 +55,25 @@ def json_text(value) -> str:
     try:
         text = json.dumps(value)
     except (TypeError, ValueError):
-        text = repr(value)
+        try:
+            text = repr(value)
+        except ValueError:  # an int of more digits than str() converts
+            return f"an integer of more than {sys.get_int_max_str_digits()} digits"
     except RecursionError:  # too deep for the encoder, and so for repr
         return "a value nested too deeply to show"
+    return cut(text)
+
+
+def cut(text: str) -> str:
+    """``text``, or its first ``SHOWN_CHARS`` characters and how many it has in all."""
     if len(text) > SHOWN_CHARS:
         return f"{text[:SHOWN_CHARS]}... (cut; {len(text)} characters in all)"
     return text
+
+
+def quote(name) -> str:
+    """``name`` as an error shows an id, a name, a key or a path: in single quotes, cut by ``cut``."""
+    return "'" + cut(str(name)) + "'"
 
 
 def refuse(where: str, name: str, value, rule: str, error: type[Exception] = CatalogError) -> NoReturn:
@@ -96,21 +112,21 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             refuse("model ", "name", self.name, "a non-empty string")
-        where = f"model '{self.name}': "
+        where = f"model {quote(self.name)}: "
         if self.attention_kind not in (GQA, MLA):
             refuse(where, "attention_kind", self.attention_kind, "'GQA' or 'MLA'")
-        for fname in ("total_params", "active_params", "layers"):
-            if not is_count(getattr(self, fname)):
-                refuse(where, fname, getattr(self, fname), "a positive integer")
+        own = ATTENTION_FIELDS[self.attention_kind]
+        for fname in ("total_params", "active_params", "layers") + own:
+            value = getattr(self, fname)
+            if not is_count(value):
+                refuse(where, fname, value, "a positive integer")
+            if value > MAX_MODEL_INT:
+                refuse(where, fname, value, f"an integer <= {MAX_MODEL_INT}")
         if self.active_params > self.total_params:
             refuse(where, "active_params", self.active_params, "<= total_params")
         bits = 8.0 * self.precision_bytes if is_number(self.precision_bytes) else math.nan
         if not 0 < bits < math.inf or abs(bits - round(bits)) > 1e-9 or round(bits) < 1:
             refuse(where, "precision_bytes", self.precision_bytes, "a positive multiple of 1/8 (whole bits)")
-        own = ATTENTION_FIELDS[self.attention_kind]
-        for fname in own:
-            if not is_count(getattr(self, fname)):
-                refuse(where, fname, getattr(self, fname), "a positive integer")
         for fname in ATTENTION_FIELDS[GQA] + ATTENTION_FIELDS[MLA]:
             if fname not in own and getattr(self, fname) is not None:
                 refuse(where, fname, getattr(self, fname), f"null or absent for attention_kind {self.attention_kind}")
@@ -132,15 +148,15 @@ class HardwareSpec:
     name: str
     compute_throughput: float  # FLOP/s
     link_bandwidth_peak: float  # bytes/s, unidirectional host to device
+    vram_effective: float  # bytes available to KV after weights/activations
     link_bandwidth_sustained: Optional[float] = None
-    vram_effective: float = 0.0  # bytes available to KV after weights/activations
     tdp_watts: Optional[float] = None
     idle_watts: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             refuse("hardware ", "name", self.name, "a non-empty string")
-        where = f"hardware '{self.name}': "
+        where = f"hardware {quote(self.name)}: "
         for fname in ("compute_throughput", "link_bandwidth_peak", "vram_effective"):
             value = getattr(self, fname)
             if not (is_number(value) and value > 0):
@@ -197,7 +213,7 @@ def check_keys(obj, keys: tuple[Sequence[str], Sequence[str]], where: str) -> No
     for key in obj:  # no set per call: traces check every turn
         if key not in accepted:
             unknown = sorted(obj.keys() - accepted)
-            raise CatalogError(f"{where}: unknown key(s) {unknown}; accepted: {', '.join(accepted)}")
+            raise CatalogError(f"{where}: unknown key(s) {cut(str(unknown))}; accepted: {', '.join(accepted)}")
     for key in required:
         if key not in obj:
             missing = [k for k in required if k not in obj]  # in field order
@@ -218,7 +234,7 @@ def read_document(path: str | Path, what: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise CatalogError(f"cannot read {what} '{path}': {exc}") from exc
+        raise CatalogError(f"cannot read {what} {quote(path)}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise CatalogError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
@@ -250,7 +266,7 @@ def loads_catalog(text: str, source: str = "<string>") -> tuple[list[ModelSpec],
         for i, entry in enumerate(entries):
             spec = build_spec(cls, entry, f"{source}: {key}[{i}]")
             if spec.name in specs:
-                raise CatalogError(f"{source}: {key}[{i}]: duplicate name '{spec.name}'")
+                raise CatalogError(f"{source}: {key}[{i}]: duplicate name {quote(spec.name)}")
             specs[spec.name] = spec
         tables.append(list(specs.values()))
     return tables[0], tables[1]

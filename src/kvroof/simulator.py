@@ -76,7 +76,7 @@ from itertools import accumulate, count, starmap
 from typing import Iterator, Optional, Sequence
 
 from .catalog import (HardwareSpec, ModelSpec, flops_per_token, is_count, is_number, kv_bytes_per_token, lookup,
-                      refuse)
+                      quote, refuse)
 from .errors import SimulationError
 from .workload import RequestRecord, nearest_rank
 
@@ -372,23 +372,19 @@ def run_sim(
     prev = 0.0
     for rec in requests:
         if rec.arrival_time is None:
-            raise SimulationError(f"request '{rec.source_id}' has no arrival_time")
-        if not (prev <= rec.arrival_time < math.inf):
-            raise SimulationError(
-                f"request '{rec.source_id}': arrival_time {rec.arrival_time!r} must be finite, "
-                f">= 0 and sorted (not before {prev!r})"
-            )
+            raise SimulationError(f"request {quote(rec.source_id)} has no arrival_time")
+        if not prev <= rec.arrival_time:
+            raise SimulationError(f"request {quote(rec.source_id)}: arrival_time {rec.arrival_time!r} "
+                                  f"must be >= 0 and sorted (not before {prev!r})")
         if rec.source_id in seen:
-            raise SimulationError(f"duplicate source_id '{rec.source_id}'")
+            raise SimulationError(f"duplicate source_id {quote(rec.source_id)}")
         seen.add(rec.source_id)
         prev = rec.arrival_time
         if rec.vram_tokens > capacity_tokens:
             rejected.append(RejectedRequest(id=rec.source_id, vram_bytes=rec.vram_tokens * b_kv))
         elif rec.prefill_tokens > budget and not config.allow_chunked_prefill:
-            raise SimulationError(
-                f"request '{rec.source_id}': prefill_tokens {rec.prefill_tokens} exceed token_budget {budget}, "
-                f"and chunked prefill is off"
-            )
+            raise SimulationError(f"request {quote(rec.source_id)}: prefill_tokens {rec.prefill_tokens} exceed "
+                                  f"token_budget {budget}, and chunked prefill is off")
         else:
             accepted.append(rec)
 
@@ -405,7 +401,7 @@ def run_sim(
     ready: set[int] = set()
     residents: dict[int, int] = {}  # index -> prefill tokens left to run
     used_tokens = 0  # VRAM held by residents, in token-equivalents
-    t = float(accepted[0].arrival_time) if accepted else 0.0
+    t = accepted[0].arrival_time if accepted else 0.0
     t_begin = t
     chan_active = 0.0
     compute_active = 0.0
@@ -421,7 +417,7 @@ def run_sim(
                 # get: a request a policy picked twice may have finished earlier in this loop
                 remaining = residents.get(k, 0) - n
                 if remaining < 0:
-                    raise SimulationError(f"policy over-scheduled request '{accepted[k].source_id}'")
+                    raise SimulationError(f"policy over-scheduled request {quote(accepted[k].source_id)}")
                 if remaining:
                     residents[k] = remaining
                 else:
@@ -438,7 +434,7 @@ def run_sim(
             else:
                 waiting.append(head)
             head += 1
-            t_arr = float(accepted[head].arrival_time) if head < n_accepted else inf
+            t_arr = accepted[head].arrival_time if head < n_accepted else inf
         while rate:
             if chan_req is None:
                 if not waiting:
@@ -504,9 +500,8 @@ def run_sim(
 
     if len(ttfts) < len(accepted):
         first = next(r.source_id for r in accepted if r.source_id not in ttfts)
-        raise SimulationError(
-            f"simulation ended with {len(accepted) - len(ttfts)} unfinished request(s); first: '{first}'"
-        )
+        raise SimulationError(f"simulation ended with {len(accepted) - len(ttfts)} unfinished request(s); "
+                              f"first: {quote(first)}")
 
     span = t - t_begin
     mean_sched, percentiles = _scheduled_token_stats(iterations.scheduled_tokens)

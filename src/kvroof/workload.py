@@ -19,10 +19,12 @@ such as ``<file>: line N: bad request record: request: missing key(s)
   ``question_tokens`` (array of integers >= 1). The whole document is cached
   and each question is computed.
 * stream: ``source_id``, ``cached_tokens`` (integer >= 0), ``prefill_tokens``
-  (integer >= 1) and ``arrival_time`` (number or null, default null).
+  (integer >= 1) and ``arrival_time`` (finite number or null, default null).
   ``write_stream`` also writes ``kappa_ratio``, ignored on read, and a first
   line ``{"_manifest": ...}``, which readers skip; ``_manifest`` beside any
-  other key is an unknown key.
+  other key is an unknown key. In code a stream line is a ``RequestRecord``,
+  which checks the stream's types itself: a str id, int counts and a finite
+  float arrival or None (an int or numpy arrival is stored as a float).
 
 Synthetic streams draw cached and prefill token counts independently from
 log-normal profiles and arrive as a Poisson process; generation is
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
-from .catalog import MAX_TOKENS, check_keys, is_count, is_number, json_keys, refuse
+from .catalog import MAX_TOKENS, check_keys, is_count, is_number, json_keys, quote, refuse
 from .errors import WorkloadError
 
 PERCENTILES = (10, 50, 90, 95, 99)
@@ -66,7 +68,8 @@ class ConversationTrace:
 
     def __post_init__(self) -> None:
         if not self.turns:
-            refuse(f"conversation '{self.conversation_id}': ", "turns", self.turns, "a non-empty array", WorkloadError)
+            where = f"conversation {quote(self.conversation_id)}: "
+            refuse(where, "turns", self.turns, "a non-empty array", WorkloadError)
 
 
 @dataclass(frozen=True)
@@ -76,14 +79,14 @@ class DocumentTrace:
     question_tokens: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_count(f"document '{self.doc_id}': doc_tokens", self.doc_tokens)
+        _check_count(f"document {quote(self.doc_id)}: doc_tokens", self.doc_tokens)
         for q in self.question_tokens:
-            _check_count(f"document '{self.doc_id}': each of question_tokens", q)
+            _check_count(f"document {quote(self.doc_id)}: each of question_tokens", q)
 
 
 @dataclass(slots=True)
 class RequestRecord:
-    """One prefill request: K cached tokens, T new tokens, optional arrival."""
+    """One prefill request: K cached tokens, T new tokens, optional arrival (stored as a float)."""
 
     source_id: str
     cached_tokens: int
@@ -91,10 +94,18 @@ class RequestRecord:
     arrival_time: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not 0 <= self.cached_tokens <= MAX_TOKENS:  # NaN and inf fail too
-            _check_count(f"request '{self.source_id}': cached_tokens", self.cached_tokens, 0)
-        if not 1 <= self.prefill_tokens <= MAX_TOKENS:
-            _check_count(f"request '{self.source_id}': prefill_tokens", self.prefill_tokens)
+        if not isinstance(self.source_id, str):
+            refuse("request ", "source_id", self.source_id, "a string", WorkloadError)
+        k, t, a = self.cached_tokens, self.prefill_tokens, self.arrival_time
+        if not (type(k) is int and 0 <= k <= MAX_TOKENS):  # the cheap test first: synth and readers build 10^6
+            _check_count(f"request {quote(self.source_id)}: cached_tokens", k, 0)
+        if not (type(t) is int and 1 <= t <= MAX_TOKENS):
+            _check_count(f"request {quote(self.source_id)}: prefill_tokens", t)
+        if a is not None and (type(a) is not float or not math.isfinite(a)):
+            if not (is_number(a) and math.isfinite(a)):
+                refuse(f"request {quote(self.source_id)}: ", "arrival_time", a, "a finite number or null",
+                       WorkloadError)
+            self.arrival_time = float(a)
 
     @property
     def kappa_ratio(self) -> float:
@@ -201,7 +212,7 @@ class StreamProfile:
     description: str = ""
 
     def __post_init__(self) -> None:
-        where = f"profile '{self.name}': "
+        where = f"profile {quote(self.name)}: "
         for fname in ("prefill_log_sigma", "cached_log_sigma"):
             sigma = getattr(self, fname)
             if not math.isfinite(sigma) or sigma <= 0:
@@ -314,7 +325,7 @@ def _read_jsonl(path: str | Path, what: str, build: Callable[[str], object]) -> 
     try:
         fh = open(path, encoding="utf-8")
     except OSError as exc:
-        raise WorkloadError(f"cannot read '{path}': {exc}") from exc
+        raise WorkloadError(f"cannot read {quote(path)}: {exc}") from exc
     out = []
     with fh:
         try:
@@ -327,7 +338,7 @@ def _read_jsonl(path: str | Path, what: str, build: Callable[[str], object]) -> 
                     raise WorkloadError(f"{path}: line {lineno}: invalid JSON: {exc.msg}") from exc
                 except RecursionError as exc:
                     raise WorkloadError(f"{path}: line {lineno}: JSON nested too deeply to read") from exc
-                except (ValueError, OverflowError) as exc:
+                except ValueError as exc:
                     raise WorkloadError(f"{path}: line {lineno}: bad {what}: {exc}") from exc
                 if item is not None:
                     out.append(item)
@@ -356,7 +367,7 @@ def _conversation(obj) -> ConversationTrace:
     check_keys(obj, _CONVERSATION_KEYS, "conversation")
     cid, raw_turns = str(obj["conversation_id"]), obj["turns"]
     if not isinstance(raw_turns, list):
-        refuse(f"conversation '{cid}': ", "turns", raw_turns, "a non-empty array", WorkloadError)
+        refuse(f"conversation {quote(cid)}: ", "turns", raw_turns, "a non-empty array", WorkloadError)
     turns = []
     for turn in raw_turns:
         check_keys(turn, _TURN_KEYS, "turn")
@@ -368,22 +379,16 @@ def _document(obj) -> DocumentTrace:
     check_keys(obj, _DOCUMENT_KEYS, "document")
     doc_id, questions = str(obj["doc_id"]), obj["question_tokens"]
     if not isinstance(questions, list):
-        refuse(f"document '{doc_id}': ", "question_tokens", questions, "an array", WorkloadError)
+        refuse(f"document {quote(doc_id)}: ", "question_tokens", questions, "an array", WorkloadError)
     return DocumentTrace(doc_id, obj["doc_tokens"], tuple(questions))
 
 
 def _request(obj) -> Optional[RequestRecord]:
-    """A stream line's record, with the type rules ``RequestRecord`` leaves to its readers."""
+    """A stream line's record; ``RequestRecord`` checks the values."""
     if isinstance(obj, dict) and obj.keys() == {"_manifest"}:
         return None  # the line write_stream writes first; check_keys refuses _manifest beside other keys
     check_keys(obj, _REQUEST_KEYS, "request")
-    source_id, cached, prefill = str(obj["source_id"]), obj["cached_tokens"], obj["prefill_tokens"]
-    _check_count(f"request '{source_id}': cached_tokens", cached, 0)
-    _check_count(f"request '{source_id}': prefill_tokens", prefill)
-    arrival = obj.get("arrival_time")
-    if arrival is not None and not is_number(arrival):
-        refuse(f"request '{source_id}': ", "arrival_time", arrival, "a number", WorkloadError)
-    return RequestRecord(source_id, cached, prefill, None if arrival is None else float(arrival))
+    return RequestRecord(str(obj["source_id"]), obj["cached_tokens"], obj["prefill_tokens"], obj.get("arrival_time"))
 
 
 def read_conversations(path: str | Path) -> list[ConversationTrace]:
@@ -394,48 +399,21 @@ def read_documents(path: str | Path) -> list[DocumentTrace]:
     return _read_jsonl(path, "document object", lambda line: _document(json.loads(line)))
 
 
-def record_to_dict(record: RequestRecord) -> dict:
-    out = {
-        "source_id": record.source_id,
-        "cached_tokens": record.cached_tokens,
-        "prefill_tokens": record.prefill_tokens,
-        "kappa_ratio": record.kappa_ratio,
-    }
-    if record.arrival_time is not None:
-        out["arrival_time"] = record.arrival_time
-    return out
-
-
 _json_str = json.encoder.encode_basestring_ascii
 
 
 def _stream_line(r: RequestRecord) -> str:
-    """``json.dumps(record_to_dict(r), sort_keys=True) + "\\n"``, formatted directly.
+    """The record's keys as ``json.dumps(..., sort_keys=True)`` writes them, ``arrival_time`` only if set.
 
-    A str id, int token counts and a finite float (or absent) arrival take
-    the direct path, with the same bytes: json.dumps writes a float as its
-    ``repr`` and escapes a string as ``encode_basestring_ascii`` does. Others
-    go through json.dumps once they pass the reader's checks with a finite
-    arrival; every refusal is a ``WorkloadError`` naming the request.
+    ``RequestRecord`` holds a str id, int counts and a finite float or None,
+    so the line is formatted directly with the same bytes: json.dumps writes
+    a float as its ``repr`` and escapes a string as ``encode_basestring_ascii``.
     """
-    sid, k, t, a = r.source_id, r.cached_tokens, r.prefill_tokens, r.arrival_time
-    if type(sid) is str and type(k) is int and type(t) is int:
-        tail = (
-            f'"cached_tokens": {k}, "kappa_ratio": {r.kappa_ratio!r}, '
-            f'"prefill_tokens": {t}, "source_id": {_json_str(sid)}}}\n'
-        )
-        if a is None:
-            return "{" + tail
-        if type(a) is float and math.isfinite(a):
-            return f'{{"arrival_time": {a!r}, ' + tail
-    try:
-        _request(record_to_dict(r))  # refuses what read_stream would: a bool or numpy count
-        line = json.dumps(record_to_dict(r), sort_keys=True) + "\n"
-    except (OverflowError, TypeError) as exc:  # an int arrival no float holds, an id JSON cannot hold
-        raise WorkloadError(f"request '{sid}': {exc}") from exc
-    if a is not None and not math.isfinite(a):  # NaN and Infinity are not JSON
-        refuse(f"request '{sid}': ", "arrival_time", a, "a finite number or null", WorkloadError)
-    return line
+    tail = (
+        f'"cached_tokens": {r.cached_tokens}, "kappa_ratio": {r.kappa_ratio!r}, '
+        f'"prefill_tokens": {r.prefill_tokens}, "source_id": {_json_str(r.source_id)}}}\n'
+    )
+    return "{" + tail if r.arrival_time is None else f'{{"arrival_time": {r.arrival_time!r}, ' + tail
 
 
 def write_stream(records: Iterable[RequestRecord], path: str | Path, manifest: Optional[dict] = None) -> None:

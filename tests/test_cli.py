@@ -429,6 +429,8 @@ class TestCatalogSelection:
 
 PLATFORM = {"model": "Qwen3-30B-A3B", "hardware": "Unified-HBM"}
 GOOD_LINE = '{"source_id": "a", "cached_tokens": 10, "prefill_tokens": 5, "arrival_time": 0.0}\n'
+# An integer of 401 digits, as refusals show it: its first SHOWN_CHARS characters.
+HUGE_COUNT = "1" + "0" * 99 + "... (cut; 401 characters in all)"
 INLINE_HW = {"name": "x", "compute_throughput": 1e15, "link_bandwidth_peak": 1e11,
              "vram_effective": 1e10, "bogus": 1}
 
@@ -714,7 +716,39 @@ class TestErrorContract:
                             "--out", str(tmp_path / "out")], capsys)
         assert code == EXIT_DATA
         assert err == (f"error: {config}: hardware: missing key(s) ['link_bandwidth_peak']; "
-                       "required: name, compute_throughput, link_bandwidth_peak\n")
+                       "required: name, compute_throughput, link_bandwidth_peak, vram_effective\n")
+
+    @pytest.mark.parametrize("command", ["kappa", "simulate"])
+    def test_platform_without_vram_effective_misses_the_key(self, tmp_path, capsys, command):
+        # was "vram_effective must be a number > 0, got 0.0", a value the input never held
+        hardware = {k: v for k, v in CATALOG_HW.items() if k != "vram_effective"}
+        path = tmp_path / "input.json"
+        if command == "kappa":
+            path.write_text(json.dumps({"models": [CATALOG_MODEL], "hardware": [hardware]}))
+            code, _, err = run(["kappa", "--catalog", str(path)], capsys)
+            where = "hardware[0]"
+        else:
+            path.write_text(json.dumps({**PLATFORM, "hardware": hardware}))
+            (tmp_path / "s.jsonl").write_text(GOOD_LINE)
+            code, _, err = run(["simulate", "--config", str(path), "--stream", str(tmp_path / "s.jsonl"),
+                                "--out", str(tmp_path / "out")], capsys)
+            where = "hardware"
+        assert code == EXIT_DATA
+        assert err == (f"error: {path}: {where}: missing key(s) ['vram_effective']; "
+                       "required: name, compute_throughput, link_bandwidth_peak, vram_effective\n")
+
+    @pytest.mark.parametrize("value, shown", [("NaN", "NaN"), ("-Infinity", "-Infinity"),
+                                              ("1" + "0" * 400, HUGE_COUNT)])
+    def test_bad_arrival_is_refused_by_the_reader(self, tmp_path, capsys, value, shown):
+        # a non-finite arrival was refused by the simulator, without the line
+        stream = tmp_path / "s.jsonl"
+        stream.write_text(GOOD_LINE + GOOD_LINE.replace('"a"', '"b"').replace("0.0", value))
+        (tmp_path / "config.json").write_text(json.dumps(PLATFORM))
+        code, _, err = run(["simulate", "--config", str(tmp_path / "config.json"), "--stream", str(stream),
+                            "--out", str(tmp_path / "out")], capsys)
+        assert code == EXIT_DATA
+        assert err == (f"error: {stream}: line 2: bad request record: request 'b': arrival_time must be "
+                       f"a finite number or null, got {shown}\n")
 
     @pytest.mark.parametrize("kind", ["catalog", "config", "stream", "conversation", "document"])
     def test_too_deep_json_exits_3(self, tmp_path, capsys, kind):
@@ -733,10 +767,6 @@ class TestErrorContract:
         assert code == EXIT_DATA
         line = "" if kind in ("catalog", "config") else "line 1: "
         assert err == f"error: {tmp_path / kind}: {line}JSON nested too deeply to read\n"
-
-
-# A token count of 401 digits, as refusals show it: its first SHOWN_CHARS characters.
-HUGE_COUNT = "1" + "0" * 99 + "... (cut; 401 characters in all)"
 
 
 class TestOversizedInputs:
@@ -805,6 +835,37 @@ class TestOversizedInputs:
         code, _, err = run(["analyze", str(trace), "--kind", "document"], capsys)
         assert code == EXIT_DATA
         assert err == f"error: {trace}: trace produced no requests\n"
+
+    @pytest.mark.parametrize("table, key, text", [
+        ("models", "layers", "model 'm': layers must be an integer <= 9007199254740992"),
+        ("hardware", "compute_throughput", "hardware 'h': compute_throughput must be a number > 0"),
+    ])
+    def test_catalog_number_beyond_floats(self, tmp_path, capsys, table, key, text):
+        # was an OverflowError traceback with exit 1
+        entries = {"models": dict(CATALOG_MODEL), "hardware": dict(CATALOG_HW)}
+        entries[table][key] = 10**400
+        catalog = tmp_path / "c.json"
+        catalog.write_text(json.dumps({name: [entry] for name, entry in entries.items()}))
+        code, _, err = run(["kappa", "--catalog", str(catalog)], capsys)
+        assert code == EXIT_DATA
+        assert err == f"error: {catalog}: {table}[0]: {text}, got {HUGE_COUNT}\n"
+
+    def test_long_id_is_cut(self, tmp_path, capsys):
+        # the whole id was shown: an error line of 1 MB
+        line = json.dumps({**VALID_REQUEST, "source_id": "a" * 10**6, "cached_tokens": -1}) + "\n"
+        code, _, err = self.simulate(tmp_path, capsys, PLATFORM, line)
+        assert code == EXIT_DATA
+        shown = "'" + "a" * 100 + "... (cut; 1000000 characters in all)'"
+        assert err == (f"error: {tmp_path / 's.jsonl'}: line 1: bad request record: request {shown}: "
+                       "cached_tokens must be an integer >= 0, got -1\n")
+
+    def test_long_unknown_key_is_cut(self, tmp_path, capsys):
+        # the whole key was shown: an error line of 1 MB
+        code, _, err = self.simulate(tmp_path, capsys, {**PLATFORM, "k" * 10**6: 1}, GOOD_LINE)
+        assert code == EXIT_DATA
+        shown = "['" + "k" * 98 + "... (cut; 1000004 characters in all)"
+        assert err.startswith(f"error: {tmp_path / 'config.json'}: config: unknown key(s) {shown}; accepted: ")
+        assert len(err) < 500
 
 
 CATALOG_MODEL = {"name": "m", "total_params": 10, "active_params": 10, "attention_kind": "GQA", "layers": 2,
@@ -980,3 +1041,24 @@ def test_every_raise_is_a_package_error():
     sources = sorted(Path(kvroof.__file__).parent.glob("*.py"))
     assert sources
     assert [r for path in sources for r in _raises_of_other_errors(path)] == []
+
+
+def _values_quoted_by_hand(path: Path) -> list[str]:
+    """F-string values in ``path`` put between single quotes by hand, ``'{x}'``, rather than
+    through ``catalog.quote``, which cuts a long id, name, key or path."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.JoinedStr):
+            continue
+        for before, value, after in zip(node.values, node.values[1:], node.values[2:]):
+            if (isinstance(value, ast.FormattedValue) and isinstance(before, ast.Constant)
+                    and isinstance(after, ast.Constant) and before.value.endswith("'")
+                    and after.value.startswith("'")):
+                found.append(f"{path.name}:{node.lineno} '{{{ast.unparse(value.value)}}}'")
+    return found
+
+
+def test_no_value_is_quoted_by_hand():
+    sources = sorted(Path(kvroof.__file__).parent.glob("*.py"))
+    assert sources
+    assert [q for path in sources for q in _values_quoted_by_hand(path)] == []

@@ -1,9 +1,10 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kvroof.catalog import MAX_TOKENS
@@ -22,7 +23,6 @@ from kvroof.workload import (
     read_conversations,
     read_documents,
     read_stream,
-    record_to_dict,
     summarize,
     synthesize_stream,
     write_stream,
@@ -60,6 +60,15 @@ VALID_LINES = {
     read_conversations: '{"conversation_id": "ok", "turns": [{"query_tokens": 1}]}',
     read_documents: '{"doc_id": "ok", "doc_tokens": 5, "question_tokens": [1]}',
 }
+
+
+def stream_dict(r):
+    """The keys of ``r``'s stream line: all five, less ``arrival_time`` when it is None."""
+    keys = {"source_id": r.source_id, "cached_tokens": r.cached_tokens, "prefill_tokens": r.prefill_tokens,
+            "kappa_ratio": r.kappa_ratio, "arrival_time": r.arrival_time}
+    if r.arrival_time is None:
+        del keys["arrival_time"]
+    return keys
 
 
 def assert_reads_like_json_loads(line):
@@ -275,7 +284,7 @@ class TestJsonLines:
         ] == [(r.source_id, r.cached_tokens, r.prefill_tokens, r.arrival_time) for r in records]
 
     def test_stream_bytes_match_json_dumps(self, tmp_path):
-        """Each line is ``json.dumps(record_to_dict(r), sort_keys=True)``, after the manifest line."""
+        """Each line is ``json.dumps(stream_dict(r), sort_keys=True)``, after the manifest line."""
         records = [
             RequestRecord("plain", 4000, 40, arrival_time=0.0),
             RequestRecord("naïve-中文-🙂", 1, 3, arrival_time=1e-07),
@@ -290,7 +299,7 @@ class TestJsonLines:
         path = tmp_path / "s.jsonl"
         write_stream(records, path, manifest=manifest)
         expected = [json.dumps({"_manifest": manifest}, sort_keys=True)]
-        expected += [json.dumps(record_to_dict(r), sort_keys=True) for r in records]
+        expected += [json.dumps(stream_dict(r), sort_keys=True) for r in records]
         assert path.read_bytes() == "".join(line + "\n" for line in expected).encode()
         write_stream(records, path)
         assert path.read_bytes() == "".join(line + "\n" for line in expected[1:]).encode()
@@ -306,7 +315,7 @@ class TestJsonLines:
         finite = arrival is None or math.isfinite(arrival)
         fits = max(cached, prefill) <= MAX_TOKENS
         try:
-            line = _stream_line(RequestRecord(source_id, cached, prefill, arrival))
+            record = RequestRecord(source_id, cached, prefill, arrival)
         except WorkloadError as exc:
             if fits:
                 assert not finite and "arrival_time must be a finite number or null" in str(exc)
@@ -314,26 +323,65 @@ class TestJsonLines:
                 assert f"_tokens must be an integer <= {MAX_TOKENS}, got " in str(exc)
         else:
             assert finite and fits  # NaN and Infinity are not JSON
-            assert_reads_like_json_loads(line)
+            assert_reads_like_json_loads(_stream_line(record))
 
-    @pytest.mark.parametrize("record, text", [
-        (RequestRecord("a", True, 2, 1.0), "request 'a': cached_tokens must be an integer >= 0, got true"),
-        (RequestRecord("b", np.int64(3), 2, 1.0), "request 'b': cached_tokens must be an integer >= 0, got "),
-        (RequestRecord("c", 3, np.int64(2), 1.0), "request 'c': prefill_tokens must be an integer >= 1, got "),
-        (RequestRecord("d", 3, 2, math.nan), "request 'd': arrival_time must be a finite number or null, got NaN"),
-        (RequestRecord("e", 3, 2, math.inf),
-         "request 'e': arrival_time must be a finite number or null, got Infinity"),
-        (RequestRecord("f", 3, 2, -math.inf),
-         "request 'f': arrival_time must be a finite number or null, got -Infinity"),
-        (RequestRecord("g", 1, 2, 10**400), "request 'g': int too large to convert to float"),
-        (RequestRecord({1}, 1, 2, 1.0), "request '{1}': Object of type set is not JSON serializable"),
+    @pytest.mark.parametrize("args, text", [
+        (("a", True, 2, 1.0), "request 'a': cached_tokens must be an integer >= 0, got true"),
+        (("b", np.int64(3), 2, 1.0), "request 'b': cached_tokens must be an integer >= 0, got "),
+        (("c", 3, np.int64(2), 1.0), "request 'c': prefill_tokens must be an integer >= 1, got "),
+        (("d", 3, 2, math.nan), "request 'd': arrival_time must be a finite number or null, got NaN"),
+        (("e", 3, 2, math.inf), "request 'e': arrival_time must be a finite number or null, got Infinity"),
+        (("f", 3, 2, -math.inf), "request 'f': arrival_time must be a finite number or null, got -Infinity"),
+        (("g", 1, 2, 10**400), "request 'g': arrival_time must be a finite number or null, got 1000000000"),
+        (("h", 1, 2, True), "request 'h': arrival_time must be a finite number or null, got true"),
+        (({1}, 1, 2, 1.0), "request source_id must be a string, got {1}"),
+        (("i", 10**5000, 1), f"request 'i': cached_tokens must be an integer <= {MAX_TOKENS}, "
+                              f"got an integer of more than {sys.get_int_max_str_digits()} digits"),
+        (("j" * 10**6, -1, 1), "request 'jjjj"),
     ], ids=["bool count", "numpy cached count", "numpy prefill count", "NaN arrival", "inf arrival",
-            "-inf arrival", "int arrival beyond floats", "set id"])
-    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, record, text):
-        path = tmp_path / "s.jsonl"
+            "-inf arrival", "int arrival beyond floats", "bool arrival", "set id", "5001-digit count", "long id"])
+    def test_record_refuses_what_the_reader_refuses(self, args, text):
         with pytest.raises(WorkloadError) as info:
-            write_stream([RequestRecord("ok", 1, 1, 0.0), record], path)
+            RequestRecord(*args)
         assert str(info.value).startswith(text)
+        assert len(str(info.value)) < 300  # ids and values are cut
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        source_id=st.one_of(st.text(), st.integers(), st.none()),
+        cached=st.one_of(st.integers(-1, 2), st.integers(MAX_TOKENS - 1, MAX_TOKENS + 1), st.booleans(),
+                         st.integers(0, 2**62).map(np.int64), st.floats()),
+        prefill=st.one_of(st.integers(0, 2), st.integers(MAX_TOKENS - 1, MAX_TOKENS + 1), st.booleans(),
+                          st.integers(1, 2**62).map(np.int64), st.floats()),
+        arrival=st.one_of(st.none(), st.floats(), st.just(-0.0), st.integers(-10**400, 10**400),
+                          st.integers(0, 2**64), st.floats().map(np.float64), st.booleans()),
+    )
+    def test_a_record_is_refused_by_field_or_written_as_json_dumps(self, tmp_path, source_id, cached, prefill,
+                                                                    arrival):
+        checks = [
+            ("source_id", isinstance(source_id, str)),
+            ("cached_tokens", type(cached) is int and 0 <= cached <= MAX_TOKENS),
+            ("prefill_tokens", type(prefill) is int and 1 <= prefill <= MAX_TOKENS),
+            ("arrival_time", arrival is None or (isinstance(arrival, float) and math.isfinite(arrival))
+             or (type(arrival) is int and abs(arrival) <= sys.float_info.max)),
+        ]
+        bad = [name for name, ok in checks if not ok]
+        try:
+            r = RequestRecord(source_id, cached, prefill, arrival)
+        except WorkloadError as exc:
+            assert bad and f"{bad[0]} must be " in str(exc)
+            return
+        assert not bad
+        stored = None if arrival is None else float(arrival)
+        assert (type(r.arrival_time), repr(r.arrival_time)) == (type(stored), repr(stored))  # -0.0 kept
+        path = tmp_path / "s.jsonl"
+        write_stream([r], path)
+        line = path.read_text(encoding="utf-8")
+        assert line == json.dumps(stream_dict(r), sort_keys=True) + "\n"
+        (again,) = read_stream(path)
+        assert [(type(v), repr(v)) for v in (again.source_id, again.cached_tokens, again.prefill_tokens,
+                                              again.arrival_time)] == [
+            (type(v), repr(v)) for v in (r.source_id, r.cached_tokens, r.prefill_tokens, r.arrival_time)]
 
     @pytest.mark.parametrize("value, shown", [(math.nan, "NaN"), (math.inf, "Infinity"), (-math.inf, "-Infinity")])
     @pytest.mark.parametrize("field, low, make", [
@@ -358,10 +406,12 @@ class TestJsonLines:
             reader(path)
         assert str(info.value) == f"{path}: line 2: JSON nested too deeply to read"
 
-    def test_writer_takes_numpy_float_arrivals(self, tmp_path):
+    def test_numpy_and_int_arrivals_are_stored_as_floats(self, tmp_path):
+        records = [RequestRecord("a", 3, 2, np.float64(0.5)), RequestRecord("b", 3, 2, 7)]
+        assert [type(r.arrival_time) for r in records] == [float, float]
         path = tmp_path / "s.jsonl"
-        write_stream([RequestRecord("a", 3, 2, np.float64(0.5))], path)
-        assert [(r.source_id, r.arrival_time) for r in read_stream(path)] == [("a", 0.5)]
+        write_stream(records, path)
+        assert [(r.source_id, r.arrival_time) for r in read_stream(path)] == [("a", 0.5), ("b", 7.0)]
 
     def test_fast_path_takes_synthesized_lines(self):
         for r in synthesize_stream(SHAREGPT_LIKE, rps=50, duration_s=2, seed=9):
