@@ -15,7 +15,3 @@ The package is organized around five layers:
 """
 
 __version__ = "0.1.0"
-
-from .analytics import kappa_crit
-from .catalog import by_name, default_catalog
-from .workload import PROFILES

@@ -252,9 +252,7 @@ def parse_document(text: str, source: str):
 
 
 def loads_catalog(text: str, source: str = "<string>") -> tuple[list[ModelSpec], list[HardwareSpec]]:
-    """Parse a catalog document. Empty input yields an empty catalog."""
-    if not text.strip():
-        return [], []
+    """Parse a catalog document."""
     doc = parse_document(text, source)
     check_keys(doc, (("models", "hardware"), ()), f"{source}: catalog root")
     tables = []
@@ -270,22 +268,6 @@ def loads_catalog(text: str, source: str = "<string>") -> tuple[list[ModelSpec],
             specs[spec.name] = spec
         tables.append(list(specs.values()))
     return tables[0], tables[1]
-
-
-def serialize_catalog(models: list[ModelSpec], hardware: list[HardwareSpec]) -> str:
-    """Render a catalog back to its file format. Optional unset fields are omitted."""
-
-    def shrink(spec) -> dict:
-        out = {}
-        for f in fields(spec):
-            value = getattr(spec, f.name)
-            if value is None:
-                continue
-            out[f.name] = value
-        return out
-
-    doc = {"models": [shrink(m) for m in models], "hardware": [shrink(h) for h in hardware]}
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def default_catalog_text() -> str:

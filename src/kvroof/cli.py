@@ -79,7 +79,6 @@ from .simulator import (
 ENV_CATALOG = "KVROOF_CATALOG"
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 
 

@@ -65,13 +65,6 @@ class RooflineSeries:
     points: tuple[RooflinePoint, ...]
     kappa_crit_marker: float
 
-    def detected_flip(self) -> Optional[float]:
-        """K/T ratio of the first bandwidth-bound point, if the sweep crosses it."""
-        for prev, cur in zip(self.points, self.points[1:]):
-            if prev.regime is Regime.COMPUTE_BOUND and cur.regime is Regime.BANDWIDTH_BOUND:
-                return cur.kappa_ratio
-        return None
-
 
 def attainable_flops(
     ai: float | np.ndarray, hw: HardwareSpec, use_sustained: bool = True

@@ -209,7 +209,6 @@ class StreamProfile:
     prefill_log_sigma: float
     cached_log_mean: float
     cached_log_sigma: float
-    description: str = ""
 
     def __post_init__(self) -> None:
         where = f"profile {quote(self.name)}: "
@@ -243,7 +242,6 @@ SHAREGPT_LIKE = StreamProfile(
     prefill_log_sigma=1.2,
     cached_log_mean=8.291889,
     cached_log_sigma=1.431263,
-    description="multi-turn conversation traffic (mean T=82, mean K=11115, median ratio=100)",
 )
 
 # Book/script question answering: median document ~57k tokens, mean question
@@ -254,7 +252,6 @@ NARRATIVEQA_LIKE = StreamProfile(
     prefill_log_sigma=0.320290,
     cached_log_mean=10.950807,
     cached_log_sigma=0.94,
-    description="narrative document QA traffic (median doc=57k, mean question=12, median ratio=5000)",
 )
 
 # Financial filings QA: median document ~167k tokens, mean question 23 tokens,
@@ -265,7 +262,6 @@ FINQA_LIKE = StreamProfile(
     prefill_log_sigma=0.800106,
     cached_log_mean=12.025749,
     cached_log_sigma=0.77,
-    description="financial document QA traffic (median doc=167k, mean question=23, median ratio=10000)",
 )
 
 PROFILES = {p.name: p for p in (SHAREGPT_LIKE, NARRATIVEQA_LIKE, FINQA_LIKE)}

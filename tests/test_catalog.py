@@ -17,10 +17,11 @@ from kvroof.catalog import (
     loads_catalog,
     lookup,
     read_document,
-    serialize_catalog,
 )
 from kvroof.errors import CatalogError, KvroofError, SimulationError
 from kvroof.workload import SHAREGPT_LIKE, StreamProfile, synthesize_stream
+
+from conftest import catalog_json
 
 
 def gqa(name="m", total=int(1e9), active=int(1e9), layers=80, heads=8, dim=128, p=2.0):
@@ -213,11 +214,11 @@ class TestCatalogIO:
         for expected in ("A100-PCIe4", "H100-PCIe5", "B200-PCIe5", "GH-NVLink-C2C", "Unified-HBM"):
             assert expected in hw_names
 
-    def test_empty_file_is_empty_catalog(self, tmp_path):
+    def test_empty_file_is_refused(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text("")
-        models, hardware = loads_catalog(read_document(path, "catalog"))
-        assert models == [] and hardware == []
+        with pytest.raises(CatalogError, match=r"^empty\.json: invalid JSON at line 1: "):
+            loads_catalog(read_document(path, "catalog"), source=path.name)
 
     def test_negative_bandwidth_cites_field(self):
         text = json.dumps(
@@ -237,7 +238,7 @@ class TestCatalogIO:
 
     def test_duplicate_names_rejected(self):
         models, hardware = default_catalog()
-        doubled = serialize_catalog(models + [models[0]], hardware)
+        doubled = catalog_json(models + [models[0]], hardware)
         with pytest.raises(CatalogError, match="duplicate"):
             loads_catalog(doubled)
 
@@ -252,7 +253,7 @@ class TestCatalogIO:
 
     def test_round_trip(self):
         models, hardware = default_catalog()
-        again_m, again_h = loads_catalog(serialize_catalog(models, hardware))
+        again_m, again_h = loads_catalog(catalog_json(models, hardware))
         assert again_m == models
         assert again_h == hardware
 

@@ -9,7 +9,6 @@ import os
 import shutil
 import subprocess
 import sys
-from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -19,18 +18,16 @@ from hypothesis import strategies as st
 import kvroof
 import kvroof.errors
 from kvroof.analytics import kappa_crit, kappa_hw, kappa_model
-from kvroof.catalog import by_name, default_catalog, default_catalog_text, serialize_catalog
+from kvroof.catalog import by_name, default_catalog, default_catalog_text
 from kvroof.cli import EXIT_DATA, EXIT_OK, Catalog, RunManifest, _load_sim_config, _write_json, main
 from kvroof.simulator import compare_policies
 from kvroof.workload import read_stream
 
+from conftest import catalog_json, fixture_path
+
 MODELS, HARDWARE = default_catalog()
 M = by_name(MODELS)
 H = by_name(HARDWARE)
-
-
-def fixture_path(name: str) -> str:
-    return str(resources.files("kvroof").joinpath(f"data/fixtures/{name}"))
 
 
 def run(args, capsys):
@@ -410,7 +407,7 @@ class TestCatalogSelection:
     def test_env_var_catalog(self, tmp_path, capsys, monkeypatch):
         models, hardware = default_catalog()
         trimmed = tmp_path / "cat.json"
-        trimmed.write_text(serialize_catalog(models[:1], hardware[:1]))
+        trimmed.write_text(catalog_json(models[:1], hardware[:1]))
         monkeypatch.setenv("KVROOF_CATALOG", str(trimmed))
         code, out, _ = run(["kappa"], capsys)
         assert code == EXIT_OK
@@ -420,7 +417,7 @@ class TestCatalogSelection:
     def test_catalog_flag_overrides(self, tmp_path, capsys):
         models, hardware = default_catalog()
         trimmed = tmp_path / "cat.json"
-        trimmed.write_text(serialize_catalog(models[:2], hardware[:3]))
+        trimmed.write_text(catalog_json(models[:2], hardware[:3]))
         code, out, _ = run(["kappa", "--catalog", str(trimmed)], capsys)
         assert code == EXIT_OK
         rows = [line for line in out.splitlines() if line and not line.startswith(("#", "model"))]
@@ -985,7 +982,7 @@ class TestLocale:
 
     def test_kappa_out(self, tmp_path):
         models, hardware = default_catalog()
-        catalog = serialize_catalog([dataclasses.replace(models[0], name="M\u20ac")], hardware[:1])
+        catalog = catalog_json([dataclasses.replace(models[0], name="M\u20ac")], hardware[:1])
         (tmp_path / "cat.json").write_text(catalog, encoding="utf-8")
         stdout = self.run_ascii(["kappa", "--catalog", "cat.json", "--out", "k.csv"], tmp_path)
         assert stdout.splitlines()[1].startswith(b"M\\u20ac ")

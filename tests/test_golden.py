@@ -15,7 +15,6 @@ import json
 import math
 import os
 import random
-from importlib import resources
 
 import pytest
 
@@ -25,9 +24,7 @@ from kvroof.errors import SimulationError
 from kvroof.simulator import SimConfig, compare_policies
 from kvroof.workload import PROFILES, RequestRecord, synthesize_stream
 
-
-def fixture_path(name: str) -> str:
-    return str(resources.files("kvroof").joinpath(f"data/fixtures/{name}"))
+from conftest import fixture_path
 
 
 def strip_manifest(data: bytes) -> bytes:

@@ -10,7 +10,9 @@ document profiles clear it everywhere by more than an order of magnitude.
 
 import pytest
 
-from kvroof import PROFILES, by_name, default_catalog, kappa_crit
+from kvroof.analytics import kappa_crit
+from kvroof.catalog import by_name, default_catalog
+from kvroof.workload import PROFILES
 
 MODELS, HARDWARE = default_catalog()
 M = by_name(MODELS)

@@ -52,8 +52,7 @@ class TestAttainable:
 class TestSweep:
     def test_qwen_h100_flip_near_7_8(self):
         (series,) = roofline_sweep(M["Qwen3-235B-A22B"], [H["H100-PCIe5"]], use_sustained=False)
-        flip = series.detected_flip()
-        assert flip is not None
+        flip = next(p.kappa_ratio for p in series.points if p.regime is Regime.BANDWIDTH_BOUND)
         assert series.kappa_crit_marker == pytest.approx(7.8, rel=0.05)
         step = 10 ** (1 / 16)
         assert series.kappa_crit_marker < flip <= series.kappa_crit_marker * step * 1.0001
@@ -82,7 +81,7 @@ class TestSweep:
                     a is Regime.BANDWIDTH_BOUND and b is Regime.COMPUTE_BOUND
                     for a, b in zip(regimes, regimes[1:])
                 )
-                flip = series.detected_flip()
+                flip = next(p.kappa_ratio for p in series.points if p.regime is Regime.BANDWIDTH_BOUND)
                 # flip is the first grid point past the marker
                 assert flip / series.kappa_crit_marker <= step * 1.0001
                 assert flip > series.kappa_crit_marker
