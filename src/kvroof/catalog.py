@@ -239,13 +239,25 @@ def read_document(path: str | Path, what: str) -> str:
         raise CatalogError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
 
+def json_object(pairs: list) -> dict:
+    """A JSON object from its key-value pairs (``json.loads``' ``object_pairs_hook``); a repeated key is an error."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):  # json.loads alone would keep the last value
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise CatalogError(f"a JSON object repeats key {quote(key)}")
+            seen.add(key)
+    return obj
+
+
 def parse_document(text: str, source: str):
-    """The JSON value ``text`` holds; malformed or too deeply nested JSON is an error naming ``source``."""
+    """The JSON value ``text`` holds; malformed JSON, deep nesting or a repeated key is an error naming ``source``."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=json_object)
     except json.JSONDecodeError as exc:
         raise CatalogError(f"{source}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    except ValueError as exc:  # an integer of more digits than int() converts
+    except ValueError as exc:  # a repeated key, or an integer of more digits than int() converts
         raise CatalogError(f"{source}: {exc}") from exc
     except RecursionError as exc:
         raise CatalogError(f"{source}: JSON nested too deeply to read") from exc

@@ -28,8 +28,8 @@ tables display KB/GFLOP and GFLOP/KB unless ``--si`` is given.
   (default 0.0);
 * ``allow_chunked_prefill``: ``true`` (default) or ``false``.
 
-Any other key, a missing required key or a value of another type is a data
-error, and so is JSON nested too deeply to parse: ``<file>: config: missing
+Any other key, a missing required key, a repeated key or a value of another
+type is a data error, and so is JSON nested too deeply to parse: ``<file>: config: missing
 key(s) [...]; required: ...``, ``<file>: JSON nested too deeply to read``. A
 JSON ``true`` or ``false`` is never a number, here or in a catalog.
 
@@ -132,7 +132,11 @@ def _load_active_catalog(path_arg: Optional[str], argv: list[str], seed: Optiona
 def _pick(pool: dict, names: Optional[str], kind: str) -> list:
     if not names or names == "all":
         return list(pool.values())
-    return [lookup(pool, name.strip(), kind) for name in names.split(",")]
+    chosen = [name.strip() for name in names.split(",")]
+    picked = [lookup(pool, name, kind) for name in chosen]
+    if len(set(chosen)) < len(chosen):
+        refuse("", f"{kind} names", names, "distinct")
+    return picked
 
 
 def _write_csv(path, manifest: RunManifest, header: Sequence[str], rows) -> None:

@@ -5,8 +5,8 @@ and stream files are UTF-8 JSON Lines, one object per line, with these
 keys. Token counts are JSON integers (``5.0`` is not one) of at most
 ``MAX_TOKENS`` (2**53), a bound that also holds for the history a
 conversation turn finds cached; ids may be any JSON value and are read
-through ``str()``. An unknown key, a missing
-required key, a value of another type, a byte that is not UTF-8 or JSON
+through ``str()``. An unknown key, a missing required key, a key a stream
+line repeats, a value of another type, a byte that is not UTF-8 or JSON
 nested too deeply to parse is an error that names the file and the line,
 such as ``<file>: line N: bad request record: request: missing key(s)
 [...]; required: ...`` or ``<file>: line N: JSON nested too deeply to read``.
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
-from .catalog import MAX_TOKENS, check_keys, is_count, is_number, json_keys, quote, refuse
+from .catalog import MAX_TOKENS, check_keys, is_count, is_number, json_keys, json_object, quote, refuse
 from .errors import WorkloadError
 
 PERCENTILES = (10, 50, 90, 95, 99)
@@ -442,10 +442,10 @@ def _stream_line_match() -> Callable[[str], Optional[re.Match]]:
 
 
 def _request_line(line: str) -> Optional[RequestRecord]:
-    """``_request(json.loads(line))``, reading the writer's own line without ``json.loads``."""
+    """``_request`` of the line's JSON, a repeated key refused; the writer's own line is read without ``json.loads``."""
     m = _stream_line_match()(line)
     if m is None:
-        return _request(json.loads(line))
+        return _request(json.loads(line, object_pairs_hook=json_object))
     arrival, cached, prefill, source_id = m.groups()
     return RequestRecord(source_id, int(cached), int(prefill), None if arrival is None else float(arrival))
 

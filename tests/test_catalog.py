@@ -251,6 +251,17 @@ class TestCatalogIO:
         with pytest.raises(CatalogError, match="line"):
             loads_catalog("{not json", source="f.json")
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"models": [], "hardware": [], "models": []}', "models"),
+        ('{"hardware": [{"name": "a", "name": "b", "compute_throughput": 1, "link_bandwidth_peak": 1, '
+         '"vram_effective": 1}]}', "name"),
+    ])
+    def test_repeated_key_is_refused(self, text, key):
+        # json.loads alone keeps the last value: the second hardware entry loaded as "b"
+        with pytest.raises(CatalogError) as info:
+            loads_catalog(text, source="f.json")
+        assert str(info.value) == f"f.json: a JSON object repeats key '{key}'"
+
     def test_round_trip(self):
         models, hardware = default_catalog()
         again_m, again_h = loads_catalog(catalog_json(models, hardware))

@@ -431,8 +431,8 @@ HUGE_COUNT = "1" + "0" * 99 + "... (cut; 401 characters in all)"
 INLINE_HW = {"name": "x", "compute_throughput": 1e15, "link_bandwidth_peak": 1e11,
              "vram_effective": 1e10, "bogus": 1}
 
-# (config, or the command's arguments for roofline and synth; input text;
-# command kind): each must be refused with exit 3.
+# (config, as an object or as its text, or the command's arguments for kappa,
+# roofline and synth; input text; command kind): each must be refused with exit 3.
 BAD_INPUTS = {
     "non-numeric token_budget": ({**PLATFORM, "token_budget": "lots"}, GOOD_LINE, "simulate"),
     "typo key": ({**PLATFORM, "tokn_budget": 100}, GOOD_LINE, "simulate"),
@@ -538,6 +538,17 @@ BAD_INPUTS = {
     "synth negative seed": (["--rps", "10", "--duration", "1", "--seed", "-1"], "", "synth"),
     "roofline grid too large": (["--points-per-decade", "1000000000000000000"], "", "roofline"),
     "roofline points per decade overflow a float": (["--points-per-decade", "1" + "0" * 400], "", "roofline"),
+    "kappa repeated model": (["--models", "Llama-3.1-70B,Llama-3.1-70B", "--hw", "A100-PCIe4"], "", "kappa"),
+    "roofline repeated hardware": (["--hw", "A100-PCIe4, A100-PCIe4"], "", "roofline"),
+    "empty catalog file": (["--catalog", "input.jsonl"], "", "kappa"),
+    "config repeated key": (
+        '{"model": "Qwen3-30B-A3B", "model": "Llama-3.1-70B", "hardware": "Unified-HBM"}', GOOD_LINE, "simulate"
+    ),
+    "stream repeated key": (
+        PLATFORM,
+        '{"source_id": "a", "source_id": "b", "cached_tokens": 10, "prefill_tokens": 5, "arrival_time": 0.0}\n',
+        "simulate",
+    ),
 }
 
 VALID_CONFIG = {**PLATFORM, "token_budget": 100}
@@ -580,7 +591,7 @@ BAD_LINES = {
     "non-integer query_tokens", "misspelled response_tokens", "extra conversation key",
     "integral float query_tokens", "document questions key", "integral float doc_tokens", "unknown stream key",
     "integral float cached_tokens", "manifest key beside request keys", "string turns", "object turns",
-    "integer question_tokens",
+    "integer question_tokens", "stream repeated key",
 } | {case for case in MISSING_KEY_TEXTS if not case.startswith("config")}
 
 # The BAD_INPUTS whose stream fault only the simulator finds; simulate names the stream file.
@@ -605,12 +616,14 @@ class TestErrorContract:
         data.write_text(text)
         if kind.startswith("analyze"):
             args = ["analyze", str(data), "--kind", "document" if kind == "analyze document" else "conversation"]
+        elif kind == "kappa":
+            args = ["kappa", *config]
         elif kind == "roofline":
             args = ["roofline", "--model", "Llama-3.1-70B", *config, "--out", "roofline.csv"]
         elif kind == "synth":
             args = ["synth", *config, "--out", "stream.jsonl"]
         else:
-            (tmp_path / "config.json").write_text(json.dumps(config))
+            (tmp_path / "config.json").write_text(config if isinstance(config, str) else json.dumps(config))
             if kind == "simulate into a file":
                 (tmp_path / "out").write_text("")
             args = ["simulate", "--config", "config.json", "--stream", str(data), "--out", "out"]
@@ -641,6 +654,34 @@ class TestErrorContract:
                             "--out", str(tmp_path / "r.csv")], capsys)
         assert code == EXIT_DATA
         assert err == "error: kappa_min must be a finite number > 0, got NaN\n"
+
+    @pytest.mark.parametrize("args, kind, names", [
+        (["kappa", "--models", "Llama-3.1-70B,Llama-3.1-70B"], "model", "Llama-3.1-70B,Llama-3.1-70B"),
+        (["roofline", "--model", "Llama-3.1-70B", "--hw", "A100-PCIe4, A100-PCIe4", "--out", "r.csv"], "hardware",
+         "A100-PCIe4, A100-PCIe4"),
+    ])
+    def test_repeated_name_is_refused(self, tmp_path, capsys, monkeypatch, args, kind, names):
+        # each name was once written twice: two kappa rows, two identical roofline series
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(args, capsys)
+        assert code == EXIT_DATA
+        assert (out, err) == ("", f'error: {kind} names must be distinct, got "{names}"\n')
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("name, config, stream, shown", [
+        ("config.json", '{"model": "Qwen3-30B-A3B", "model": "Llama-3.1-70B", "hardware": "Unified-HBM"}', GOOD_LINE,
+         "config.json: a JSON object repeats key 'model'"),
+        ("s.jsonl", json.dumps(PLATFORM), GOOD_LINE.replace('"a", ', '"a", "source_id": "b", '),
+         "s.jsonl: line 1: bad request record: a JSON object repeats key 'source_id'"),
+    ])
+    def test_repeated_key_is_refused(self, tmp_path, capsys, monkeypatch, name, config, stream, shown):
+        # json.loads keeps a repeated key's last value: these ran Llama-3.1-70B and request 'b'
+        monkeypatch.chdir(tmp_path)
+        Path("config.json").write_text(config)
+        Path("s.jsonl").write_text(stream)
+        code, _, err = run(["simulate", "--config", "config.json", "--stream", "s.jsonl", "--out", "out"], capsys)
+        assert code == EXIT_DATA
+        assert err == f"error: {shown}\n"
 
     def test_stream_without_arrivals_names_the_file(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kvroof.catalog import MAX_TOKENS
+from kvroof.catalog import MAX_TOKENS, json_object
 from kvroof.errors import WorkloadError
 from kvroof.workload import (
     FINQA_LIKE,
@@ -72,7 +72,8 @@ def stream_dict(r):
 
 
 def assert_reads_like_json_loads(line):
-    assert read_outcome(_request_line, line) == read_outcome(lambda x: _request(json.loads(x)), line)
+    reference = read_outcome(lambda x: _request(json.loads(x, object_pairs_hook=json_object)), line)
+    assert read_outcome(_request_line, line) == reference
 
 
 STREAM_LINE = '{"arrival_time": 1.5, "cached_tokens": 4000, "kappa_ratio": 100.0, "prefill_tokens": 40, "source_id": "r"}\n'
