@@ -215,6 +215,26 @@ class TestUtilizationPolicy:
             ua_total = sum(x for _, x in schedule_utilization_aware(queue, budget, vram, 0.0))
             assert ua_total >= fifo_total
 
+    @pytest.mark.parametrize("infinite_link, iterations, differ, mean_ttfts", [
+        (True, (49, 48), 974, (0.01928, 0.01867)),
+        (False, (1181, 1181), 0, (0.09957, 0.09957)),
+    ])
+    def test_poisson_arrivals_differ_once_compute_saturates(self, infinite_link, iterations, differ, mean_ttfts):
+        # Poisson arrivals never share an instant, yet with an infinite link (the saturated
+        # benchmark's platform) requests queue on compute and the packer picks among them;
+        # the real link releases one request at a time, and the policies agree
+        hw = H["Unified-HBM"]
+        if infinite_link:
+            hw = HardwareSpec(name="Unified-HBM-infinite-link", compute_throughput=hw.compute_throughput,
+                              link_bandwidth_peak=math.inf, vram_effective=hw.vram_effective)
+        records = synthesize_stream(SHAREGPT_LIKE, rps=12000, duration_s=0.1, seed=3)
+        (_, fifo), (_, util) = compare_policies(SimConfig(model=M["Qwen3-30B-A3B"], hardware=hw), records).reports
+        assert len(records) == 1180
+        assert (len(fifo.iterations), len(util.iterations)) == iterations
+        assert sum(fifo.request_ttft[r.source_id] != util.request_ttft[r.source_id] for r in records) == differ
+        means = tuple(sum(rep.request_ttft.values()) / len(records) for rep in (fifo, util))
+        assert means == pytest.approx(mean_ttfts, rel=1e-3)
+
 
 def brute_force_best_tokens(queue, budget, vram, chunking=True):
     """Independent oracle: max schedulable tokens over all subsets plus one chunk."""
