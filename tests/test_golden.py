@@ -4,8 +4,8 @@ Each case runs one CLI command on fixed inputs and hashes its output files
 and standard output; the ``run_sim`` sweep instead hashes the reports of
 many small seeded simulations run in-process. Manifest lines are stripped
 first, because they record temporary paths. JSON reports are checked to be
-in their canonical form and then hashed with the manifest removed and
-``mean_power_watts`` popped, so the guard covers every other byte. A digest
+in their canonical form and then hashed with the manifest removed, so the
+guard covers every other byte. A digest
 changes only when an output changes. To accept an intended change, run
 ``GOLDEN_PRINT=1 pytest -s tests/test_golden.py`` and copy the printed digests.
 """
@@ -36,12 +36,10 @@ def strip_manifest(data: bytes) -> bytes:
 
 
 def canonical_report(data: bytes) -> bytes:
-    """A report or comparison JSON without its manifest and power figure."""
+    """A report or comparison JSON without its manifest."""
     doc = json.loads(data)
     assert json.dumps(doc, indent=2, sort_keys=True).encode() + b"\n" == data
     doc.pop("manifest")
-    if "report" in doc:
-        doc["report"].pop("mean_power_watts")
     return json.dumps(doc, indent=2, sort_keys=True).encode()
 
 
@@ -275,29 +273,29 @@ GOLDEN = {
         "comparison.json": "cdc6e3f731ade3e16e45217f117c8d2e56e9fde4e974fbd5e1bff54d6dd29dce",
         "iterations_fifo.csv": "0da9cc937d14449663e3ef749500e50a2d4dc33319814d2e138368b287902d2d",
         "iterations_utilization.csv": "d53577b3d68de27b425ce7d44e8161a3c2ef5b67d0d2bce2c1323e98efce1cdf",
-        "report_fifo.json": "c4b6fbfb3990ae0fab0980e84dbda8dcd5a55403f362b8619c27a892046588d4",
-        "report_utilization.json": "a005e1cb7f803ca65a1747303c180d7bafe18936157a5dec062912738a69a594",
+        "report_fifo.json": "ec23c439388d68f25338143b419cb9e54cbc5db737ae562c7ec57fc181402e8e",
+        "report_utilization.json": "fdef04510730c8c7a6a6893d1d3641dad74c469c3c89d8a28fea9511ca5c635a",
         "stdout": "f29005add3de771b67e71cc3d667da6a1dceac9a774d80d85f6ecb34050421e0",
     },
     "simulate-fifo": {
         "iterations.csv": "95cd4cb2a4733d000a92eb1d38a2cdfee728f71426839d0e3b5b6eb6010c300e",
-        "report.json": "55383be2206160b4fbd754d8991faac3c791c4d7db5d5fcfcc58d25cfb16c0f7",
+        "report.json": "54811e037776f0ea3362e80ff4cef5b9a99f3251965faffc3f07e4d17819ee43",
         "stdout": "f77a7e843795b3028e5a2dc7ffd9ad461d59754a768495ec7cee72a491dea70f",
     },
     "simulate-compare-throttled": {
         "comparison.json": "c11200127a94a4a9916434c471bd5dfdf01b4330baf6706f7ce7f15f5bece2b2",
         "iterations_fifo.csv": "7df41dc76009f690c248267c9a49b1f1f7b651d73d411c33f75dabf7a3dc77d0",
         "iterations_utilization.csv": "7df41dc76009f690c248267c9a49b1f1f7b651d73d411c33f75dabf7a3dc77d0",
-        "report_fifo.json": "22482ec5aa32d63b2fe7a0716766ceb59deb8107e3bac04407f7966f000a39ee",
-        "report_utilization.json": "22482ec5aa32d63b2fe7a0716766ceb59deb8107e3bac04407f7966f000a39ee",
+        "report_fifo.json": "71909752639f8b3db9cb54cf768cfc5c450d2ee424bd9c84d0edc326a4954fc5",
+        "report_utilization.json": "71909752639f8b3db9cb54cf768cfc5c450d2ee424bd9c84d0edc326a4954fc5",
         "stdout": "0ea8d89c878ba44c624605c879f4b104725a810ba17d3b7c6f43895e31c205f7",
     },
     "simulate-compare-greedy": {
         "comparison.json": "a00f518ff60a29d3c262c08d2d884862fa6dc3e96b255f5bcba3f4483a6197a2",
         "iterations_fifo.csv": "afff912a0bbc9c13e81965af05d3d8637ddfd2329bfd71e94d0453e9e389fb5e",
         "iterations_utilization.csv": "c32fba57fef19b81e30bfd26ede5588b58aa5f2b9aa8f5c64733d4b2eb1a5dad",
-        "report_fifo.json": "0d348e9cf09ab5ff1a59f3accb5f156c1314b5f3775fe9b2fdc05195c862030e",
-        "report_utilization.json": "c021b1008c4cae3c31476a5319025fb139bcd580a072a72a7ee90c567e861243",
+        "report_fifo.json": "0f39a56239bfa1316fd7da52908f5e3ff041d558173425b34796a33a33a17839",
+        "report_utilization.json": "85e8881eb244f9c3ec9679e5dfea9cbd9a896d8a927a51baea46138c7eaffd73",
         "stdout": "e7b47d61ffde7178e26b161d91b5c1a784aa94032094d571436c3899bee9062c",
     },
 }
