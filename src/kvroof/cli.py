@@ -29,9 +29,10 @@ tables display KB/GFLOP and GFLOP/KB unless ``--si`` is given.
 * ``allow_chunked_prefill``: ``true`` (default) or ``false``.
 
 Any other key, a missing required key, a repeated key or a value of another
-type is a data error, and so is JSON nested too deeply to parse: ``<file>: config: missing
-key(s) [...]; required: ...``, ``<file>: JSON nested too deeply to read``. A
-JSON ``true`` or ``false`` is never a number, here or in a catalog.
+type is a data error, and so is JSON nested too deeply to parse:
+``<file>: config: missing key(s) [...]; required: ...``, ``<file>: JSON
+nested too deeply to read``. A JSON ``true`` or ``false`` is never a number,
+here or in a catalog.
 
 A report's ``mean_power_watts`` comes from the platform's ``idle_watts`` and
 ``tdp_watts``; it is null when the platform lacks either.
