@@ -20,14 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .catalog import HardwareSpec, ModelSpec, flops_per_token, is_number, kv_bytes_per_token, refuse
 from .errors import CatalogError, RooflineError, SimulationError
 from .workload import RequestRecord
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def RequestShape(cached_tokens: int, prefill_tokens: int) -> RequestRecord:
@@ -119,23 +116,15 @@ def max_concurrent(request: RequestRecord, model: ModelSpec, vram_effective: flo
     return ConcurrencyLimit(value=value, floor=math.floor(value))
 
 
-def arithmetic_intensity(kappa_ratio: float | np.ndarray, model: ModelSpec) -> float | np.ndarray:
+def arithmetic_intensity(kappa_ratio: float, model: ModelSpec) -> float:
     """FLOPs performed per byte transferred, as a function of the K/T ratio.
 
     A ratio of zero means no transfer at all and returns +inf (pure
     compute). At the critical ratio this equals the machine balance point
     compute_throughput / bandwidth.
-
-    A float64 array of finite ratios, each > 0, gives the array of
-    intensities, every element bit-identical to the float form (IEEE
-    division and multiplication round the same way in numpy).
     """
-    if getattr(kappa_ratio, "ndim", 0):
-        bad = kappa_ratio[~((kappa_ratio > 0) & (kappa_ratio < math.inf))]
-        if bad.size:
-            refuse("", "each kappa_ratio", bad[0].item(), "a finite number > 0", RooflineError)
-    elif not 0 <= kappa_ratio < math.inf:
+    if not 0 <= kappa_ratio < math.inf:
         refuse("", "kappa_ratio", kappa_ratio, "a finite number >= 0", RooflineError)
-    elif kappa_ratio == 0:
+    if kappa_ratio == 0:
         return math.inf
     return flops_per_token(model) / (kappa_ratio * kv_bytes_per_token(model))

@@ -18,14 +18,11 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import is_
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .analytics import arithmetic_intensity, kappa_crit
 from .catalog import HardwareSpec, ModelSpec, json_text, refuse
 from .errors import RooflineError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 CSV_COLUMNS = [
     "model",
@@ -66,44 +63,44 @@ class RooflineSeries:
     kappa_crit_marker: float
 
 
-def attainable_flops(
-    ai: float | np.ndarray, hw: HardwareSpec, use_sustained: bool = True
-) -> float | np.ndarray:
-    """min(compute ceiling, ai * bandwidth) for arithmetic intensity ai > 0.
-
-    A float64 array of intensities gives the elementwise minimum, with the
-    same bits as the float form.
-    """
-    array = getattr(ai, "ndim", 0) > 0
-    if array:
-        bad = ai[~(ai > 0)]
-        if bad.size:
-            refuse("", "each arithmetic intensity", bad[0].item(), "> 0", RooflineError)
-    elif not ai > 0:
+def attainable_flops(ai: float, hw: HardwareSpec, use_sustained: bool = True) -> float:
+    """min(compute ceiling, ai * bandwidth) for arithmetic intensity ai > 0, as a float."""
+    if not ai > 0:
         refuse("", "arithmetic intensity", ai, "> 0", RooflineError)
-    diagonal = ai * hw.bandwidth(use_sustained)
-    if array:
-        return diagonal.clip(max=hw.compute_throughput)
-    return min(hw.compute_throughput, diagonal)
+    return min(float(hw.compute_throughput), ai * hw.bandwidth(use_sustained))
 
 
-def kappa_grid(kappa_min: float, kappa_max: float, points_per_decade: int = 16) -> np.ndarray:
-    """Logarithmic K/T grid with both endpoints included."""
+def kappa_grid(kappa_min: float, kappa_max: float, points_per_decade: int = 16) -> list[float]:
+    """Logarithmic K/T grid with both endpoints included.
+
+    The points are ``numpy.logspace``'s: 10 raised to each exponent of
+    ``numpy.linspace`` over the endpoints' log10, which is ``lo + i * step``
+    and then ``hi`` itself as the last exponent.
+    """
     if not 0 < kappa_min < math.inf:
         refuse("", "kappa_min", kappa_min, "a finite number > 0", RooflineError)
     if not kappa_min < kappa_max < math.inf:
         refuse("", "kappa_max", kappa_max, f"a finite number > kappa_min ({json_text(kappa_min)})", RooflineError)
     if not points_per_decade >= 1:
         refuse("", "points_per_decade", points_per_decade, "a number >= 1", RooflineError)
-    import numpy as np  # here, not at module level: kvroof.cli starts faster without it
-
-    decades = np.log10(kappa_max / kappa_min)
-    if not np.isfinite(decades):
+    ratio = kappa_max / kappa_min
+    if ratio == math.inf:
         raise RooflineError(f"kappa_max / kappa_min overflows: {kappa_max!r} / {kappa_min!r}")
-    if decades > 0 and points_per_decade > (MAX_GRID_POINTS - 1) / float(decades):
+    decades = math.log10(ratio)
+    if decades > 0 and points_per_decade > (MAX_GRID_POINTS - 1) / decades:
         raise RooflineError(f"points_per_decade is too large: the grid would exceed {MAX_GRID_POINTS} points")
-    n = int(np.ceil(decades * points_per_decade)) + 1
-    return np.logspace(np.log10(kappa_min), np.log10(kappa_max), n)
+    n = math.ceil(decades * points_per_decade) + 1
+    lo, hi = math.log10(kappa_min), math.log10(kappa_max)
+    if n == 1:
+        exponents = [lo]
+    else:
+        step = (hi - lo) / (n - 1)
+        exponents = [lo + i * step for i in range(n - 1)]
+        exponents.append(hi)
+    try:
+        return [10.0**e for e in exponents]
+    except OverflowError:  # a point rounded past the largest float
+        refuse("", "each kappa_ratio", math.inf, "a finite number > 0", RooflineError)
 
 
 def roofline_sweep(
@@ -116,34 +113,26 @@ def roofline_sweep(
 ) -> list[RooflineSeries]:
     """One series per platform over a shared log grid of K/T ratios.
 
-    Each series is computed as arrays over the whole grid, one numpy pass
-    per formula, and then split into points holding Python floats.
+    Every series holds the same K/T and intensity float objects, which
+    ``write_series_csv`` formats once for all of them.
     """
     if not hw_list:
         refuse("", "hardware list", hw_list, "non-empty", RooflineError)
-    import numpy as np  # here, not at module level: kvroof.cli starts faster without it
-
     grid = kappa_grid(kappa_min, kappa_max, points_per_decade)
+    # A K/T ratio whose k * kv_bytes overflows gives an intensity of 0, which attainable_flops refuses.
+    intensities = [arithmetic_intensity(k, model) for k in grid]
     mode = "sustained" if use_sustained else "peak"
     series = []
-    # Python floats overflow to inf silently, and so do these arrays. An
-    # intensity of 0 (k * kv_bytes overflowed) is refused by attainable_flops.
-    with np.errstate(over="ignore"):
-        ai = arithmetic_intensity(grid, model)
-        attains = [attainable_flops(ai, hw, use_sustained) for hw in hw_list]
-    ratios = grid.tolist()
-    intensities = ai.tolist()
-    for hw, attain in zip(hw_list, attains):
-        regimes = [
-            Regime.COMPUTE_BOUND if bound else Regime.BANDWIDTH_BOUND
-            for bound in (attain == hw.compute_throughput).tolist()
-        ]
+    for hw in hw_list:
+        ceiling = float(hw.compute_throughput)
+        attains = [attainable_flops(ai, hw, use_sustained) for ai in intensities]
+        regimes = [Regime.COMPUTE_BOUND if a == ceiling else Regime.BANDWIDTH_BOUND for a in attains]
         series.append(
             RooflineSeries(
                 model_name=model.name,
                 hw_name=hw.name,
                 bandwidth_mode=mode,
-                points=tuple(map(RooflinePoint, ratios, intensities, attain.tolist(), regimes)),
+                points=tuple(map(RooflinePoint, grid, intensities, attains, regimes)),
                 kappa_crit_marker=kappa_crit(model, hw, use_sustained),
             )
         )

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -294,12 +293,8 @@ REFUSALS = {
                   "kappa_ratio must be a finite number >= 0, got NaN"),
     "infinite ratio": (lambda: arithmetic_intensity(math.inf, EXACT_MODEL), RooflineError,
                        "kappa_ratio must be a finite number >= 0, got Infinity"),
-    "infinite ratio entry": (lambda: arithmetic_intensity(np.array([1.0, math.inf]), EXACT_MODEL), RooflineError,
-                             "each kappa_ratio must be a finite number > 0, got Infinity"),
-    "NaN ratio entry": (lambda: arithmetic_intensity(np.array([math.nan]), EXACT_MODEL), RooflineError,
-                        "each kappa_ratio must be a finite number > 0, got NaN"),
-    "zero ratio entry": (lambda: arithmetic_intensity(np.array([2.0, 0.0, -1.0]), EXACT_MODEL), RooflineError,
-                         "each kappa_ratio must be a finite number > 0, got 0.0"),
+    "negative ratio": (lambda: arithmetic_intensity(-1.0, EXACT_MODEL), RooflineError,
+                       "kappa_ratio must be a finite number >= 0, got -1.0"),
 }
 
 

@@ -333,17 +333,18 @@ class TestSimulateCommand:
 
 
 class TestColdStart:
-    """Importing numpy costs a cold start about 50 ms; commands that need no grid or synthesis skip it."""
+    """Importing numpy costs a cold start about 50 ms; only synthesis needs it."""
 
     @pytest.mark.parametrize(
         "args",
         [
             ["kappa", "--out", "kappa.csv"],
+            ["roofline", "--model", "DeepSeek-V3", "--out", "roofline.csv"],
             ["analyze", "conversation.jsonl", "--kind", "conversation", "--out", "records.csv"],
             ["simulate", "--config", fixture_path("scheduling_fixture_config.json"),
              "--stream", fixture_path("scheduling_fixture_stream.jsonl"), "--compare", "--out", "sim"],
         ],
-        ids=["kappa", "analyze", "simulate"],
+        ids=["kappa", "roofline", "analyze", "simulate"],
     )
     def test_command_does_not_import_numpy(self, tmp_path, args):
         (tmp_path / "conversation.jsonl").write_text(
@@ -531,6 +532,10 @@ BAD_INPUTS = {
     "roofline infinite kappa_max": (["--kappa-max", "inf"], "", "roofline"),
     "roofline grid ratio overflows": (["--kappa-min", "1e-320"], "", "roofline"),
     "roofline zero arithmetic intensity": (["--kappa-max", "1e304"], "", "roofline"),
+    # 10 ** log10(largest float) rounds past the float range; the grid refuses it rather than raise OverflowError
+    "roofline grid point overflows": (
+        ["--kappa-min", "1", "--kappa-max", "1.7976931348623157e308", "--points-per-decade", "1"], "", "roofline"
+    ),
     "synth infinite duration": (["--rps", "10", "--duration", "inf"], "", "synth"),
     "synth infinite rps": (["--rps", "inf", "--duration", "1"], "", "synth"),
     "synth rps times duration overflows": (["--rps", "1e200", "--duration", "1e200"], "", "synth"),
@@ -600,6 +605,8 @@ BAD_LINES = {
 ERROR_TEXTS = {
     "kappa repeated model": 'model names must be distinct, got "Llama-3.1-70B,Llama-3.1-70B"',
     "roofline repeated hardware": 'hardware names must be distinct, got "A100-PCIe4, A100-PCIe4"',
+    "roofline zero arithmetic intensity": "arithmetic intensity must be > 0, got 0.0",
+    "roofline grid point overflows": "each kappa_ratio must be a finite number > 0, got Infinity",
     "empty catalog file": "input.jsonl: invalid JSON at line 1: Expecting value",
     "config repeated key": "config.json: a JSON object repeats key 'model'",
     "stream repeated key": "{data}: line 1: bad request record: a JSON object repeats key 'source_id'",
