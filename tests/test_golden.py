@@ -247,10 +247,10 @@ GOLDEN = {
         "stdout": "29fa473118a34bcfdeded800367eb8d81e060c56d03846f84e04427887da2c3d",
     },
     "roofline-Qwen3-235B-A22B": {
-        "roof.csv": "b97d63e4f84d6c4dd171c6e40a9139d1888eea9a758077f35900600598205e75",
+        "roof.csv": "8d2a74459716287f2404e01d3c60fe2d38ece33ec743ff6e52ea5fc301410c62",
     },
     "roofline-DeepSeek-V3": {
-        "roof.csv": "d117d7620bc57133db5d593f643764421fd993d8aa5d2b4237cec92a5cb0e5ae",
+        "roof.csv": "4a7bafaa16f6506ac9e2c1f43eb361b26dd58b34b33c8ec2d6844fc316b672ac",
     },
     "analyze-conversation": {
         "a.csv": "e2980e75379c4ed14d8fafd101f343aa2eedbf522661db04fb3718e94aca93ee",
