@@ -45,6 +45,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -140,13 +141,14 @@ def _pick(pool: dict, names: Optional[str], kind: str) -> list:
     return picked
 
 
-def _write_csv(path, manifest: RunManifest, header: Sequence[str], rows) -> None:
-    """CSV with the manifest as a leading comment line."""
+def _write_csv(path, manifest: RunManifest, header: Sequence[str], rows=(), lines=()) -> None:
+    """CSV with the manifest as a leading comment line: ``rows`` through ``csv.writer``, then ``lines`` as they are."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# {manifest.as_comment()}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+        fh.writelines(lines)
 
 
 # --- kappa ------------------------------------------------------------------
@@ -219,13 +221,17 @@ def _cmd_analyze(args, catalog: Catalog, manifest: RunManifest) -> int:
         print(f"{title}: mean={stats.mean:.4g}  min={stats.minimum:g}  max={stats.maximum:g}  {pcts}")
     print(f"# {manifest.as_comment()}")
     if args.out:
-        _write_csv(
-            args.out,
-            manifest,
-            ["source_id", "cached_tokens", "prefill_tokens", "kappa_ratio"],
-            ([r.source_id, r.cached_tokens, r.prefill_tokens, repr(r.kappa_ratio)] for r in records),
-        )
+        header = ["source_id", "cached_tokens", "prefill_tokens", "kappa_ratio"]
+        _write_csv(args.out, manifest, header, lines=map(_analysis_row, records))
     return EXIT_OK
+
+
+def _analysis_row(r: workload.RequestRecord) -> str:
+    """The record's ``analysis.csv`` row as ``csv.writer`` writes it; only the id can need quoting."""
+    sid = r.source_id
+    if "," in sid or '"' in sid or "\r" in sid or "\n" in sid:
+        return roofline.csv_row([sid, r.cached_tokens, r.prefill_tokens, repr(r.kappa_ratio)])
+    return f"{sid},{r.cached_tokens},{r.prefill_tokens},{r.kappa_ratio!r}\r\n"
 
 
 # --- synth --------------------------------------------------------------------
@@ -372,6 +378,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command. The cyclic collector pauses until it returns: a command builds
+    only acyclic records, which full collections would walk again and again."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(argv: Optional[Sequence[str]]) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if hasattr(sys.stdout, "reconfigure"):  # what the locale cannot encode prints escaped, as on stderr
         sys.stdout.reconfigure(errors="backslashreplace")

@@ -165,9 +165,9 @@ def write_series_csv(
     grid: list[float] = []  # K/T and intensity of each point of the last series, interleaved
     cells: list[str] = []  # "k,ai" of each of those points
     for s in series:
-        head = _csv_row([s.model_name, s.hw_name, s.bandwidth_mode]).removesuffix(end)
+        head = csv_row([s.model_name, s.hw_name, s.bandwidth_mode]).removesuffix(end)
         marker = repr(s.kappa_crit_marker)
-        tails = {regime: _csv_row([regime.value, marker]) for regime in Regime}
+        tails = {regime: csv_row([regime.value, marker]) for regime in Regime}
         floats = [x for p in s.points for x in p[:2]]
         if not (len(floats) == len(grid) and all(map(is_, floats, grid))):
             grid = floats
@@ -177,7 +177,7 @@ def write_series_csv(
         )
 
 
-def _csv_row(cells: list[str]) -> str:
+def csv_row(cells: list) -> str:
     """One row as ``csv.writer`` writes it, with its line terminator."""
     buf = io.StringIO()
     csv.writer(buf).writerow(cells)

@@ -57,8 +57,11 @@ class ConversationTurn:
     response_tokens: int = 0
 
     def __post_init__(self) -> None:
-        _check_count("query_tokens", self.query_tokens)
-        _check_count("response_tokens", self.response_tokens, 0)
+        q, r = self.query_tokens, self.response_tokens
+        if not (type(q) is int and 1 <= q <= MAX_TOKENS):  # the cheap test first, as in RequestRecord
+            _check_count("query_tokens", q)
+        if not (type(r) is int and 0 <= r <= MAX_TOKENS):
+            _check_count("response_tokens", r, 0)
 
 
 @dataclass(frozen=True)
@@ -79,9 +82,12 @@ class DocumentTrace:
     question_tokens: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_count(f"document {quote(self.doc_id)}: doc_tokens", self.doc_tokens)
+        d = self.doc_tokens
+        if not (type(d) is int and 1 <= d <= MAX_TOKENS):  # the cheap test first, as in RequestRecord
+            _check_count(f"document {quote(self.doc_id)}: doc_tokens", d)
         for q in self.question_tokens:
-            _check_count(f"document {quote(self.doc_id)}: each of question_tokens", q)
+            if not (type(q) is int and 1 <= q <= MAX_TOKENS):
+                _check_count(f"document {quote(self.doc_id)}: each of question_tokens", q)
 
 
 @dataclass(slots=True)

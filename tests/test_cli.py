@@ -2,6 +2,7 @@ import ast
 import contextlib
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -16,12 +17,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kvroof
+import kvroof.cli
 import kvroof.errors
 from kvroof.analytics import kappa_crit, kappa_hw, kappa_model
 from kvroof.catalog import by_name, default_catalog, default_catalog_text
-from kvroof.cli import EXIT_DATA, EXIT_OK, Catalog, RunManifest, _load_sim_config, _write_json, main
+from kvroof.cli import EXIT_DATA, EXIT_OK, Catalog, RunManifest, _analysis_row, _load_sim_config, _write_json, main
 from kvroof.simulator import compare_policies
-from kvroof.workload import read_stream
+from kvroof.workload import RequestRecord, read_stream
 
 from conftest import catalog_json, fixture_path
 
@@ -212,6 +214,19 @@ class TestAnalyzeCommand:
         assert "line 2" in err
 
 
+    @given(
+        source_id=st.text(alphabet=st.one_of(st.sampled_from(',"\r\n \t\x00\u2028'), st.characters())),
+        cached=st.integers(0, 2**53),
+        prefill=st.integers(1, 2**53),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_row_is_what_csv_writer_writes(self, source_id, cached, prefill):
+        record = RequestRecord(source_id, cached, prefill)
+        expected = io.StringIO()
+        csv.writer(expected).writerow([source_id, cached, prefill, repr(record.kappa_ratio)])
+        assert _analysis_row(record) == expected.getvalue()
+
+
 class TestSynthCommand:
     def test_deterministic_output(self, tmp_path, capsys):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -366,6 +381,34 @@ class TestColdStart:
         lines = proc.stdout.splitlines()
         assert lines[0] == "False", "import kvroof.analytics, kvroof.roofline imported numpy"
         assert lines[-1] == f"{EXIT_OK} False", f"kvroof {args[0]} imported numpy"
+
+
+class TestCollector:
+    """``main`` pauses the cyclic collector for the command and leaves it as it found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("args, code", [(["kappa"], EXIT_OK), (["kappa", "--models", "Nope"], EXIT_DATA)],
+                             ids=["exit-0", "exit-3"])
+    def test_state_is_restored(self, capsys, monkeypatch, enabled, args, code):
+        seen = []
+        kappa = kvroof.cli._cmd_kappa
+        monkeypatch.setattr(kvroof.cli, "_cmd_kappa", lambda *a: seen.append(gc.isenabled()) or kappa(*a))
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert main(args) == code
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        capsys.readouterr()
+        assert seen == [False]
+
+    def test_state_is_restored_on_a_usage_error(self, capsys):
+        was = gc.isenabled()
+        with pytest.raises(SystemExit):
+            main(["kappa", "--no-such-option"])
+        assert gc.isenabled() is was
+        capsys.readouterr()
 
 
 class TestOptionsPerCommand:
