@@ -5,9 +5,9 @@ and stream files are UTF-8 JSON Lines, one object per line, with these
 keys. Token counts are JSON integers (``5.0`` is not one) of at most
 ``MAX_TOKENS`` (2**53), a bound that also holds for the history a
 conversation turn finds cached; ids may be any JSON value and are read
-through ``str()``. An unknown key, a missing required key, a key a stream
-line repeats, a value of another type, a byte that is not UTF-8 or JSON
-nested too deeply to parse is an error that names the file and the line,
+through ``str()``. An unknown key, a missing required key, a key an object
+repeats, a value of another type, a byte that is not UTF-8 or JSON nested
+too deeply to parse is an error that names the file and the line,
 such as ``<file>: line N: bad request record: request: missing key(s)
 [...]; required: ...`` or ``<file>: line N: JSON nested too deeply to read``.
 
@@ -393,12 +393,43 @@ def _request(obj) -> Optional[RequestRecord]:
     return RequestRecord(str(obj["source_id"]), obj["cached_tokens"], obj["prefill_tokens"], obj.get("arrival_time"))
 
 
+def _unrepeated(line: str, obj, keys: int):
+    """``obj``, the line's JSON value, if no key repeats in it, else a ``CatalogError``; ``keys`` counts the keys ``obj`` holds.
+
+    ``json.loads`` keeps a repeated key's last value, and its ``object_pairs_hook``
+    costs about as much again as the parse, so only a line where a key may repeat
+    is read again with the hook. A key's closing ``"`` is followed by its ``:``
+    after any spaces or tabs. If no ``"`` in the line is followed by a space or a
+    tab, each key puts one ``":`` in the line, and an escaped quote in a string
+    or a key of an object ``keys`` leaves out can only add more. Each repeat
+    leaves the parsed objects one key short, so no key repeats when ``keys``
+    equals the count of ``":``.
+    """
+    if '" ' in line or '"\t' in line or line.count('":') != keys:
+        return json.loads(line, object_pairs_hook=json_object)
+    return obj
+
+
+def _conversation_line(line: str) -> ConversationTrace:
+    obj = json.loads(line)
+    try:  # dict.__len__ refuses any value but an object
+        keys = dict.__len__(obj) + sum(map(dict.__len__, obj["turns"]))
+    except (TypeError, KeyError):  # no array of turn objects to count: read again, then refused by _conversation
+        keys = -1
+    return _conversation(_unrepeated(line, obj, keys))
+
+
+def _document_line(line: str) -> DocumentTrace:
+    obj = json.loads(line)
+    return _document(_unrepeated(line, obj, len(obj) if type(obj) is dict else -1))
+
+
 def read_conversations(path: str | Path) -> list[ConversationTrace]:
-    return _read_jsonl(path, "conversation object", lambda line: _conversation(json.loads(line)))
+    return _read_jsonl(path, "conversation object", _conversation_line)
 
 
 def read_documents(path: str | Path) -> list[DocumentTrace]:
-    return _read_jsonl(path, "document object", lambda line: _document(json.loads(line)))
+    return _read_jsonl(path, "document object", _document_line)
 
 
 _json_str = json.encoder.encode_basestring_ascii

@@ -597,6 +597,12 @@ BAD_INPUTS = {
         '{"source_id": "a", "source_id": "b", "cached_tokens": 10, "prefill_tokens": 5, "arrival_time": 0.0}\n',
         "simulate",
     ),
+    "conversation repeated key": (
+        None, '{"conversation_id": "c", "turns": [{"query_tokens": 5}], "turns": [{"query_tokens": 7}]}\n', "analyze"
+    ),
+    "document repeated key": (
+        None, '{"doc_id": "d", "doc_tokens": 5, "question_tokens": [1], "doc_tokens": 6}\n', "analyze document"
+    ),
 }
 
 VALID_CONFIG = {**PLATFORM, "token_budget": 100}
@@ -639,12 +645,13 @@ BAD_LINES = {
     "non-integer query_tokens", "misspelled response_tokens", "extra conversation key",
     "integral float query_tokens", "document questions key", "integral float doc_tokens", "unknown stream key",
     "integral float cached_tokens", "manifest key beside request keys", "string turns", "object turns",
-    "integer question_tokens", "stream repeated key",
+    "integer question_tokens", "stream repeated key", "conversation repeated key", "document repeated key",
 } | {case for case in MISSING_KEY_TEXTS if not case.startswith("config")}
 
 # The whole error line of some BAD_INPUTS; ``{data}`` is the input file. The repeats once
 # exited 0: kappa wrote the row twice, roofline the series twice, and json.loads kept a
-# repeated key's last value, so the config ran Llama-3.1-70B and the stream request 'b'.
+# repeated key's last value, so the config ran Llama-3.1-70B, the stream request 'b', the
+# conversation one turn of T = 7 and the document 6 tokens.
 ERROR_TEXTS = {
     "kappa repeated model": 'model names must be distinct, got "Llama-3.1-70B,Llama-3.1-70B"',
     "roofline repeated hardware": 'hardware names must be distinct, got "A100-PCIe4, A100-PCIe4"',
@@ -653,6 +660,8 @@ ERROR_TEXTS = {
     "empty catalog file": "input.jsonl: invalid JSON at line 1: Expecting value",
     "config repeated key": "config.json: a JSON object repeats key 'model'",
     "stream repeated key": "{data}: line 1: bad request record: a JSON object repeats key 'source_id'",
+    "conversation repeated key": "{data}: line 1: bad conversation object: a JSON object repeats key 'turns'",
+    "document repeated key": "{data}: line 1: bad document object: a JSON object repeats key 'doc_tokens'",
 }
 
 # The BAD_INPUTS whose stream fault only the simulator finds; simulate names the stream file.

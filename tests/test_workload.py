@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import sys
@@ -26,6 +27,10 @@ from kvroof.workload import (
     summarize,
     synthesize_stream,
     write_stream,
+    _conversation,
+    _conversation_line,
+    _document,
+    _document_line,
     _request,
     _request_line,
     _stream_line,
@@ -557,3 +562,64 @@ class TestJsonLines:
         with pytest.raises(WorkloadError) as info:
             reader(path)
         assert str(info.value) == f"{path}: line 1: {text}"
+
+
+def trace_outcome(build, line):
+    """What a trace-line builder gives: the trace, or the error's type and text."""
+    try:
+        return build(line)
+    except ValueError as exc:
+        return ("error", type(exc).__name__, str(exc))
+
+
+def pairs_text(pairs, colons, comma):
+    """A JSON object written from (key, value text) pairs, which may repeat a key; ``colons`` yields each separator."""
+    return "{" + comma.join(json.dumps(key) + next(colons) + value for key, value in pairs) + "}"
+
+
+class TestTraceRepeatedKeys:
+    """A trace line is read as ``json.loads`` with the repeated-key hook reads it, whatever its spacing."""
+
+    @given(
+        cid=st.one_of(
+            st.text(max_size=4).map(lambda t: json.dumps(t, ensure_ascii=False)),
+            st.sampled_from(['{"x": 1}', '{"x": 1, "x": 2}', '{"x" :1}', '["turns"]', "7"]),
+        ),
+        turn_keys=st.lists(st.lists(st.sampled_from(["query_tokens", "query_tokens", "response_tokens"]),
+                                    min_size=1, max_size=3), min_size=1, max_size=3),
+        top_keys=st.permutations(["conversation_id", "turns", "turns", "conversation_id"]).map(
+            lambda keys: keys[:2] if len(set(keys[:2])) == 2 else keys[:3]),
+        colons=st.lists(st.sampled_from([": ", ":", " : ", "\t:", ":\t", "  :"]), min_size=1, max_size=4),
+        comma=st.sampled_from([", ", ",", " , ", ",\t"]),
+        odd_turn=st.sampled_from([None, "[1]", '["a", "b"]', '"ab"', "7", "{}"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_conversation_line_reads_like_the_hook(self, cid, turn_keys, top_keys, colons, comma, odd_turn):
+        colon = itertools.cycle(colons)  # one key's colon may be spaced while another's is not
+        turns = [pairs_text([(k, str(i + 1)) for i, k in enumerate(keys)], colon, comma) for keys in turn_keys]
+        turns = "[" + comma.join(turns + [odd_turn] * (odd_turn is not None)) + "]"
+        line = pairs_text([(k, cid if k == "conversation_id" else turns) for k in top_keys], colon, comma) + "\n"
+        reference = trace_outcome(lambda x: _conversation(json.loads(x, object_pairs_hook=json_object)), line)
+        assert trace_outcome(_conversation_line, line) == reference
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ('{"doc_id": "d", "doc_tokens": 5, "question_tokens": [1], "doc_tokens": 6}', "doc_tokens"),
+            ('{"doc_id": "d", "doc_tokens": 5, "question_tokens": [1], "doc_tokens" : 6}', "doc_tokens"),
+            ('{"doc_id" : "d", "doc_tokens": 5, "question_tokens": [1], "doc_tokens": 6}', "doc_tokens"),
+            ('{"doc_id": {"a": 1, "a": 2}, "doc_tokens": 5, "question_tokens": [1]}', "a"),
+            ('{"doc_id": "q\\"", "doc_tokens": 5, "question_tokens": [1], "question_tokens": [2]}',
+             "question_tokens"),
+            ('{"doc_id": "d", "doc_tokens": 5, "question_tokens": [1]}', None),
+            ('{"doc_id": " d\\u00e9", "doc_tokens" : 5, "question_tokens": [1]}', None),
+        ],
+    )
+    def test_document_line_refuses_a_repeated_key(self, line, key):
+        reference = trace_outcome(lambda x: _document(json.loads(x, object_pairs_hook=json_object)), line)
+        got = trace_outcome(_document_line, line)
+        assert got == reference
+        if key is None:
+            assert isinstance(got, DocumentTrace)
+        else:
+            assert got == ("error", "CatalogError", f"a JSON object repeats key '{key}'")
