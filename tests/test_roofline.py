@@ -4,8 +4,9 @@ import io
 import math
 import sys
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kvroof.analytics import arithmetic_intensity, kappa_crit
@@ -181,6 +182,22 @@ class TestCsv:
         written = io.StringIO()
         write_series_csv(series, written, header_comment="meta")
         assert written.getvalue() == expected.getvalue()
+
+    @given(
+        kappa_min=st.one_of(st.floats(1e-300, 1e300), st.sampled_from([1.99999, 0.1, 1e5, 3.9999999])),
+        decades=st.one_of(st.floats(1e-9, 8), st.just(0.0)),
+        points_per_decade=st.integers(1, 200),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_grid_is_ten_to_numpys_linspace_of_the_log10s(self, kappa_min, decades, points_per_decade):
+        # decades 0.0 takes the next float up: a span log10 may round to 0 decades, one point
+        kappa_max = kappa_min * 10**decades if decades else math.nextafter(kappa_min, math.inf)
+        assume(kappa_min < kappa_max < math.inf)
+        grid = kappa_grid(kappa_min, kappa_max, points_per_decade)
+        assert len(grid) == math.ceil(math.log10(kappa_max / kappa_min) * points_per_decade) + 1
+        exponents = np.linspace(math.log10(kappa_min), math.log10(kappa_max), len(grid)).tolist()
+        assert grid == [10.0**e for e in exponents]
+        assert all(type(k) is float for k in grid)
 
     def test_grid_default_span(self):
         grid = kappa_grid(0.1, 1e5, 16)
