@@ -91,7 +91,7 @@ def kappa_grid(kappa_min: float, kappa_max: float, points_per_decade: int = 16) 
         raise RooflineError(f"points_per_decade is too large: the grid would exceed {MAX_GRID_POINTS} points")
     n = math.ceil(decades * points_per_decade) + 1
     lo, hi = math.log10(kappa_min), math.log10(kappa_max)
-    if n == 1:
+    if n == 1:  # kappa_max / kappa_min rounded to 1, as for adjacent integers beyond 2**53; never for floats
         exponents = [lo]
     else:
         step = (hi - lo) / (n - 1)

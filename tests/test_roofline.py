@@ -190,14 +190,18 @@ class TestCsv:
     )
     @settings(max_examples=200, deadline=None)
     def test_grid_is_ten_to_numpys_linspace_of_the_log10s(self, kappa_min, decades, points_per_decade):
-        # decades 0.0 takes the next float up: a span log10 may round to 0 decades, one point
+        # decades 0.0 takes the next float up, the narrowest span: two points
         kappa_max = kappa_min * 10**decades if decades else math.nextafter(kappa_min, math.inf)
         assume(kappa_min < kappa_max < math.inf)
         grid = kappa_grid(kappa_min, kappa_max, points_per_decade)
         assert len(grid) == math.ceil(math.log10(kappa_max / kappa_min) * points_per_decade) + 1
         exponents = np.linspace(math.log10(kappa_min), math.log10(kappa_max), len(grid)).tolist()
         assert grid == [10.0**e for e in exponents]
-        assert all(type(k) is float for k in grid)
+        assert len(grid) >= 2 and all(type(k) is float for k in grid)
+
+    def test_grid_of_a_span_that_rounds_to_no_decade(self):
+        # numpy.logspace gives one point, 10 ** log10(kappa_min)
+        assert kappa_grid(2**60, 2**60 + 1) == [10.0 ** math.log10(2**60)]
 
     def test_grid_default_span(self):
         grid = kappa_grid(0.1, 1e5, 16)
