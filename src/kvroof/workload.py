@@ -394,7 +394,7 @@ def _request(obj) -> Optional[RequestRecord]:
 
 
 def _unrepeated(line: str, obj, keys: int):
-    """``obj``, the line's JSON value, if no key repeats in it, else a ``CatalogError``; ``keys`` counts the keys ``obj`` holds.
+    """``obj``, the line's JSON value whose objects hold ``keys`` keys; a repeated key raises ``CatalogError``.
 
     ``json.loads`` keeps a repeated key's last value, and its ``object_pairs_hook``
     costs about as much again as the parse, so only a line where a key may repeat
