@@ -8,7 +8,7 @@ The package is organized around five layers:
   latency split (:func:`ttft`) and the VRAM concurrency limit.
 * :mod:`kvroof.roofline` sweeps attainable throughput over the
   cached-to-new token ratio.
-* :mod:`kvroof.workload` expands traces to request records and synthesizes
+* :mod:`kvroof.workload` reads traces as request records and synthesizes
   timed streams.
 * :mod:`kvroof.simulator` replays streams through an iteration-level
   scheduler with a shared transfer channel and a VRAM pool.

@@ -201,13 +201,8 @@ def _cmd_roofline(args, catalog: Catalog, manifest: RunManifest) -> int:
 # --- analyze ------------------------------------------------------------------
 
 def _cmd_analyze(args, catalog: Catalog, manifest: RunManifest) -> int:
-    read, expand = ((workload.read_conversations, workload.expand_conversation) if args.kind == "conversation"
-                    else (workload.read_documents, workload.expand_document))
-    traces = read(args.trace)
-    try:
-        records = [r for tr in traces for r in expand(tr)]
-    except WorkloadError as exc:  # a conversation's history outgrew MAX_TOKENS: name its file
-        raise WorkloadError(f"{args.trace}: {exc}") from exc
+    read = workload.read_conversations if args.kind == "conversation" else workload.read_documents
+    records = [r for line in read(args.trace) for r in line]
     if not records:
         raise WorkloadError(f"{args.trace}: trace produced no requests")
     summary = workload.summarize(records)

@@ -26,6 +26,13 @@ such as ``<file>: line N: bad request record: request: missing key(s)
   which checks the stream's types itself: a str id, int counts and a finite
   float arrival or None (an int or numpy arrival is stored as a float).
 
+A trace line reads straight into its requests: ``read_conversations`` and
+``read_documents`` give one list of ``RequestRecord`` per line, ``<id>/turn<i>``
+or ``<id>/q<i>``. No trace object of its own shape is built, so the trace
+keys are the literal ``(accepted, required)`` tables ``_CONVERSATION_KEYS``,
+``_TURN_KEYS`` and ``_DOCUMENT_KEYS`` beside the readers; a stream line's
+keys come from ``RequestRecord`` through ``catalog.json_keys``.
+
 Synthetic streams draw cached and prefill token counts independently from
 log-normal profiles and arrive as a Poisson process; generation is
 deterministic for a fixed seed.
@@ -49,45 +56,6 @@ PERCENTILES = (10, 50, 90, 95, 99)
 # Most requests one synthesized stream may expect (rps * duration_s): about
 # 2.7 GB of records at 270 B each, ten times the 1e6 the pipeline targets.
 MAX_STREAM_REQUESTS = 10_000_000
-
-
-@dataclass(slots=True)
-class ConversationTurn:
-    query_tokens: int
-    response_tokens: int = 0
-
-    def __post_init__(self) -> None:
-        q, r = self.query_tokens, self.response_tokens
-        if not (type(q) is int and 1 <= q <= MAX_TOKENS):  # the cheap test first, as in RequestRecord
-            _check_count("query_tokens", q)
-        if not (type(r) is int and 0 <= r <= MAX_TOKENS):
-            _check_count("response_tokens", r, 0)
-
-
-@dataclass(frozen=True)
-class ConversationTrace:
-    conversation_id: str
-    turns: tuple[ConversationTurn, ...]
-
-    def __post_init__(self) -> None:
-        if not self.turns:
-            where = f"conversation {quote(self.conversation_id)}: "
-            refuse(where, "turns", self.turns, "a non-empty array", WorkloadError)
-
-
-@dataclass(frozen=True)
-class DocumentTrace:
-    doc_id: str
-    doc_tokens: int
-    question_tokens: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        d = self.doc_tokens
-        if not (type(d) is int and 1 <= d <= MAX_TOKENS):  # the cheap test first, as in RequestRecord
-            _check_count(f"document {quote(self.doc_id)}: doc_tokens", d)
-        for q in self.question_tokens:
-            if not (type(q) is int and 1 <= q <= MAX_TOKENS):
-                _check_count(f"document {quote(self.doc_id)}: each of question_tokens", q)
 
 
 @dataclass(slots=True)
@@ -147,24 +115,13 @@ class DistributionSummary:
     kappa_ratio: FieldStats
 
 
-def expand_conversation(trace: ConversationTrace) -> list[RequestRecord]:
-    """One record per turn: T is the turn's query, K the accumulated history."""
-    records = []
-    cached = 0
-    cid = trace.conversation_id
-    for i, turn in enumerate(trace.turns, start=1):
-        records.append(RequestRecord(f"{cid}/turn{i}", cached, turn.query_tokens))
-        cached += turn.query_tokens + turn.response_tokens
+def expand_conversation(records: list[RequestRecord]) -> list[RequestRecord]:
+    """``records`` unchanged: ``read_conversations`` already gives each line's requests.
+
+    Only the name is left, for ``perfbench``, which calls it on each line
+    ``read_conversations`` gives; ROADMAP item 6 removes it.
+    """
     return records
-
-
-def expand_document(trace: DocumentTrace) -> list[RequestRecord]:
-    """One record per question, all sharing the document as cached context."""
-    doc_id, doc_tokens = trace.doc_id, trace.doc_tokens
-    return [
-        RequestRecord(f"{doc_id}/q{i}", doc_tokens, q)
-        for i, q in enumerate(trace.question_tokens, start=1)
-    ]
 
 
 def nearest_rank(n: int, pct: float) -> int:
@@ -359,30 +316,46 @@ def _undecodable_line(path: str | Path) -> int:
     return 1 + len(re.findall(rb"\r\n?|\n", data))
 
 
-_CONVERSATION_KEYS = json_keys(ConversationTrace)
-_TURN_KEYS = json_keys(ConversationTurn)
-_DOCUMENT_KEYS = json_keys(DocumentTrace)
+# (accepted, required) keys of each trace object: a trace line builds RequestRecords, no object of its own shape.
+_CONVERSATION_KEYS = (("conversation_id", "turns"), ("conversation_id", "turns"))
+_TURN_KEYS = (("query_tokens", "response_tokens"), ("query_tokens",))
+_DOCUMENT_KEYS = (("doc_id", "doc_tokens", "question_tokens"), ("doc_id", "doc_tokens", "question_tokens"))
 _REQUEST_KEYS = json_keys(RequestRecord, "kappa_ratio")  # kappa_ratio: written, not read
 
 
-def _conversation(obj) -> ConversationTrace:
+def _conversation(obj) -> list[RequestRecord]:
+    """A conversation line's requests: turn i computes its query with every earlier query and response cached."""
     check_keys(obj, _CONVERSATION_KEYS, "conversation")
-    cid, raw_turns = str(obj["conversation_id"]), obj["turns"]
-    if not isinstance(raw_turns, list):
-        refuse(f"conversation {quote(cid)}: ", "turns", raw_turns, "a non-empty array", WorkloadError)
-    turns = []
-    for turn in raw_turns:
+    cid, turns = str(obj["conversation_id"]), obj["turns"]
+    if not isinstance(turns, list) or not turns:
+        refuse(f"conversation {quote(cid)}: ", "turns", turns, "a non-empty array", WorkloadError)
+    records = []
+    cached = 0
+    for i, turn in enumerate(turns, start=1):
         check_keys(turn, _TURN_KEYS, "turn")
-        turns.append(ConversationTurn(**turn))
-    return ConversationTrace(cid, tuple(turns))
+        q, r = turn["query_tokens"], turn.get("response_tokens", 0)
+        if not (type(q) is int and 1 <= q <= MAX_TOKENS):  # the cheap test first, as in RequestRecord
+            _check_count("query_tokens", q)
+        if not (type(r) is int and 0 <= r <= MAX_TOKENS):
+            _check_count("response_tokens", r, 0)
+        records.append(RequestRecord(f"{cid}/turn{i}", cached, q))
+        cached += q + r
+    return records
 
 
-def _document(obj) -> DocumentTrace:
+def _document(obj) -> list[RequestRecord]:
+    """A document line's requests: each question is computed with the whole document cached."""
     check_keys(obj, _DOCUMENT_KEYS, "document")
-    doc_id, questions = str(obj["doc_id"]), obj["question_tokens"]
+    doc_id, doc_tokens, questions = str(obj["doc_id"]), obj["doc_tokens"], obj["question_tokens"]
+    where = f"document {quote(doc_id)}: "
     if not isinstance(questions, list):
-        refuse(f"document {quote(doc_id)}: ", "question_tokens", questions, "an array", WorkloadError)
-    return DocumentTrace(doc_id, obj["doc_tokens"], tuple(questions))
+        refuse(where, "question_tokens", questions, "an array", WorkloadError)
+    if not (type(doc_tokens) is int and 1 <= doc_tokens <= MAX_TOKENS):
+        _check_count(where + "doc_tokens", doc_tokens)
+    for q in questions:
+        if not (type(q) is int and 1 <= q <= MAX_TOKENS):
+            _check_count(where + "each of question_tokens", q)
+    return [RequestRecord(f"{doc_id}/q{i}", doc_tokens, q) for i, q in enumerate(questions, start=1)]
 
 
 def _request(obj) -> Optional[RequestRecord]:
@@ -393,43 +366,15 @@ def _request(obj) -> Optional[RequestRecord]:
     return RequestRecord(str(obj["source_id"]), obj["cached_tokens"], obj["prefill_tokens"], obj.get("arrival_time"))
 
 
-def _unrepeated(line: str, obj, keys: int):
-    """``obj``, the line's JSON value whose objects hold ``keys`` keys; a repeated key raises ``CatalogError``.
-
-    ``json.loads`` keeps a repeated key's last value, and its ``object_pairs_hook``
-    costs about as much again as the parse, so only a line where a key may repeat
-    is read again with the hook. A key's closing ``"`` is followed by its ``:``
-    after any spaces or tabs. If no ``"`` in the line is followed by a space or a
-    tab, each key puts one ``":`` in the line, and an escaped quote in a string
-    or a key of an object ``keys`` leaves out can only add more. Each repeat
-    leaves the parsed objects one key short, so no key repeats when ``keys``
-    equals the count of ``":``.
-    """
-    if '" ' in line or '"\t' in line or line.count('":') != keys:
-        return json.loads(line, object_pairs_hook=json_object)
-    return obj
+def read_conversations(path: str | Path) -> list[list[RequestRecord]]:
+    """Each conversation line's requests, one per turn."""
+    return _read_jsonl(path, "conversation object",
+                       lambda line: _conversation(json.loads(line, object_pairs_hook=json_object)))
 
 
-def _conversation_line(line: str) -> ConversationTrace:
-    obj = json.loads(line)
-    try:  # dict.__len__ refuses any value but an object
-        keys = dict.__len__(obj) + sum(map(dict.__len__, obj["turns"]))
-    except (TypeError, KeyError):  # no array of turn objects to count: read again, then refused by _conversation
-        keys = -1
-    return _conversation(_unrepeated(line, obj, keys))
-
-
-def _document_line(line: str) -> DocumentTrace:
-    obj = json.loads(line)
-    return _document(_unrepeated(line, obj, len(obj) if type(obj) is dict else -1))
-
-
-def read_conversations(path: str | Path) -> list[ConversationTrace]:
-    return _read_jsonl(path, "conversation object", _conversation_line)
-
-
-def read_documents(path: str | Path) -> list[DocumentTrace]:
-    return _read_jsonl(path, "document object", _document_line)
+def read_documents(path: str | Path) -> list[list[RequestRecord]]:
+    """Each document line's requests, one per question."""
+    return _read_jsonl(path, "document object", lambda line: _document(json.loads(line, object_pairs_hook=json_object)))
 
 
 _json_str = json.encoder.encode_basestring_ascii

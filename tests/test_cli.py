@@ -889,7 +889,7 @@ class TestOversizedInputs:
         trace.write_text(json.dumps({"conversation_id": "c", "turns": turns}) + "\n")
         code, _, err = run(["analyze", str(trace), "--kind", "conversation"], capsys)
         assert code == EXIT_DATA
-        assert err == (f"error: {trace}: request 'c/turn2': cached_tokens "
+        assert err == (f"error: {trace}: line 1: bad conversation object: request 'c/turn2': cached_tokens "
                        f"must be an integer <= 9007199254740992, got 18014398509481984\n")
 
     def test_integer_of_more_digits_than_python_reads(self, tmp_path, capsys):

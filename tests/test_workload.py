@@ -14,23 +14,14 @@ from kvroof.workload import (
     FINQA_LIKE,
     NARRATIVEQA_LIKE,
     SHAREGPT_LIKE,
-    ConversationTrace,
-    ConversationTurn,
-    DocumentTrace,
     RequestRecord,
     StreamProfile,
-    expand_conversation,
-    expand_document,
     read_conversations,
     read_documents,
     read_stream,
     summarize,
     synthesize_stream,
     write_stream,
-    _conversation,
-    _conversation_line,
-    _document,
-    _document_line,
     _request,
     _request_line,
     _stream_line,
@@ -84,26 +75,37 @@ def assert_reads_like_json_loads(line):
 STREAM_LINE = '{"arrival_time": 1.5, "cached_tokens": 4000, "kappa_ratio": 100.0, "prefill_tokens": 40, "source_id": "r"}\n'
 
 
-def conv(turns, cid="c0"):
-    return ConversationTrace(
-        conversation_id=cid,
-        turns=tuple(ConversationTurn(q, r) for q, r in turns),
-    )
+def conversation_records(tmp_path, turns):
+    """The requests ``read_conversations`` reads from a one-line trace of (query, response) turns."""
+    path = tmp_path / "conv.jsonl"
+    line = {"conversation_id": "c0", "turns": [{"query_tokens": q, "response_tokens": r} for q, r in turns]}
+    path.write_text(json.dumps(line) + "\n")
+    (records,) = read_conversations(path)
+    return records
+
+
+def document_records(tmp_path, doc_tokens, questions):
+    """The requests ``read_documents`` reads from a one-line trace."""
+    path = tmp_path / "docs.jsonl"
+    path.write_text(json.dumps({"doc_id": "d", "doc_tokens": doc_tokens, "question_tokens": questions}) + "\n")
+    (records,) = read_documents(path)
+    return records
 
 
 class TestExpandConversation:
-    def test_three_turn_example(self):
+    def test_three_turn_example(self, tmp_path):
         # turn tokens accumulate 3 -> 6 -> 11, so cached/computed run 0/3, 4/2, 8/3
-        records = expand_conversation(conv([(3, 1), (2, 2), (3, 1)]))
+        records = conversation_records(tmp_path, [(3, 1), (2, 2), (3, 1)])
         assert [(r.cached_tokens, r.prefill_tokens) for r in records] == [(0, 3), (4, 2), (8, 3)]
+        assert [r.source_id for r in records] == ["c0/turn1", "c0/turn2", "c0/turn3"]
 
-    def test_single_turn(self):
-        records = expand_conversation(conv([(5, 7)]))
+    def test_single_turn(self, tmp_path):
+        records = conversation_records(tmp_path, [(5, 7)])
         assert len(records) == 1
         assert records[0].cached_tokens == 0
 
-    def test_unit_accumulation(self):
-        records = expand_conversation(conv([(1, 0), (1, 0), (1, 0)]))
+    def test_unit_accumulation(self, tmp_path):
+        records = conversation_records(tmp_path, [(1, 0), (1, 0), (1, 0)])
         assert [r.cached_tokens for r in records] == [0, 1, 2]
 
     @given(
@@ -111,9 +113,10 @@ class TestExpandConversation:
             st.tuples(st.integers(1, 500), st.integers(0, 500)), min_size=1, max_size=30
         )
     )
-    @settings(max_examples=100, deadline=None)
-    def test_cached_plus_prefill_is_running_total(self, turns):
-        records = expand_conversation(conv(turns))
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_cached_plus_prefill_is_running_total(self, tmp_path, turns):
+        records = conversation_records(tmp_path, turns)
+        assert len(records) == len(turns)
         seen = 0
         for (q, r), rec in zip(turns, records):
             assert rec.cached_tokens + rec.prefill_tokens == seen + q
@@ -122,26 +125,31 @@ class TestExpandConversation:
         cached = [rec.cached_tokens for rec in records]
         assert all(b > a for a, b in zip(cached, cached[1:]))
 
-    def test_empty_conversation_rejected(self):
-        with pytest.raises(WorkloadError):
-            ConversationTrace(conversation_id="x", turns=())
+    def test_empty_conversation_rejected(self, tmp_path):
+        path = tmp_path / "conv.jsonl"
+        path.write_text('{"conversation_id": "x", "turns": []}\n')
+        with pytest.raises(WorkloadError) as info:
+            read_conversations(path)
+        assert str(info.value) == (
+            f"{path}: line 1: bad conversation object: conversation 'x': turns must be a non-empty array, got []")
 
 
 class TestExpandDocument:
-    def test_case_study_ratio(self):
-        (rec,) = expand_document(DocumentTrace("d", 65_000, (32,)))
+    def test_case_study_ratio(self, tmp_path):
+        (rec,) = document_records(tmp_path, 65_000, [32])
         assert rec.cached_tokens == 65_000
         assert rec.kappa_ratio == 2031.25
 
-    def test_unit_ratio(self):
-        (rec,) = expand_document(DocumentTrace("d", 32, (32,)))
+    def test_unit_ratio(self, tmp_path):
+        (rec,) = document_records(tmp_path, 32, [32])
         assert rec.kappa_ratio == 1.0
 
-    def test_questions_share_document(self):
-        records = expand_document(DocumentTrace("d", 500, (3, 5, 7)))
+    def test_questions_share_document(self, tmp_path):
+        records = document_records(tmp_path, 500, [3, 5, 7])
         assert len(records) == 3
         assert {r.cached_tokens for r in records} == {500}
         assert [r.prefill_tokens for r in records] == [3, 5, 7]
+        assert [r.source_id for r in records] == ["d/q1", "d/q2", "d/q3"]
 
 
 class TestSummarize:
@@ -486,15 +494,14 @@ class TestJsonLines:
             )
             + "\n"
         )
-        (trace,) = read_conversations(path)
-        records = expand_conversation(trace)
+        (records,) = read_conversations(path)
         assert [(r.cached_tokens, r.prefill_tokens) for r in records] == [(0, 3), (4, 2), (8, 3)]
 
     def test_document_file(self, tmp_path):
         path = tmp_path / "docs.jsonl"
         path.write_text(json.dumps({"doc_id": "d", "doc_tokens": 100, "question_tokens": [4]}) + "\n")
-        (trace,) = read_documents(path)
-        assert expand_document(trace)[0].cached_tokens == 100
+        (records,) = read_documents(path)
+        assert [(r.source_id, r.cached_tokens, r.prefill_tokens) for r in records] == [("d/q1", 100, 4)]
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -564,21 +571,31 @@ class TestJsonLines:
         assert str(info.value) == f"{path}: line 1: {text}"
 
 
-def trace_outcome(build, line):
-    """What a trace-line builder gives: the trace, or the error's type and text."""
-    try:
-        return build(line)
-    except ValueError as exc:
-        return ("error", type(exc).__name__, str(exc))
-
-
 def pairs_text(pairs, colons, comma):
     """A JSON object written from (key, value text) pairs, which may repeat a key; ``colons`` yields each separator."""
     return "{" + comma.join(json.dumps(key) + next(colons) + value for key, value in pairs) + "}"
 
 
+def first_repeat(keys):
+    """The first key of ``keys`` that an earlier one already named, or None."""
+    return next((k for i, k in enumerate(keys) if k in keys[:i]), None)
+
+
+def read_line(reader, tmp_path, line):
+    """What ``reader`` gives for a file of one ``line``: its one list of requests, or the error text after the line."""
+    path = tmp_path / "trace.jsonl"
+    path.write_text(line, encoding="utf-8")
+    try:
+        (records,) = reader(path)
+    except WorkloadError as exc:
+        prefix = f"{path}: line 1: "
+        assert str(exc).startswith(prefix), exc
+        return str(exc)[len(prefix):]
+    return records
+
+
 class TestTraceRepeatedKeys:
-    """A trace line is read as ``json.loads`` with the repeated-key hook reads it, whatever its spacing."""
+    """A trace line that repeats a key at any level is refused, whatever its spacing; any other reads as written."""
 
     @given(
         cid=st.one_of(
@@ -593,14 +610,31 @@ class TestTraceRepeatedKeys:
         comma=st.sampled_from([", ", ",", " , ", ",\t"]),
         odd_turn=st.sampled_from([None, "[1]", '["a", "b"]', '"ab"', "7", "{}"]),
     )
-    @settings(max_examples=300, deadline=None)
-    def test_conversation_line_reads_like_the_hook(self, cid, turn_keys, top_keys, colons, comma, odd_turn):
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_conversation_line_refuses_a_repeat_at_either_level(self, tmp_path, cid, turn_keys, top_keys, colons,
+                                                                 comma, odd_turn):
         colon = itertools.cycle(colons)  # one key's colon may be spaced while another's is not
         turns = [pairs_text([(k, str(i + 1)) for i, k in enumerate(keys)], colon, comma) for keys in turn_keys]
         turns = "[" + comma.join(turns + [odd_turn] * (odd_turn is not None)) + "]"
         line = pairs_text([(k, cid if k == "conversation_id" else turns) for k in top_keys], colon, comma) + "\n"
-        reference = trace_outcome(lambda x: _conversation(json.loads(x, object_pairs_hook=json_object)), line)
-        assert trace_outcome(_conversation_line, line) == reference
+        got = read_line(read_conversations, tmp_path, line)
+        # each object is checked as it closes: those inside each value in turn, then the line's own
+        closing = []
+        for k in top_keys:
+            closing += [["x", "x"] if cid == '{"x": 1, "x": 2}' else []] if k == "conversation_id" else turn_keys
+        key = next(filter(None, map(first_repeat, closing + [top_keys])), None)
+        if key is not None:
+            assert got == f"bad conversation object: a JSON object repeats key '{key}'"
+        elif odd_turn is not None or any("query_tokens" not in keys for keys in turn_keys):
+            assert got.startswith("bad conversation object: turn"), got
+        else:
+            reference, cached = [], 0
+            for i, keys in enumerate(turn_keys, start=1):
+                q = keys.index("query_tokens") + 1
+                r = keys.index("response_tokens") + 1 if "response_tokens" in keys else 0
+                reference.append(RequestRecord(f"{json.loads(cid)}/turn{i}", cached, q))
+                cached += q + r
+            assert got == reference
 
     @pytest.mark.parametrize(
         "line, key",
@@ -615,11 +649,10 @@ class TestTraceRepeatedKeys:
             ('{"doc_id": " d\\u00e9", "doc_tokens" : 5, "question_tokens": [1]}', None),
         ],
     )
-    def test_document_line_refuses_a_repeated_key(self, line, key):
-        reference = trace_outcome(lambda x: _document(json.loads(x, object_pairs_hook=json_object)), line)
-        got = trace_outcome(_document_line, line)
-        assert got == reference
+    def test_document_line_refuses_a_repeated_key(self, tmp_path, line, key):
+        got = read_line(read_documents, tmp_path, line + "\n")
         if key is None:
-            assert isinstance(got, DocumentTrace)
+            doc = json.loads(line)
+            assert got == [RequestRecord(f"{doc['doc_id']}/q1", doc["doc_tokens"], doc["question_tokens"][0])]
         else:
-            assert got == ("error", "CatalogError", f"a JSON object repeats key '{key}'")
+            assert got == f"bad document object: a JSON object repeats key '{key}'"
