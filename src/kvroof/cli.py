@@ -48,9 +48,11 @@ import dataclasses
 import gc
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import starmap
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -75,6 +77,7 @@ from .simulator import (
     ITERATION_CSV_COLUMNS,
     POLICIES,
     SimConfig,
+    SimReport,
     compare_policies,
 )
 
@@ -272,6 +275,38 @@ def _write_json(path: Path, manifest: RunManifest, key: str, body: dict) -> None
         fh.write("\n")
 
 
+# Where report.json's request_ttft sits in the text of the report with that key empty.
+_TTFT_KEY = '\n    "request_ttft": {'
+
+
+def _write_report(path: Path, manifest: RunManifest, report: SimReport) -> None:
+    """``_write_json``'s bytes for ``report.to_dict()``, ``request_ttft`` written a line at a time.
+
+    The other keys go through ``json.dumps``, with ``request_ttft`` empty;
+    its entries are spliced in from the report's columns, in the id order
+    ``sort_keys`` gives, without building the dict or its text.
+    """
+    doc = {"manifest": manifest.as_dict(), "report": {**report.summary(), "request_ttft": {}}}
+    head, _, tail = json.dumps(doc, indent=2, sort_keys=True).partition(_TTFT_KEY + "}")
+    entries = starmap(_ttft_entry, report.ttft_by_id())
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head + _TTFT_KEY)
+        first = next(entries, None)
+        if first is None:
+            fh.write("}")
+        else:
+            fh.write(first[1:])  # the first entry takes no comma
+            fh.writelines(entries)
+            fh.write("\n    }")
+        fh.write(tail + "\n")
+
+
+def _ttft_entry(source_id: str, ttft: float) -> str:
+    """One ``request_ttft`` entry as ``json.dumps(..., indent=2)`` writes it there, a comma first."""
+    value = repr(ttft) if math.isfinite(ttft) else json.dumps(ttft)
+    return f",\n      {json.encoder.encode_basestring_ascii(source_id)}: {value}"
+
+
 def _cmd_simulate(args, catalog: Catalog, manifest: RunManifest) -> int:
     config = _load_sim_config(args.config, catalog)
     records = workload.read_stream(args.stream)
@@ -285,7 +320,7 @@ def _cmd_simulate(args, catalog: Catalog, manifest: RunManifest) -> int:
         raise SimulationError(f"{args.stream}: {exc}") from exc
     for name, rep in comparison.reports:
         suffix = f"_{name}" if args.compare else ""
-        _write_json(out_dir / f"report{suffix}.json", manifest, "report", rep.to_dict())
+        _write_report(out_dir / f"report{suffix}.json", manifest, rep)
         _write_csv(out_dir / f"iterations{suffix}.csv", manifest, ITERATION_CSV_COLUMNS, rep.iteration_rows())
     if args.compare:
         _write_json(out_dir / "comparison.json", manifest, "comparison", comparison.to_dict())

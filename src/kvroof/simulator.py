@@ -37,9 +37,9 @@ settles t at the channel rate, alpha while an iteration runs and 1
 otherwise: it takes in the arrivals due by t, then starts transfers and
 releases those that are instant at that rate. With nothing running, it
 continues the residents and asks the policy for admissions; an iteration
-that starts moves the clock from the next trip on, at rate alpha. Last, it
-moves t to the earliest of the running iteration's end, the next arrival
-and the transfer's end, or with nothing to run jumps to the next arrival or
+that starts runs the channel at rate alpha from there on. Last, it moves t
+to the earliest of the running iteration's end, the next arrival and the
+transfer's end, or with nothing to run jumps to the next arrival or
 transfer end. A selection of 0 tokens, or an idle jump that would not move
 the clock, raises ``SimulationError`` instead of spinning.
 
@@ -50,7 +50,14 @@ the token budget could never be scheduled, so the run fails at once.
 ``run_sim`` reads the request records and never writes them. A request is
 known by its index in the accepted list, its arrival rank; ``residents``
 maps that index to the prefill tokens the request has left, and policies
-pick by position in the ready list they are given.
+pick by position in the ready list they are given. A finished request's
+TTFT lives in two typed columns of the report, its arrival rank and its
+TTFT in finishing order (``SimReport.finished_rank`` and
+``finished_ttft``), 16 bytes per request; no structure keyed by id is kept.
+Ids are checked distinct without a set: the accepted ids in a few
+ascending runs by merging the runs, each rejected id by bisection in each
+run, and any other ids by a sort. Only a repeat found so makes ``run_sim``
+scan the stream with a set, to name the fault met first.
 
 VRAM is accounted in integer token-equivalents (K + T per request) so that
 pool arithmetic is exact; byte figures in reports are scaled back through
@@ -72,8 +79,9 @@ from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, count, starmap
-from typing import Iterator, Optional, Sequence
+from itertools import accumulate, chain, compress, count, islice, pairwise, starmap
+from operator import attrgetter, eq, ge, itemgetter, lt
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .catalog import (HardwareSpec, ModelSpec, flops_per_token, is_count, is_number, kv_bytes_per_token, lookup,
                       quote, refuse)
@@ -140,13 +148,6 @@ class IterationLog:
         self.vram_used = array("d")
         self.queue_depth = array("q")
 
-    def append(self, t_start: float, t_end: float, scheduled_tokens: int, vram_used: float, queue_depth: int) -> None:
-        self.t_start.append(t_start)
-        self.t_end.append(t_end)
-        self.scheduled_tokens.append(scheduled_tokens)
-        self.vram_used.append(vram_used)
-        self.queue_depth.append(queue_depth)
-
     def __len__(self) -> int:
         return len(self.t_start)
 
@@ -165,10 +166,22 @@ class RejectedRequest:
 
 @dataclass
 class SimReport:
-    """One run's results; its iterations are kept as columns (``IterationLog``)."""
+    """One run's results, kept as columns rather than one object per request or iteration.
+
+    ``iterations`` is an ``IterationLog``. ``accepted`` is the accepted
+    records in arrival order, so a request's index there is its arrival
+    rank. A finished request is one position of ``finished_rank`` (its
+    arrival rank, ``array('q')``) and of ``finished_ttft`` (its TTFT,
+    ``array('d')``), in the order the requests finished: 16 bytes per
+    request. ``request_ttft`` builds the id -> TTFT dict from them on
+    demand, in finishing order; ``ttft_by_id`` gives the same items in id
+    order without building it.
+    """
 
     iterations: IterationLog
-    request_ttft: dict[str, float]
+    accepted: list[RequestRecord]
+    finished_rank: array
+    finished_ttft: array
     rejected: list[RejectedRequest]
     mean_scheduled_tokens: float
     scheduled_token_percentiles: dict[int, float]
@@ -178,7 +191,32 @@ class SimReport:
     completed: int
     mean_power_watts: Optional[float] = None
 
-    def to_dict(self) -> dict:
+    @property
+    def request_ttft(self) -> dict[str, float]:
+        """Each finished request's TTFT by id, in finishing order."""
+        accepted = self.accepted
+        return {accepted[k].source_id: ttft for k, ttft in zip(self.finished_rank, self.finished_ttft)}
+
+    def ttft_by_id(self) -> Iterator[tuple[str, float]]:
+        """``request_ttft``'s items sorted by id, as ``json.dumps(..., sort_keys=True)`` orders them.
+
+        Every accepted request has finished in a report ``run_sim`` returns.
+        Holds one TTFT per accepted request meanwhile, by arrival rank. Ids
+        that ascend in a few runs, as a synthesized stream's do (they gain a
+        digit at 10^6), are merged run by run; others are sorted.
+        """
+        accepted = self.accepted
+        by_rank = array("d", [0.0]) * len(accepted)
+        for k, ttft in zip(self.finished_rank, self.finished_ttft):
+            by_rank[k] = ttft
+        runs = _id_runs(accepted)
+        if runs is None:
+            ranks = sorted(range(len(accepted)), key=lambda k: accepted[k].source_id)
+            return ((accepted[k].source_id, by_rank[k]) for k in ranks)
+        return ((sid, by_rank[k]) for sid, k in _merge_runs(accepted, runs))
+
+    def summary(self) -> dict:
+        """Every key of ``to_dict`` but ``request_ttft``."""
         return {
             "completed": self.completed,
             "rejected": [{"id": r.id, "vram_bytes": r.vram_bytes} for r in self.rejected],
@@ -189,8 +227,10 @@ class SimReport:
             "transfer_busy_fraction": self.transfer_busy_fraction,
             "simulated_seconds": self.simulated_seconds,
             "mean_power_watts": self.mean_power_watts,
-            "request_ttft": self.request_ttft,
         }
+
+    def to_dict(self) -> dict:
+        return {**self.summary(), "request_ttft": self.request_ttft}
 
     def iteration_rows(self) -> Iterator[tuple]:
         """The ``ITERATION_CSV_COLUMNS`` of each iteration, as raw ints and floats.
@@ -198,6 +238,54 @@ class SimReport:
         ``csv.writer`` writes a float as its ``repr``.
         """
         return self.iterations.rows()
+
+
+# Most runs of ascending ids that are merged, rather than sorted, into id order (_id_runs).
+MERGED_RUNS = 64
+
+
+def _ascend(ids: Iterable[str]) -> bool:
+    """Whether ``ids`` strictly ascend: then they are distinct, and in id order."""
+    return all(starmap(lt, pairwise(ids)))
+
+
+def _id_runs(records: Sequence[RequestRecord]) -> Optional[list[range]]:
+    """The positions of ``records`` in runs of strictly ascending ids; None past ``MERGED_RUNS`` runs."""
+    ids = partial(map, attrgetter("source_id"))
+    starts = list(islice(compress(count(1), map(ge, ids(records), ids(islice(records, 1, None)))), MERGED_RUNS))
+    if len(starts) == MERGED_RUNS:
+        return None
+    return list(starmap(range, pairwise([0, *starts, len(records)])))
+
+
+def _merge_runs(records: Sequence[RequestRecord], runs: list[range]) -> Iterator[tuple[str, int]]:
+    """(id, position) of each record, in id order, holding one pair per run."""
+    pairs = [zip(map(attrgetter("source_id"), islice(records, r.start, r.stop)), r) for r in runs]
+    if len(pairs) == 1:
+        return pairs[0]
+    from heapq import merge  # here, not at module level: ids that ascend in one run need no merge
+
+    return merge(*pairs)
+
+
+def _ids_distinct(accepted: Sequence[RequestRecord], rejected: Sequence[RejectedRequest]) -> bool:
+    """Whether no id repeats among the accepted and rejected requests, found without a set.
+
+    When the accepted ids ascend in a few runs, they are distinct if their
+    merge ascends, and a rejected id is looked up in each run by bisection.
+    Otherwise, or when that takes more lookups than there are accepted
+    requests, all the ids are sorted.
+    """
+    accepted_id = attrgetter("source_id")
+    rejected_ids = sorted(map(attrgetter("id"), rejected))
+    runs = _id_runs(accepted)
+    if runs is None or len(runs) * len(rejected_ids) > len(accepted):
+        return _ascend(sorted(chain(map(accepted_id, accepted), rejected_ids)))
+    if len(runs) > 1 and not _ascend(map(itemgetter(0), _merge_runs(accepted, runs))):
+        return False
+    found = ((rid, r.stop, bisect_left(accepted, rid, r.start, r.stop, key=accepted_id))
+             for r in runs for rid in rejected_ids)
+    return _ascend(rejected_ids) and not any(k < stop and accepted[k].source_id == rid for rid, stop, k in found)
 
 
 # (position in the ready list the policy was given, tokens to run)
@@ -366,33 +454,43 @@ def run_sim(
     capacity_tokens = hw.vram_effective / b_kv
     budget = config.token_budget
 
+    # A stream's faults are reported in stream order, and each record's in this
+    # order: no arrival, an arrival out of order, a repeated id, a T that cannot
+    # run. Ids are checked after the scan; a fault found in it first refuses a
+    # repeated id among the records before (_refuse_repeated_id).
     rejected: list[RejectedRequest] = []
     accepted: list[RequestRecord] = []
-    seen: set[str] = set()
     prev = 0.0
     for rec in requests:
         if rec.arrival_time is None:
+            _refuse_repeated_id(requests, len(accepted) + len(rejected))
             raise SimulationError(f"request {quote(rec.source_id)} has no arrival_time")
         if not prev <= rec.arrival_time:
+            _refuse_repeated_id(requests, len(accepted) + len(rejected))
             raise SimulationError(f"request {quote(rec.source_id)}: arrival_time {rec.arrival_time!r} "
                                   f"must be >= 0 and sorted (not before {prev!r})")
-        if rec.source_id in seen:
-            raise SimulationError(f"duplicate source_id {quote(rec.source_id)}")
-        seen.add(rec.source_id)
         prev = rec.arrival_time
         if rec.vram_tokens > capacity_tokens:
             rejected.append(RejectedRequest(id=rec.source_id, vram_bytes=rec.vram_tokens * b_kv))
         elif rec.prefill_tokens > budget and not config.allow_chunked_prefill:
+            _refuse_repeated_id(requests, len(accepted) + len(rejected) + 1)
             raise SimulationError(f"request {quote(rec.source_id)}: prefill_tokens {rec.prefill_tokens} exceed "
                                   f"token_budget {budget}, and chunked prefill is off")
         else:
             accepted.append(rec)
+    if not _ids_distinct(accepted, rejected):
+        _refuse_repeated_id(requests, len(accepted) + len(rejected))
 
     # Where each request is (see the module docstring): accepted[head:],
-    # waiting, chan_req, ready, residents, ttfts. All but ttfts hold indices
-    # into accepted, the arrival rank, so sorting them gives arrival order.
+    # waiting, chan_req, ready, residents, finished. All hold indices into
+    # accepted, the arrival rank, so sorting them gives arrival order.
     iterations = IterationLog()
-    ttfts: dict[str, float] = {}
+    log_start, log_end, log_tokens, log_vram, log_depth = (
+        iterations.t_start.append, iterations.t_end.append, iterations.scheduled_tokens.append,
+        iterations.vram_used.append, iterations.queue_depth.append)
+    finished_rank = array("q")  # arrival rank and TTFT of each finished request, in finishing order
+    finished_ttft = array("d")
+    finish_rank, finish_ttft = finished_rank.append, finished_ttft.append
     n_accepted = len(accepted)
     head = 0
     waiting: deque[int] = deque()
@@ -424,7 +522,8 @@ def run_sim(
                     r = accepted[k]
                     del residents[k]
                     used_tokens -= r.vram_tokens
-                    ttfts[r.source_id] = t - r.arrival_time
+                    finish_rank(k)
+                    finish_ttft(t - r.arrival_time)
             running = []
         rate = alpha if running else 1.0
         # Settle t: take in due arrivals, then release the transfers that are instant at rate.
@@ -478,9 +577,20 @@ def run_sim(
                     raise SimulationError(f"policy scheduled {sched} tokens at t={t!r}; the clock would stop")
                 duration = sched * f_pf / c_eff
                 until = t + duration
-                iterations.append(t, until, sched, used_tokens * b_kv, depth)
+                log_start(t)
+                log_end(until)
+                log_tokens(sched)
+                log_vram(used_tokens * b_kv)
+                log_depth(depth)
                 compute_active += duration
-                nxt = t  # the iteration moves the clock from the next trip on, with the channel at alpha
+                # The clock moves on in this trip with the channel at alpha. Settling it
+                # again at alpha releases nothing: a transfer not instant at rate 1 is not
+                # instant at alpha <= 1. An iteration that ends at t retires next trip.
+                rate = alpha
+                t_done = t + chan_left / (bw * rate) if chan_req is not None and rate else inf
+                nxt = t_done if t_done < t_arr else t_arr
+                if until < nxt:
+                    nxt = until
             else:
                 # Nothing schedulable: jump to the next event, at full channel rate.
                 if nxt == inf:
@@ -498,9 +608,10 @@ def run_sim(
                 chan_active += nxt - t
             t = nxt
 
-    if len(ttfts) < len(accepted):
-        first = next(r.source_id for r in accepted if r.source_id not in ttfts)
-        raise SimulationError(f"simulation ended with {len(accepted) - len(ttfts)} unfinished request(s); "
+    if len(finished_rank) < len(accepted):
+        done = set(finished_rank)
+        first = next(r.source_id for k, r in enumerate(accepted) if k not in done)
+        raise SimulationError(f"simulation ended with {len(accepted) - len(finished_rank)} unfinished request(s); "
                               f"first: {quote(first)}")
 
     span = t - t_begin
@@ -510,16 +621,30 @@ def run_sim(
     transfer_busy = chan_active / span if span > 0 else 0.0
     return SimReport(
         iterations=iterations,
-        request_ttft=ttfts,
+        accepted=accepted,
+        finished_rank=finished_rank,
+        finished_ttft=finished_ttft,
         rejected=rejected,
         mean_scheduled_tokens=mean_sched,
         scheduled_token_percentiles=percentiles,
         compute_busy_fraction=compute_busy,
         transfer_busy_fraction=transfer_busy,
         simulated_seconds=span,
-        completed=len(ttfts),
+        completed=len(finished_rank),
         mean_power_watts=_maybe_power(config, compute_busy),
     )
+
+
+def _refuse_repeated_id(requests: Sequence[RequestRecord], stop: int) -> None:
+    """Refuse the first id, in stream order, that repeats an earlier one among the first ``stop`` records.
+
+    A scan with a set, which ``run_sim`` makes only on its way to an error.
+    """
+    seen: set[str] = set()
+    for rec in islice(requests, stop):
+        if rec.source_id in seen:
+            raise SimulationError(f"duplicate source_id {quote(rec.source_id)}")
+        seen.add(rec.source_id)
 
 
 def _scheduled_token_stats(scheduled: array) -> tuple[float, dict[int, float]]:
@@ -564,10 +689,9 @@ class PolicyComparison:
                     "iterations": len(rep.iterations),
                     "mean_scheduled_tokens": rep.mean_scheduled_tokens,
                     "compute_busy_fraction": rep.compute_busy_fraction,
+                    # summed in finishing order, as request_ttft.values() gives them
                     "mean_ttft": (
-                        sum(rep.request_ttft.values()) / len(rep.request_ttft)
-                        if rep.request_ttft
-                        else 0.0
+                        sum(rep.finished_ttft) / len(rep.finished_ttft) if rep.finished_ttft else 0.0
                     ),
                 }
                 for name, rep in self.reports

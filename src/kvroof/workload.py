@@ -35,7 +35,8 @@ keys come from ``RequestRecord`` through ``catalog.json_keys``.
 
 Synthetic streams draw cached and prefill token counts independently from
 log-normal profiles and arrive as a Poisson process; generation is
-deterministic for a fixed seed.
+deterministic for a fixed seed. The draws are kept as numpy arrays and the
+records built from them a slice at a time, as they are written.
 """
 
 from __future__ import annotations
@@ -46,12 +47,16 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .catalog import MAX_TOKENS, check_keys, is_count, is_number, json_keys, json_object, quote, refuse
 from .errors import WorkloadError
 
 PERCENTILES = (10, 50, 90, 95, 99)
+
+# Records a synthesized stream builds at a time (``SynthesizedStream``).
+SYNTH_SLICE = 4096
 
 # Most requests one synthesized stream may expect (rps * duration_s): about
 # 2.7 GB of records at 270 B each, ten times the 1e6 the pipeline targets.
@@ -235,11 +240,13 @@ def synthesize_stream(
     rps: float,
     duration_s: float,
     seed: int,
-) -> list[RequestRecord]:
+) -> SynthesizedStream:
     """Poisson arrivals at the given rate with token counts from the profile.
 
     Deterministic for a fixed seed: identical arguments reproduce the exact
-    same records.
+    same records. The arguments are checked and every number is drawn here,
+    as numpy arrays; the records are built only as the result is iterated,
+    ``SYNTH_SLICE`` at a time (``SynthesizedStream``).
     """
     for name, value in (("rps", rps), ("duration_s", duration_s)):
         if not value > 0:
@@ -262,15 +269,48 @@ def synthesize_stream(
         kept = int(np.searchsorted(times, duration_s, side="right"))
         blocks.append(times[:kept])
         t = times[-1]
-    arrivals = np.concatenate(blocks).tolist()
+    del gaps, times  # each array is dropped once used: they make synth's peak, about 40 B per request
+    arrivals = np.concatenate(blocks)
+    del blocks
     n = len(arrivals)
     prefill = rng.lognormal(profile.prefill_log_mean, profile.prefill_log_sigma, size=n)
     cached = rng.lognormal(profile.cached_log_mean, profile.cached_log_sigma, size=n)
-    prefill_tokens = np.maximum(1, np.rint(prefill)).astype(int).tolist()
-    cached_tokens = np.maximum(1, np.rint(cached)).astype(int).tolist()
-    name = profile.name
-    ids = [f"{name}-{i:06d}" for i in range(n)]
-    return list(map(RequestRecord, ids, cached_tokens, prefill_tokens, arrivals))
+    prefill_tokens = np.maximum(1, np.rint(prefill)).astype(int)
+    del prefill
+    cached_tokens = np.maximum(1, np.rint(cached)).astype(int)
+    return SynthesizedStream(profile.name, arrivals, cached_tokens, prefill_tokens)
+
+
+class SynthesizedStream:
+    """A synthesized stream's draws, as numpy arrays; iterating builds its ``RequestRecord``s.
+
+    Records are built ``SYNTH_SLICE`` at a time: the slice's ids, then
+    ``tolist()`` of each array's slice, which gives the Python ints and
+    floats of the whole array's ``tolist()``. ``len`` is the number of
+    records, known before any is built. Each iteration builds the records
+    anew; index ``list(stream)`` instead.
+    """
+
+    __slots__ = ("name", "arrivals", "cached_tokens", "prefill_tokens")
+
+    def __init__(self, name: str, arrivals, cached_tokens, prefill_tokens) -> None:
+        self.name = name
+        self.arrivals = arrivals
+        self.cached_tokens = cached_tokens
+        self.prefill_tokens = prefill_tokens
+
+    def __len__(self) -> int:
+        return len(self.arrivals)
+
+    def __iter__(self) -> Iterator[RequestRecord]:
+        return chain.from_iterable(map(self._slice, range(0, len(self), SYNTH_SLICE)))
+
+    def _slice(self, start: int) -> Iterator[RequestRecord]:
+        stop = min(start + SYNTH_SLICE, len(self))
+        name = self.name
+        ids = [f"{name}-{i:06d}" for i in range(start, stop)]
+        return map(RequestRecord, ids, self.cached_tokens[start:stop].tolist(),
+                   self.prefill_tokens[start:stop].tolist(), self.arrivals[start:stop].tolist())
 
 
 # --- JSON Lines readers/writers -------------------------------------------
@@ -395,11 +435,16 @@ def _stream_line(r: RequestRecord) -> str:
 
 
 def write_stream(records: Iterable[RequestRecord], path: str | Path, manifest: Optional[dict] = None) -> None:
-    """Write records as JSON Lines; an optional manifest goes on line one."""
+    """Write records as JSON Lines; an optional manifest goes on line one.
+
+    ``records`` is read once, one record at a time, and each line is written
+    as its record comes: a ``SynthesizedStream`` is written without holding
+    more than one slice of its records.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         if manifest is not None:
             fh.write(json.dumps({"_manifest": manifest}, sort_keys=True) + "\n")
-        fh.writelines(_stream_line(r) for r in records)
+        fh.writelines(map(_stream_line, records))
 
 
 # The line _stream_line writes, restricted to text that json.loads reads the

@@ -21,11 +21,13 @@ import kvroof.cli
 import kvroof.errors
 from kvroof.analytics import kappa_crit, kappa_hw, kappa_model
 from kvroof.catalog import by_name, default_catalog, default_catalog_text
-from kvroof.cli import EXIT_DATA, EXIT_OK, Catalog, RunManifest, _analysis_row, _load_sim_config, _write_json, main
-from kvroof.simulator import compare_policies
+from kvroof.cli import (EXIT_DATA, EXIT_OK, Catalog, RunManifest, _analysis_row, _load_sim_config, _write_json,
+                        _write_report, main)
+from kvroof.simulator import SimConfig, compare_policies, run_sim
 from kvroof.workload import RequestRecord, read_stream
 
 from conftest import catalog_json, fixture_path
+from test_simulator import sim_case
 
 MODELS, HARDWARE = default_catalog()
 M = by_name(MODELS)
@@ -250,6 +252,12 @@ class TestSynthCommand:
         assert run(replay, capsys)[0] == EXIT_OK
         assert out.read_bytes() == original
 
+    def test_bad_rate_refused_before_the_output_is_opened(self, tmp_path, capsys):
+        out = tmp_path / "s.jsonl"
+        code, _, err = run(["synth", "--rps", "0", "--duration", "1", "--out", str(out)], capsys)
+        assert code == EXIT_DATA and err == "error: rps must be > 0, got 0.0\n"
+        assert not out.exists()
+
     def test_unknown_profile(self, tmp_path, capsys):
         code, _, err = run(
             ["synth", "--profile", "mystery", "--rps", "1", "--duration", "1",
@@ -289,6 +297,33 @@ class TestSimulateCommand:
             _write_json(path, manifest, key, body)
             doc = {"manifest": manifest.as_dict(), key: body}
             assert path.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+    @staticmethod
+    def check_report_bytes(path, report) -> None:
+        manifest = RunManifest(tool="kvroof test", command=["kvroof", "simulate", "--out", "é \"x\""],
+                               catalog="<bundled>", catalog_sha256="0" * 64)
+        _write_report(path, manifest, report)
+        doc = {"manifest": manifest.as_dict(), "report": report.to_dict()}
+        assert path.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+    @given(case=sim_case(), data=st.data())
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_report_writer_writes_the_bytes_of_json_dumps(self, tmp_path, case, data):
+        # Ids that need escaping, drawn in any order against arrival; sim_case draws empty streams
+        # and pools too small for some requests.
+        config, stream, policy = case
+        ids = data.draw(st.lists(st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028é中🙂'), st.characters()),
+                                         max_size=5), min_size=len(stream), max_size=len(stream), unique=True))
+        stream = [dataclasses.replace(r, source_id=sid) for r, sid in zip(stream, ids)]
+        self.check_report_bytes(tmp_path / "report.json", run_sim(config, stream, policy))
+
+    @pytest.mark.parametrize("rejected", [0, 3], ids=["empty stream", "every request rejected"])
+    def test_report_writer_with_no_accepted_request(self, tmp_path, rejected):
+        config = SimConfig(M["Qwen3-30B-A3B"], dataclasses.replace(H["Unified-HBM"], vram_effective=1.0))
+        report = run_sim(config, [RequestRecord(f"r{i}", 10**6, 5, arrival_time=float(i)) for i in range(rejected)],
+                         "fifo")
+        assert report.completed == 0 and len(report.rejected) == rejected
+        self.check_report_bytes(tmp_path / "report.json", report)
 
     def test_zero_length_stream_empty_report(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"

@@ -22,7 +22,7 @@ from kvroof.catalog import HardwareSpec, ModelSpec, by_name, default_catalog
 from kvroof.cli import EXIT_OK, main
 from kvroof.errors import SimulationError
 from kvroof.simulator import SimConfig, compare_policies
-from kvroof.workload import PROFILES, RequestRecord, synthesize_stream
+from kvroof.workload import PROFILES, SYNTH_SLICE, RequestRecord, synthesize_stream
 
 from conftest import fixture_path
 
@@ -130,6 +130,17 @@ def test_synth_second_arrival_block(tmp_path, capsys):
     check("synth-second-block", digests_of(tmp_path, ["s.jsonl"]))
 
 
+def test_synth_across_slices(tmp_path, capsys):
+    # More records than two slices of SYNTH_SLICE, and not a multiple of it: the
+    # digest was recorded when synth built every record at once.
+    stdout = run(["synth", "--profile", "narrativeqa", "--rps", "3000", "--duration", "3", "--seed", "17",
+                  "--out", str(tmp_path / "s.jsonl")], capsys)
+    n = len((tmp_path / "s.jsonl").read_text().splitlines()) - 1
+    assert n == 9285 and n > 2 * SYNTH_SLICE and n % SYNTH_SLICE
+    assert stdout.decode() == f"wrote {n} requests to {tmp_path / 's.jsonl'}\n"
+    check("synth-across-slices", digests_of(tmp_path, ["s.jsonl"]))
+
+
 def test_simulate_compare_fixture(tmp_path, capsys):
     stdout = run(["simulate", "--config", fixture_path("scheduling_fixture_config.json"),
                   "--stream", fixture_path("scheduling_fixture_stream.jsonl"),
@@ -215,7 +226,7 @@ def sweep_cases():
     for _ in range(600):
         yield random_sweep_case(rng)
     models, hardware = (by_name(specs) for specs in default_catalog())
-    stream = synthesize_stream(PROFILES["sharegpt-like"], rps=400, duration_s=0.1, seed=7)
+    stream = list(synthesize_stream(PROFILES["sharegpt-like"], rps=400, duration_s=0.1, seed=7))
     for hw in ("H100-PCIe5-measured", "GH-NVLink-C2C", "Unified-HBM"):
         for alpha in (0.0, 0.5, 1.0):
             yield SimConfig(models["Qwen3-30B-A3B"], hardware[hw], token_budget=2048, overlap_alpha=alpha), stream
@@ -268,6 +279,9 @@ GOLDEN = {
     },
     "synth-second-block": {
         "s.jsonl": "44bbfacd279ddcfa8a3b96d50edcef21313878b4a85df7159ba8aeab26a5c705",
+    },
+    "synth-across-slices": {
+        "s.jsonl": "7c50bc6ed0e5692844b9680dc03612354c75b0335746ec5826a61678c1b72f7e",
     },
     "simulate-compare": {
         "comparison.json": "cdc6e3f731ade3e16e45217f117c8d2e56e9fde4e974fbd5e1bff54d6dd29dce",

@@ -227,7 +227,7 @@ class TestUtilizationPolicy:
         if infinite_link:
             hw = HardwareSpec(name="Unified-HBM-infinite-link", compute_throughput=hw.compute_throughput,
                               link_bandwidth_peak=math.inf, vram_effective=hw.vram_effective)
-        records = synthesize_stream(SHAREGPT_LIKE, rps=12000, duration_s=0.1, seed=3)
+        records = list(synthesize_stream(SHAREGPT_LIKE, rps=12000, duration_s=0.1, seed=3))
         (_, fifo), (_, util) = compare_policies(SimConfig(model=M["Qwen3-30B-A3B"], hardware=hw), records).reports
         assert len(records) == 1180
         assert (len(fifo.iterations), len(util.iterations)) == iterations
@@ -398,6 +398,64 @@ class TestRunSimInvariants:
         stream = [RequestRecord("a", 1, 1, arrival_time=0.0), RequestRecord("a", 2, 1, arrival_time=1.0)]
         with pytest.raises(SimulationError, match="duplicate source_id 'a'"):
             run_sim(unit_config(), stream, "fifo")
+
+    @pytest.mark.parametrize("rows, error", [
+        # a repeated id before an arrival out of order: the repeat
+        ([("a", 0.0), ("a", 1.0), ("b", 0.5)], "duplicate source_id 'a'"),
+        # an arrival out of order before a repeated id: the arrival
+        ([("a", 1.0), ("b", 0.5), ("a", 2.0)], "request 'b': arrival_time 0.5 must be >= 0 and sorted (not before 1.0)"),
+        # ids that do not ascend are sorted to find the repeat, which is named in stream order
+        ([("b", 0.0), ("a", 1.0), ("b", 2.0)], "duplicate source_id 'b'"),
+        ([("c", 0.0), ("b", 1.0), ("a", 2.0), ("b", 3.0), ("a", 4.0)], "duplicate source_id 'b'"),
+        # a rejected request's id counts, before or after the accepted one
+        ([("a", 0.0), ("big", 1.0), ("big", 2.0)], "duplicate source_id 'big'"),
+        ([("a", 0.0), ("b", 0.5), ("c", 0.6), ("big", 1.0), ("big", 2.0)], "duplicate source_id 'big'"),
+        ([("a", 0.0), ("b", 1.0), ("big", 2.0), ("a", 3.0)], "duplicate source_id 'a'"),
+        # a repeated id on a record without an arrival: the arrival
+        ([("a", 0.0), ("a", None)], "request 'a' has no arrival_time"),
+        # a repeated id on a record too long to run without chunking: the repeat
+        ([("a", 0.0), ("a", 1.0, 11)], "duplicate source_id 'a'"),
+        # a T too long to run without chunking before a repeated id: the T
+        ([("a", 0.0, 11), ("b", 1.0), ("b", 2.0)], "request 'a': prefill_tokens 11 exceed token_budget 10, "
+                                                  "and chunked prefill is off"),
+    ])
+    def test_first_fault_in_stream_order_is_reported(self, rows, error):
+        # vram_tokens 20 rejects "big" (K 30); with chunking off, a T of 11 cannot run
+        stream = [RequestRecord(sid, 30 if sid == "big" else 1, *rest or (1,), arrival_time=t) for sid, t, *rest in rows]
+        with pytest.raises(SimulationError) as info:
+            run_sim(unit_config(budget=10, chunking=False, vram_tokens=20), stream, "fifo")
+        assert str(info.value) == error
+
+    @pytest.mark.parametrize("order", ["ascending", "three runs", "descending"])
+    @pytest.mark.parametrize("rejected", [0, 5, 60])
+    def test_ids_in_any_order_are_checked_and_listed_by_id(self, order, rejected):
+        # One run of ascending ids, a few runs that are merged, and more runs than MERGED_RUNS,
+        # which are sorted; rejected requests looked up in each run, or so many that all are sorted.
+        n = 2 * simulator.MERGED_RUNS + 10
+        ids = {"ascending": range(n), "three runs": [*range(50, n), *range(20, 50), *range(20)],
+               "descending": range(n - 1, -1, -1)}[order]
+        big = set(range(0, n, n // rejected)) if rejected else set()  # stream positions too big for the pool
+        stream = [RequestRecord(f"r{i:04d}", 30 if t in big else 0, 1 + i % 3, arrival_time=0.1 * t)
+                  for t, i in enumerate(ids)]
+        report = run_sim(unit_config(budget=4), stream, "fifo")
+        assert len(report.rejected) == len(big)
+        assert list(report.ttft_by_id()) == sorted(report.request_ttft.items())
+        for shape in ((0, 1), (30, 1)):  # a repeat that would be accepted, and one that would be rejected
+            for t in (1, n // 2, n - 1):
+                sid = stream[t].source_id
+                with pytest.raises(SimulationError, match=f"^duplicate source_id '{sid}'$"):
+                    run_sim(unit_config(budget=4), [*stream, RequestRecord(sid, *shape, arrival_time=0.1 * n)], "fifo")
+
+    def test_request_ttft_is_in_finishing_order(self):
+        # a's cache takes 5 s on a 4 B/s link, so b, arriving later with none, finishes first
+        hw = HardwareSpec(name="unit-testbed", compute_throughput=2.0, link_bandwidth_peak=4.0, vram_effective=40.0)
+        config = dataclasses.replace(unit_config(), hardware=hw)
+        stream = [RequestRecord("a", 5, 1, arrival_time=0.0), RequestRecord("b", 0, 1, arrival_time=0.5)]
+        report = run_sim(config, stream, "fifo")
+        assert list(report.request_ttft) == ["b", "a"]
+        assert list(report.finished_rank) == [1, 0]
+        assert list(report.finished_ttft) == list(report.request_ttft.values())
+        assert list(report.ttft_by_id()) == sorted(report.request_ttft.items())
 
     def test_unschedulable_without_chunking_fails_fast(self):
         # T above the budget with chunking off can never run; say so before simulating
@@ -595,7 +653,7 @@ class TestIterationLog:
 
     def test_report_retains_under_64_bytes_per_iteration(self):
         # A seeded 20k-request stream on the sustained pairing: about one iteration per request.
-        stream = synthesize_stream(SHAREGPT_LIKE, rps=200, duration_s=100, seed=20)
+        stream = list(synthesize_stream(SHAREGPT_LIKE, rps=200, duration_s=100, seed=20))
         config = SimConfig(M["Qwen3-30B-A3B"], H["Unified-HBM"])
         tracemalloc.start()
         try:
@@ -608,6 +666,22 @@ class TestIterationLog:
             tracemalloc.stop()
         assert n > 10_000
         assert freed / n < 64
+
+
+    def test_run_sim_peaks_under_96_bytes_per_request(self):
+        # The records are the stream's; run_sim adds its accepted list, the
+        # iteration log (about one iteration per request here) and two TTFT
+        # columns, and keeps nothing per id.
+        stream = list(synthesize_stream(SHAREGPT_LIKE, rps=200, duration_s=100, seed=1))
+        config = SimConfig(M["Qwen3-30B-A3B"], H["Unified-HBM"])
+        tracemalloc.start()
+        try:
+            run_sim(config, stream, "fifo")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(stream) > 20_000
+        assert peak / len(stream) <= 96
 
 
 class TestTransferChannel:

@@ -1,7 +1,9 @@
+import dataclasses
 import itertools
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from kvroof.workload import (
     FINQA_LIKE,
     NARRATIVEQA_LIKE,
     SHAREGPT_LIKE,
+    SYNTH_SLICE,
     RequestRecord,
     StreamProfile,
     read_conversations,
@@ -194,7 +197,7 @@ class TestSummarize:
 
 class TestProfiles:
     def test_sharegpt_profile_moments(self):
-        records = synthesize_stream(SHAREGPT_LIKE, rps=100, duration_s=100, seed=11)
+        records = list(synthesize_stream(SHAREGPT_LIKE, rps=100, duration_s=100, seed=11))
         assert len(records) >= 9000
         mean_k = sum(r.cached_tokens for r in records) / len(records)
         mean_t = sum(r.prefill_tokens for r in records) / len(records)
@@ -202,7 +205,7 @@ class TestProfiles:
         assert mean_t == pytest.approx(82, rel=0.10)
 
     def test_sharegpt_median_ratio(self):
-        records = synthesize_stream(SHAREGPT_LIKE, rps=10, duration_s=100, seed=5)[:1000]
+        records = list(synthesize_stream(SHAREGPT_LIKE, rps=10, duration_s=100, seed=5))[:1000]
         ratios = sorted(r.kappa_ratio for r in records)
         p50 = ratios[math.ceil(0.5 * len(ratios)) - 1]
         assert 70 <= p50 <= 140
@@ -259,7 +262,7 @@ class TestSynthesizeStream:
                 if t > duration_s:
                     break
                 expected.append(float(t))
-        records = synthesize_stream(SHAREGPT_LIKE, rps=rps, duration_s=duration_s, seed=seed)
+        records = list(synthesize_stream(SHAREGPT_LIKE, rps=rps, duration_s=duration_s, seed=seed))
         assert [r.arrival_time.hex() for r in records] == [a.hex() for a in expected]
         assert all(type(r.arrival_time) is float for r in records)
 
@@ -286,10 +289,35 @@ class TestSynthesizeStream:
         with pytest.raises(WorkloadError, match="^seed must be an integer >= 0, got -1$"):
             synthesize_stream(SHAREGPT_LIKE, rps=5, duration_s=1, seed=-1)
 
+    def test_records_are_built_a_slice_at_a_time(self):
+        stream = synthesize_stream(SHAREGPT_LIKE, rps=3000, duration_s=3, seed=4)
+        n = len(stream)  # known before any record is built
+        assert n > 2 * SYNTH_SLICE and n % SYNTH_SLICE
+        records = iter(stream)
+        first = next(records)
+        assert (first.source_id, type(first.cached_tokens), type(first.arrival_time)) == ("sharegpt-like-000000", int,
+                                                                                           float)
+        rest = list(records)
+        assert len(rest) == n - 1 and rest[-1].source_id == f"sharegpt-like-{n - 1:06d}"
+        # every iteration builds the same records anew
+        assert [dataclasses.astuple(r) for r in stream] == [dataclasses.astuple(r) for r in [first, *rest]]
+
+    def test_synth_and_write_peak_under_120_bytes_per_request(self, tmp_path):
+        # The draws are arrays of 8 bytes a number; records are built and written a slice at a time.
+        tracemalloc.start()
+        try:
+            write_stream(synthesize_stream(SHAREGPT_LIKE, rps=500, duration_s=100, seed=1), tmp_path / "s.jsonl")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = len((tmp_path / "s.jsonl").read_text().splitlines())
+        assert n > 50_000
+        assert peak / n <= 120
+
 
 class TestJsonLines:
     def test_stream_round_trip(self, tmp_path):
-        records = synthesize_stream(FINQA_LIKE, rps=30, duration_s=5, seed=2)
+        records = list(synthesize_stream(FINQA_LIKE, rps=30, duration_s=5, seed=2))
         path = tmp_path / "s.jsonl"
         write_stream(records, path, manifest={"seed": 2})
         again = read_stream(path)
