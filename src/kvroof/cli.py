@@ -287,7 +287,8 @@ def _write_report(path: Path, manifest: RunManifest, report: SimReport) -> None:
     ``sort_keys`` gives, without building the dict or its text.
     """
     doc = {"manifest": manifest.as_dict(), "report": {**report.summary(), "request_ttft": {}}}
-    head, _, tail = json.dumps(doc, indent=2, sort_keys=True).partition(_TTFT_KEY + "}")
+    head, sep, tail = json.dumps(doc, indent=2, sort_keys=True).partition(_TTFT_KEY + "}")
+    assert sep, "json.dumps laid out report.json differently"
     entries = starmap(_ttft_entry, report.ttft_by_id())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head + _TTFT_KEY)

@@ -54,10 +54,10 @@ pick by position in the ready list they are given. A finished request's
 TTFT lives in two typed columns of the report, its arrival rank and its
 TTFT in finishing order (``SimReport.finished_rank`` and
 ``finished_ttft``), 16 bytes per request; no structure keyed by id is kept.
-Ids are checked distinct without a set: the accepted ids in a few
-ascending runs by merging the runs, each rejected id by bisection in each
-run, and any other ids by a sort. Only a repeat found so makes ``run_sim``
-scan the stream with a set, to name the fault met first.
+Ids are checked distinct without a set: when the accepted ids ascend in a
+few runs, by merging the runs and the sorted rejected ids, otherwise by a
+sort. Only a repeat found so makes ``run_sim`` scan the stream with a set,
+to name the fault met first.
 
 VRAM is accounted in integer token-equivalents (K + T per request) so that
 pool arithmetic is exact; byte figures in reports are scaled back through
@@ -80,7 +80,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, compress, count, islice, pairwise, starmap
-from operator import attrgetter, eq, ge, itemgetter, lt
+from operator import attrgetter, ge, lt
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .catalog import (HardwareSpec, ModelSpec, flops_per_token, is_count, is_number, kv_bytes_per_token, lookup,
@@ -148,6 +148,13 @@ class IterationLog:
         self.vram_used = array("d")
         self.queue_depth = array("q")
 
+    def append(self, t_start: float, t_end: float, scheduled_tokens: int, vram_used: float, queue_depth: int) -> None:
+        self.t_start.append(t_start)
+        self.t_end.append(t_end)
+        self.scheduled_tokens.append(scheduled_tokens)
+        self.vram_used.append(vram_used)
+        self.queue_depth.append(queue_depth)
+
     def __len__(self) -> int:
         return len(self.t_start)
 
@@ -213,7 +220,7 @@ class SimReport:
         if runs is None:
             ranks = sorted(range(len(accepted)), key=lambda k: accepted[k].source_id)
             return ((accepted[k].source_id, by_rank[k]) for k in ranks)
-        return ((sid, by_rank[k]) for sid, k in _merge_runs(accepted, runs))
+        return ((sid, by_rank[k]) for sid, k in _merge([zip(_run_ids(accepted, r), r) for r in runs]))
 
     def summary(self) -> dict:
         """Every key of ``to_dict`` but ``request_ttft``."""
@@ -258,34 +265,35 @@ def _id_runs(records: Sequence[RequestRecord]) -> Optional[list[range]]:
     return list(starmap(range, pairwise([0, *starts, len(records)])))
 
 
-def _merge_runs(records: Sequence[RequestRecord], runs: list[range]) -> Iterator[tuple[str, int]]:
-    """(id, position) of each record, in id order, holding one pair per run."""
-    pairs = [zip(map(attrgetter("source_id"), islice(records, r.start, r.stop)), r) for r in runs]
-    if len(pairs) == 1:
-        return pairs[0]
+def _run_ids(records: Sequence[RequestRecord], run: range) -> Iterator[str]:
+    """The ids of ``records`` at the positions of ``run``."""
+    return map(attrgetter("source_id"), map(records.__getitem__, run))
+
+
+def _merge(sources: list[Iterable]) -> Iterable:
+    """The items of ``sources``, each sorted, in one sorted stream."""
+    if len(sources) == 1:
+        return sources[0]
     from heapq import merge  # here, not at module level: ids that ascend in one run need no merge
 
-    return merge(*pairs)
+    return merge(*sources)
 
 
 def _ids_distinct(accepted: Sequence[RequestRecord], rejected: Sequence[RejectedRequest]) -> bool:
     """Whether no id repeats among the accepted and rejected requests, found without a set.
 
-    When the accepted ids ascend in a few runs, they are distinct if their
-    merge ascends, and a rejected id is looked up in each run by bisection.
-    Otherwise, or when that takes more lookups than there are accepted
-    requests, all the ids are sorted.
+    When the accepted ids ascend in at most ``MERGED_RUNS`` runs, the runs
+    and the sorted rejected ids are merged, and the ids are distinct if the
+    merge ascends. Otherwise all the ids are sorted.
     """
-    accepted_id = attrgetter("source_id")
     rejected_ids = sorted(map(attrgetter("id"), rejected))
     runs = _id_runs(accepted)
-    if runs is None or len(runs) * len(rejected_ids) > len(accepted):
-        return _ascend(sorted(chain(map(accepted_id, accepted), rejected_ids)))
-    if len(runs) > 1 and not _ascend(map(itemgetter(0), _merge_runs(accepted, runs))):
-        return False
-    found = ((rid, r.stop, bisect_left(accepted, rid, r.start, r.stop, key=accepted_id))
-             for r in runs for rid in rejected_ids)
-    return _ascend(rejected_ids) and not any(k < stop and accepted[k].source_id == rid for rid, stop, k in found)
+    if runs is None:
+        return _ascend(sorted(chain(map(attrgetter("source_id"), accepted), rejected_ids)))
+    sources = [_run_ids(accepted, r) for r in runs]
+    if rejected_ids:
+        sources.append(rejected_ids)
+    return _ascend(_merge(sources))
 
 
 # (position in the ready list the policy was given, tokens to run)
@@ -485,12 +493,8 @@ def run_sim(
     # waiting, chan_req, ready, residents, finished. All hold indices into
     # accepted, the arrival rank, so sorting them gives arrival order.
     iterations = IterationLog()
-    log_start, log_end, log_tokens, log_vram, log_depth = (
-        iterations.t_start.append, iterations.t_end.append, iterations.scheduled_tokens.append,
-        iterations.vram_used.append, iterations.queue_depth.append)
     finished_rank = array("q")  # arrival rank and TTFT of each finished request, in finishing order
     finished_ttft = array("d")
-    finish_rank, finish_ttft = finished_rank.append, finished_ttft.append
     n_accepted = len(accepted)
     head = 0
     waiting: deque[int] = deque()
@@ -522,8 +526,8 @@ def run_sim(
                     r = accepted[k]
                     del residents[k]
                     used_tokens -= r.vram_tokens
-                    finish_rank(k)
-                    finish_ttft(t - r.arrival_time)
+                    finished_rank.append(k)
+                    finished_ttft.append(t - r.arrival_time)
             running = []
         rate = alpha if running else 1.0
         # Settle t: take in due arrivals, then release the transfers that are instant at rate.
@@ -545,13 +549,7 @@ def run_sim(
             # instant on an infinite link, or too little left to move the clock
             ready.add(chan_req)
             chan_req = None
-        t_done = t + chan_left / (bw * rate) if chan_req is not None and rate else inf
-        nxt = t_done if t_done < t_arr else t_arr
-
-        if running:
-            if until < nxt:
-                nxt = until
-        else:
+        if not running:
             # Residents continue first, in arrival order; the policy admits into what is left.
             left = budget
             for k in sorted(residents):
@@ -577,26 +575,23 @@ def run_sim(
                     raise SimulationError(f"policy scheduled {sched} tokens at t={t!r}; the clock would stop")
                 duration = sched * f_pf / c_eff
                 until = t + duration
-                log_start(t)
-                log_end(until)
-                log_tokens(sched)
-                log_vram(used_tokens * b_kv)
-                log_depth(depth)
+                iterations.append(t, until, sched, used_tokens * b_kv, depth)
                 compute_active += duration
-                # The clock moves on in this trip with the channel at alpha. Settling it
-                # again at alpha releases nothing: a transfer not instant at rate 1 is not
-                # instant at alpha <= 1. An iteration that ends at t retires next trip.
+                # The channel runs at alpha from here. Settling again at alpha would
+                # release nothing: a transfer not instant at rate 1 is not instant at
+                # alpha <= 1. An iteration that ends at t retires next trip.
                 rate = alpha
-                t_done = t + chan_left / (bw * rate) if chan_req is not None and rate else inf
-                nxt = t_done if t_done < t_arr else t_arr
-                if until < nxt:
-                    nxt = until
-            else:
-                # Nothing schedulable: jump to the next event, at full channel rate.
-                if nxt == inf:
-                    break
-                if not nxt > t:
-                    raise SimulationError(f"idle jump from t={t!r} to {nxt!r} does not move the clock")
+
+        t_done = t + chan_left / (bw * rate) if chan_req is not None and rate else inf
+        nxt = t_done if t_done < t_arr else t_arr
+        if running:
+            if until < nxt:
+                nxt = until
+        elif nxt == inf:
+            break
+        elif not nxt > t:
+            # Nothing schedulable, and the next event does not move the clock.
+            raise SimulationError(f"idle jump from t={t!r} to {nxt!r} does not move the clock")
 
         # Move to nxt, running the channel at rate.
         if nxt > t:

@@ -430,7 +430,7 @@ class TestRunSimInvariants:
     @pytest.mark.parametrize("rejected", [0, 5, 60])
     def test_ids_in_any_order_are_checked_and_listed_by_id(self, order, rejected):
         # One run of ascending ids, a few runs that are merged, and more runs than MERGED_RUNS,
-        # which are sorted; rejected requests looked up in each run, or so many that all are sorted.
+        # which are sorted; rejected ids, merged with the runs or sorted with them.
         n = 2 * simulator.MERGED_RUNS + 10
         ids = {"ascending": range(n), "three runs": [*range(50, n), *range(20, 50), *range(20)],
                "descending": range(n - 1, -1, -1)}[order]
@@ -666,7 +666,6 @@ class TestIterationLog:
             tracemalloc.stop()
         assert n > 10_000
         assert freed / n < 64
-
 
     def test_run_sim_peaks_under_96_bytes_per_request(self):
         # The records are the stream's; run_sim adds its accepted list, the
