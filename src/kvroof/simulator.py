@@ -54,10 +54,11 @@ pick by position in the ready list they are given. A finished request's
 TTFT lives in two typed columns of the report, its arrival rank and its
 TTFT in finishing order (``SimReport.finished_rank`` and
 ``finished_ttft``), 16 bytes per request; no structure keyed by id is kept.
-Ids are checked distinct without a set: when the accepted ids ascend in a
-few runs, by merging the runs and the sorted rejected ids, otherwise by a
-sort. Only a repeat found so makes ``run_sim`` scan the stream with a set,
-to name the fault met first.
+Ids are checked distinct without a set: by merging the accepted ids with
+the sorted rejected ids, which ascends when the accepted ids do, as a
+synthesized stream's do, and otherwise by a sort. Only a repeat found so,
+or another fault in the stream, makes ``run_sim`` scan the stream with a
+set, to name the fault met first.
 
 VRAM is accounted in integer token-equivalents (K + T per request) so that
 pool arithmetic is exact; byte figures in reports are scaled back through
@@ -79,8 +80,9 @@ from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, compress, count, islice, pairwise, starmap
-from operator import attrgetter, ge, lt
+from heapq import merge
+from itertools import accumulate, chain, count, islice, pairwise, starmap
+from operator import attrgetter, lt
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .catalog import (HardwareSpec, ModelSpec, flops_per_token, is_count, is_number, kv_bytes_per_token, lookup,
@@ -209,18 +211,17 @@ class SimReport:
 
         Every accepted request has finished in a report ``run_sim`` returns.
         Holds one TTFT per accepted request meanwhile, by arrival rank. Ids
-        that ascend in a few runs, as a synthesized stream's do (they gain a
-        digit at 10^6), are merged run by run; others are sorted.
+        that ascend, as a synthesized stream's do, are listed in rank order;
+        others are sorted.
         """
         accepted = self.accepted
         by_rank = array("d", [0.0]) * len(accepted)
         for k, ttft in zip(self.finished_rank, self.finished_ttft):
             by_rank[k] = ttft
-        runs = _id_runs(accepted)
-        if runs is None:
-            ranks = sorted(range(len(accepted)), key=lambda k: accepted[k].source_id)
-            return ((accepted[k].source_id, by_rank[k]) for k in ranks)
-        return ((sid, by_rank[k]) for sid, k in _merge([zip(_run_ids(accepted, r), r) for r in runs]))
+        ranks = range(len(accepted))
+        if not _ascend(map(attrgetter("source_id"), accepted)):
+            ranks = sorted(ranks, key=lambda k: accepted[k].source_id)
+        return ((accepted[k].source_id, by_rank[k]) for k in ranks)
 
     def summary(self) -> dict:
         """Every key of ``to_dict`` but ``request_ttft``."""
@@ -247,53 +248,22 @@ class SimReport:
         return self.iterations.rows()
 
 
-# Most runs of ascending ids that are merged, rather than sorted, into id order (_id_runs).
-MERGED_RUNS = 64
-
-
 def _ascend(ids: Iterable[str]) -> bool:
     """Whether ``ids`` strictly ascend: then they are distinct, and in id order."""
     return all(starmap(lt, pairwise(ids)))
 
 
-def _id_runs(records: Sequence[RequestRecord]) -> Optional[list[range]]:
-    """The positions of ``records`` in runs of strictly ascending ids; None past ``MERGED_RUNS`` runs."""
-    ids = partial(map, attrgetter("source_id"))
-    starts = list(islice(compress(count(1), map(ge, ids(records), ids(islice(records, 1, None)))), MERGED_RUNS))
-    if len(starts) == MERGED_RUNS:
-        return None
-    return list(starmap(range, pairwise([0, *starts, len(records)])))
-
-
-def _run_ids(records: Sequence[RequestRecord], run: range) -> Iterator[str]:
-    """The ids of ``records`` at the positions of ``run``."""
-    return map(attrgetter("source_id"), map(records.__getitem__, run))
-
-
-def _merge(sources: list[Iterable]) -> Iterable:
-    """The items of ``sources``, each sorted, in one sorted stream."""
-    if len(sources) == 1:
-        return sources[0]
-    from heapq import merge  # here, not at module level: ids that ascend in one run need no merge
-
-    return merge(*sources)
-
-
 def _ids_distinct(accepted: Sequence[RequestRecord], rejected: Sequence[RejectedRequest]) -> bool:
     """Whether no id repeats among the accepted and rejected requests, found without a set.
 
-    When the accepted ids ascend in at most ``MERGED_RUNS`` runs, the runs
-    and the sorted rejected ids are merged, and the ids are distinct if the
-    merge ascends. Otherwise all the ids are sorted.
+    The accepted ids are merged with the sorted rejected ids. The merge
+    holds every id, so if it strictly ascends, as it does when the accepted
+    ids ascend, none repeats, whatever order they came in. Otherwise all the
+    ids are sorted.
     """
+    accepted_ids = partial(map, attrgetter("source_id"), accepted)
     rejected_ids = sorted(map(attrgetter("id"), rejected))
-    runs = _id_runs(accepted)
-    if runs is None:
-        return _ascend(sorted(chain(map(attrgetter("source_id"), accepted), rejected_ids)))
-    sources = [_run_ids(accepted, r) for r in runs]
-    if rejected_ids:
-        sources.append(rejected_ids)
-    return _ascend(_merge(sources))
+    return _ascend(merge(accepted_ids(), rejected_ids)) or _ascend(sorted(chain(accepted_ids(), rejected_ids)))
 
 
 # (position in the ready list the policy was given, tokens to run)
@@ -464,30 +434,32 @@ def run_sim(
 
     # A stream's faults are reported in stream order, and each record's in this
     # order: no arrival, an arrival out of order, a repeated id, a T that cannot
-    # run. Ids are checked after the scan; a fault found in it first refuses a
-    # repeated id among the records before (_refuse_repeated_id).
+    # run. The scan stops at its first fault, a T's after taking its record in;
+    # a repeated id among the records scanned is refused before that fault.
     rejected: list[RejectedRequest] = []
     accepted: list[RequestRecord] = []
+    fault: Optional[str] = None  # the message of the first fault met
     prev = 0.0
     for rec in requests:
         if rec.arrival_time is None:
-            _refuse_repeated_id(requests, len(accepted) + len(rejected))
-            raise SimulationError(f"request {quote(rec.source_id)} has no arrival_time")
+            fault = f"request {quote(rec.source_id)} has no arrival_time"
+            break
         if not prev <= rec.arrival_time:
-            _refuse_repeated_id(requests, len(accepted) + len(rejected))
-            raise SimulationError(f"request {quote(rec.source_id)}: arrival_time {rec.arrival_time!r} "
-                                  f"must be >= 0 and sorted (not before {prev!r})")
+            fault = (f"request {quote(rec.source_id)}: arrival_time {rec.arrival_time!r} "
+                     f"must be >= 0 and sorted (not before {prev!r})")
+            break
         prev = rec.arrival_time
         if rec.vram_tokens > capacity_tokens:
             rejected.append(RejectedRequest(id=rec.source_id, vram_bytes=rec.vram_tokens * b_kv))
-        elif rec.prefill_tokens > budget and not config.allow_chunked_prefill:
-            _refuse_repeated_id(requests, len(accepted) + len(rejected) + 1)
-            raise SimulationError(f"request {quote(rec.source_id)}: prefill_tokens {rec.prefill_tokens} exceed "
-                                  f"token_budget {budget}, and chunked prefill is off")
         else:
             accepted.append(rec)
-    if not _ids_distinct(accepted, rejected):
+            if rec.prefill_tokens > budget and not config.allow_chunked_prefill:
+                fault = (f"request {quote(rec.source_id)}: prefill_tokens {rec.prefill_tokens} exceed "
+                         f"token_budget {budget}, and chunked prefill is off")
+                break
+    if fault is not None or not _ids_distinct(accepted, rejected):
         _refuse_repeated_id(requests, len(accepted) + len(rejected))
+        raise SimulationError(fault)  # with no other fault, a repeat was refused
 
     # Where each request is (see the module docstring): accepted[head:],
     # waiting, chan_req, ready, residents, finished. All hold indices into

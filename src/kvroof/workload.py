@@ -284,6 +284,9 @@ def synthesize_stream(
 class SynthesizedStream:
     """A synthesized stream's draws, as numpy arrays; iterating builds its ``RequestRecord``s.
 
+    Record i's id is ``<name>-<i>``, i zero-padded to one width for the whole
+    stream: six digits, or as many as the last index has. So the ids ascend
+    in stream order, and a stream of at most 10^6 records has six-digit ids.
     Records are built ``SYNTH_SLICE`` at a time: the slice's ids, then
     ``tolist()`` of each array's slice, which gives the Python ints and
     floats of the whole array's ``tolist()``. ``len`` is the number of
@@ -308,7 +311,8 @@ class SynthesizedStream:
     def _slice(self, start: int) -> Iterator[RequestRecord]:
         stop = min(start + SYNTH_SLICE, len(self))
         name = self.name
-        ids = [f"{name}-{i:06d}" for i in range(start, stop)]
+        spec = f"0{max(6, len(str(len(self) - 1)))}d"  # one width, so the ids ascend
+        ids = [f"{name}-{i:{spec}}" for i in range(start, stop)]
         return map(RequestRecord, ids, self.cached_tokens[start:stop].tolist(),
                    self.prefill_tokens[start:stop].tolist(), self.arrivals[start:stop].tolist())
 

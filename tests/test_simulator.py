@@ -415,6 +415,8 @@ class TestRunSimInvariants:
         ([("a", 0.0), ("a", None)], "request 'a' has no arrival_time"),
         # a repeated id on a record too long to run without chunking: the repeat
         ([("a", 0.0), ("a", 1.0, 11)], "duplicate source_id 'a'"),
+        # a repeated id of a rejected request before a T too long to run without chunking: the repeat
+        ([("a", 0.0), ("big", 1.0), ("big", 2.0), ("c", 3.0, 11)], "duplicate source_id 'big'"),
         # a T too long to run without chunking before a repeated id: the T
         ([("a", 0.0, 11), ("b", 1.0), ("b", 2.0)], "request 'a': prefill_tokens 11 exceed token_budget 10, "
                                                   "and chunked prefill is off"),
@@ -429,9 +431,9 @@ class TestRunSimInvariants:
     @pytest.mark.parametrize("order", ["ascending", "three runs", "descending"])
     @pytest.mark.parametrize("rejected", [0, 5, 60])
     def test_ids_in_any_order_are_checked_and_listed_by_id(self, order, rejected):
-        # One run of ascending ids, a few runs that are merged, and more runs than MERGED_RUNS,
-        # which are sorted; rejected ids, merged with the runs or sorted with them.
-        n = 2 * simulator.MERGED_RUNS + 10
+        # Ascending ids take the merge with the sorted rejected ids; three runs, or ids that
+        # descend, fail to merge in order and take the sort of every id.
+        n = 138
         ids = {"ascending": range(n), "three runs": [*range(50, n), *range(20, 50), *range(20)],
                "descending": range(n - 1, -1, -1)}[order]
         big = set(range(0, n, n // rejected)) if rejected else set()  # stream positions too big for the pool

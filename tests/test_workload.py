@@ -19,6 +19,7 @@ from kvroof.workload import (
     SYNTH_SLICE,
     RequestRecord,
     StreamProfile,
+    SynthesizedStream,
     read_conversations,
     read_documents,
     read_stream,
@@ -301,6 +302,20 @@ class TestSynthesizeStream:
         assert len(rest) == n - 1 and rest[-1].source_id == f"sharegpt-like-{n - 1:06d}"
         # every iteration builds the same records anew
         assert [dataclasses.astuple(r) for r in stream] == [dataclasses.astuple(r) for r in [first, *rest]]
+
+    def test_ids_keep_one_width_past_a_million_records(self):
+        # Draws made directly with numpy: only the first and last slices' records are built.
+        n = 10**6 + 1
+        arrivals, counts = np.arange(n, dtype=float), np.ones(n, dtype=np.int64)
+        last = (n - 1) // SYNTH_SLICE * SYNTH_SLICE
+        stream = SynthesizedStream("s", arrivals, counts, counts)
+        ids = [r.source_id for start in (0, last) for r in stream._slice(start)]
+        assert ids[:2] == ["s-0000000", "s-0000001"] and ids[-2:] == ["s-0999999", "s-1000000"]
+        assert len(set(map(len, ids))) == 1
+        assert all(a < b for a, b in itertools.pairwise(ids))
+        # one record fewer keeps six digits, so streams of at most 10^6 records keep their bytes
+        shorter = SynthesizedStream("s", arrivals[:-1], counts[:-1], counts[:-1])
+        assert [r.source_id for r in shorter._slice(last)][-1] == "s-999999"
 
     def test_synth_and_write_peak_under_120_bytes_per_request(self, tmp_path):
         # The draws are arrays of 8 bytes a number; records are built and written a slice at a time.
