@@ -12,7 +12,11 @@ and only ``synth`` takes ``--seed``; the simulator draws no random numbers.
 Every output carries a manifest block recording the tool version, command
 line, catalog hash, and the seed where there is one, so re-running with the
 recorded inputs reproduces byte-identical files. Files are written as UTF-8
-whatever the locale. Internals are SI units;
+whatever the locale. ``analyze`` reads its trace in one pass, writing each
+line's rows as it goes, and its ``--out`` is written only on success: the
+rows go to a temporary file beside it, which replaces it at the end and is
+removed on any error, so a failed ``analyze`` makes no file and leaves an
+existing one as it was. Internals are SI units;
 tables display KB/GFLOP and GFLOP/KB unless ``--si`` is given.
 
 ``simulate --config`` takes a JSON object with these keys:
@@ -43,6 +47,7 @@ Exit codes: 0 success, 2 usage error, 3 data error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import gc
@@ -51,10 +56,11 @@ import json
 import math
 import os
 import sys
+from array import array
 from dataclasses import dataclass
 from itertools import starmap
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence, TextIO
 
 from . import __version__
 from . import analytics, roofline, workload
@@ -85,6 +91,9 @@ ENV_CATALOG = "KVROOF_CATALOG"
 
 EXIT_OK = 0
 EXIT_DATA = 3
+
+# Rows of analysis.csv joined into one write.
+ROWS_PER_WRITE = 4096
 
 
 class Catalog(NamedTuple):
@@ -144,14 +153,54 @@ def _pick(pool: dict, names: Optional[str], kind: str) -> list:
     return picked
 
 
-def _write_csv(path, manifest: RunManifest, header: Sequence[str], rows=(), lines=()) -> None:
-    """CSV with the manifest as a leading comment line: ``rows`` through ``csv.writer``, then ``lines`` as they are."""
+def _csv_head(manifest: RunManifest, header: Sequence[str]) -> str:
+    """A CSV's manifest comment line and its header row."""
+    return f"# {manifest.as_comment()}\n" + roofline.csv_row(list(header))
+
+
+def _write_csv(path, manifest: RunManifest, header: Sequence[str], rows) -> None:
+    """CSV with the manifest as a leading comment line, ``rows`` through ``csv.writer``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# {manifest.as_comment()}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-        fh.writelines(lines)
+        fh.write(_csv_head(manifest, header))
+        csv.writer(fh).writerows(rows)
+
+
+@contextlib.contextmanager
+def _replacing(path: Optional[str]) -> Iterator[Optional[TextIO]]:
+    """A UTF-8 text file whose bytes replace ``path`` only if the block succeeds; ``None`` without a path.
+
+    The bytes go to a temporary file beside ``path`` (beside its target, if
+    ``path`` is a symlink), which takes an existing file's mode and is
+    removed on any failure, so a failed command makes no file and changes
+    none. A ``path`` that cannot be written fails here, before the block
+    runs, with the error ``open(path, "w")`` would give. A ``path`` that is
+    there but is no regular file, such as ``/dev/null``, is written in place.
+    """
+    if path is None:
+        yield None
+        return
+    target = Path(os.path.realpath(path))
+    exists = target.exists()
+    if exists and not target.is_file():
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        return
+    temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        if exists:  # the error a write would meet, such as a file without write permission
+            open(path, "a", encoding="utf-8").close()
+        fh = open(temp, "x", newline="", encoding="utf-8")
+    except OSError as exc:  # the temporary file's error, told as open(path, "w") would tell it
+        raise KvroofError(str(OSError(exc.errno, exc.strerror, path))) from exc
+    try:
+        with fh:
+            if exists:
+                os.chmod(fh.fileno(), target.stat().st_mode & 0o7777)
+            yield fh
+        os.replace(temp, target)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 # --- kappa ------------------------------------------------------------------
@@ -204,11 +253,26 @@ def _cmd_roofline(args, catalog: Catalog, manifest: RunManifest) -> int:
 # --- analyze ------------------------------------------------------------------
 
 def _cmd_analyze(args, catalog: Catalog, manifest: RunManifest) -> int:
-    read = workload.read_conversations if args.kind == "conversation" else workload.read_documents
-    records = [r for line in read(args.trace) for r in line]
-    if not records:
-        raise WorkloadError(f"{args.trace}: trace produced no requests")
-    summary = workload.summarize(records)
+    """One pass over the trace: each line's rows go to ``--out`` and its K and T to two columns; no record is kept."""
+    cached, prefill = array("q"), array("q")
+    with _replacing(args.out) as fh:
+        rows: list[str] = []
+        if fh is not None:
+            fh.write(_csv_head(manifest, ("source_id", "cached_tokens", "prefill_tokens", "kappa_ratio")))
+        for records in workload.trace_records(args.trace, args.kind):
+            for r in records:
+                cached.append(r.cached_tokens)
+                prefill.append(r.prefill_tokens)
+            if fh is not None:
+                rows += map(_analysis_row, records)
+                if len(rows) >= ROWS_PER_WRITE:
+                    fh.write("".join(rows))
+                    rows.clear()
+        if not cached:
+            raise WorkloadError(f"{args.trace}: trace produced no requests")
+        if fh is not None:
+            fh.write("".join(rows))
+    summary = workload.summarize_columns(cached, prefill)
     print(f"requests: {summary.count}")
     for title, stats in (
         ("prefill_tokens (T)", summary.prefill_tokens),
@@ -218,9 +282,6 @@ def _cmd_analyze(args, catalog: Catalog, manifest: RunManifest) -> int:
         pcts = "  ".join(f"p{p}={stats.percentiles[p]:g}" for p in workload.PERCENTILES)
         print(f"{title}: mean={stats.mean:.4g}  min={stats.minimum:g}  max={stats.maximum:g}  {pcts}")
     print(f"# {manifest.as_comment()}")
-    if args.out:
-        header = ["source_id", "cached_tokens", "prefill_tokens", "kappa_ratio"]
-        _write_csv(args.out, manifest, header, lines=map(_analysis_row, records))
     return EXIT_OK
 
 

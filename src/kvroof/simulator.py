@@ -80,7 +80,6 @@ from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import partial
-from heapq import merge
 from itertools import accumulate, chain, count, islice, pairwise, starmap
 from operator import attrgetter, lt
 from typing import Iterable, Iterator, Optional, Sequence
@@ -256,14 +255,21 @@ def _ascend(ids: Iterable[str]) -> bool:
 def _ids_distinct(accepted: Sequence[RequestRecord], rejected: Sequence[RejectedRequest]) -> bool:
     """Whether no id repeats among the accepted and rejected requests, found without a set.
 
-    The accepted ids are merged with the sorted rejected ids. The merge
-    holds every id, so if it strictly ascends, as it does when the accepted
-    ids ascend, none repeats, whatever order they came in. Otherwise all the
-    ids are sorted.
+    Accepted ids that strictly ascend, as a synthesized stream's do, are
+    distinct; then every id is distinct if the sorted rejected ids strictly
+    ascend too and ``bisect`` finds none of them among the accepted ids.
+    Otherwise all the ids are sorted.
     """
-    accepted_ids = partial(map, attrgetter("source_id"), accepted)
+    source_id = attrgetter("source_id")
     rejected_ids = sorted(map(attrgetter("id"), rejected))
-    return _ascend(merge(accepted_ids(), rejected_ids)) or _ascend(sorted(chain(accepted_ids(), rejected_ids)))
+    if not _ascend(map(source_id, accepted)):
+        return _ascend(sorted(chain(map(source_id, accepted), rejected_ids)))
+    n, k = len(accepted), 0
+    for rid in rejected_ids:
+        k = bisect_left(accepted, rid, k, key=source_id)
+        if k < n and accepted[k].source_id == rid:
+            return False
+    return _ascend(rejected_ids)
 
 
 # (position in the ready list the policy was given, tokens to run)

@@ -26,12 +26,19 @@ such as ``<file>: line N: bad request record: request: missing key(s)
   which checks the stream's types itself: a str id, int counts and a finite
   float arrival or None (an int or numpy arrival is stored as a float).
 
-A trace line reads straight into its requests: ``read_conversations`` and
-``read_documents`` give one list of ``RequestRecord`` per line, ``<id>/turn<i>``
-or ``<id>/q<i>``. No trace object of its own shape is built, so the trace
-keys are the literal ``(accepted, required)`` tables ``_CONVERSATION_KEYS``,
-``_TURN_KEYS`` and ``_DOCUMENT_KEYS`` beside the readers; a stream line's
-keys come from ``RequestRecord`` through ``catalog.json_keys``.
+A trace line reads straight into its requests: ``trace_records`` gives one
+list of ``RequestRecord`` per line, ``<id>/turn<i>`` or ``<id>/q<i>``, lazily:
+each line is read and checked only as the iteration reaches it, so a caller
+that drops each line's records, as ``kvroof analyze`` does, holds none of the
+trace. ``read_conversations`` and ``read_stream`` are the list of the same
+one-line-at-a-time reader. No trace object of its own shape is built, so the
+trace keys are the literal ``(accepted, required)`` tables
+``_CONVERSATION_KEYS``, ``_TURN_KEYS`` and ``_DOCUMENT_KEYS`` beside the
+readers; a stream line's keys come from ``RequestRecord`` through
+``catalog.json_keys``.
+
+The distribution summary is computed from two int columns, K and T
+(``summarize_columns``); ``summarize`` is its wrapper for a list of records.
 
 Synthetic streams draw cached and prefill token counts independently from
 log-normal profiles and arrive as a Poisson process; generation is
@@ -48,6 +55,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 from itertools import chain
+from operator import truediv
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .catalog import MAX_TOKENS, check_keys, is_count, is_number, json_keys, json_object, quote, refuse
@@ -142,8 +150,8 @@ def nearest_rank_percentile(sorted_values: Sequence[float], pct: float) -> float
     return sorted_values[nearest_rank(n, pct) - 1]
 
 
-def _field_stats(values: list[float]) -> FieldStats:
-    ordered = sorted(values)
+def _field_stats(ordered: list[float]) -> FieldStats:
+    """The stats of ``ordered``, ascending: the mean is their sum, added in that order, over n."""
     return FieldStats(
         mean=sum(ordered) / len(ordered),
         minimum=ordered[0],
@@ -152,16 +160,25 @@ def _field_stats(values: list[float]) -> FieldStats:
     )
 
 
-def summarize(records: Sequence[RequestRecord]) -> DistributionSummary:
-    """Exact order statistics of T, K, and K/T over a record set."""
-    if not records:
+def summarize_columns(cached_tokens: Sequence[int], prefill_tokens: Sequence[int]) -> DistributionSummary:
+    """Exact order statistics of T, K, and K/T over requests given as two columns, K and T.
+
+    Each K/T is ``k / t``, the division ``RequestRecord.kappa_ratio`` makes.
+    One column of floats is sorted at a time.
+    """
+    if not cached_tokens:
         raise WorkloadError("cannot summarize an empty record set")
     return DistributionSummary(
-        count=len(records),
-        prefill_tokens=_field_stats([float(r.prefill_tokens) for r in records]),
-        cached_tokens=_field_stats([float(r.cached_tokens) for r in records]),
-        kappa_ratio=_field_stats([r.kappa_ratio for r in records]),
+        count=len(cached_tokens),
+        prefill_tokens=_field_stats(sorted(map(float, prefill_tokens))),
+        cached_tokens=_field_stats(sorted(map(float, cached_tokens))),
+        kappa_ratio=_field_stats(sorted(map(truediv, cached_tokens, prefill_tokens))),
     )
+
+
+def summarize(records: Sequence[RequestRecord]) -> DistributionSummary:
+    """``summarize_columns`` of the records' K and T."""
+    return summarize_columns([r.cached_tokens for r in records], [r.prefill_tokens for r in records])
 
 
 @dataclass(frozen=True)
@@ -319,17 +336,17 @@ class SynthesizedStream:
 
 # --- JSON Lines readers/writers -------------------------------------------
 
-def _read_jsonl(path: str | Path, what: str, build: Callable[[str], object]) -> list:
-    """Apply ``build`` to each non-blank line, read one at a time, dropping ``None`` results.
+def _read_jsonl(path: str | Path, what: str, build: Callable[[str], object]) -> Iterator:
+    """Yield ``build`` of each non-blank line, read one at a time as the result is iterated, skipping ``None``.
 
     Bytes that are not UTF-8, malformed or too deeply nested JSON, missing keys,
-    wrong types and bad values all surface as ``WorkloadError("<path>: line N: ...")``.
+    wrong types and bad values all surface as ``WorkloadError("<path>: line N: ...")``,
+    raised when the iteration reaches that line.
     """
     try:
         fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise WorkloadError(f"cannot read {quote(path)}: {exc}") from exc
-    out = []
     with fh:
         try:
             for lineno, line in enumerate(fh, start=1):
@@ -344,10 +361,9 @@ def _read_jsonl(path: str | Path, what: str, build: Callable[[str], object]) -> 
                 except ValueError as exc:
                     raise WorkloadError(f"{path}: line {lineno}: bad {what}: {exc}") from exc
                 if item is not None:
-                    out.append(item)
+                    yield item
         except UnicodeDecodeError as exc:  # raised per chunk read, so the line is found again in the bytes
             raise WorkloadError(f"{path}: line {_undecodable_line(path)}: not UTF-8 text: {exc.reason}") from exc
-    return out
 
 
 def _undecodable_line(path: str | Path) -> int:
@@ -410,15 +426,19 @@ def _request(obj) -> Optional[RequestRecord]:
     return RequestRecord(str(obj["source_id"]), obj["cached_tokens"], obj["prefill_tokens"], obj.get("arrival_time"))
 
 
+# Each trace kind: what its line is called in errors, and the requests a parsed line gives.
+_TRACE_KINDS = {"conversation": ("conversation object", _conversation), "document": ("document object", _document)}
+
+
+def trace_records(path: str | Path, kind: str) -> Iterator[list[RequestRecord]]:
+    """Each line's requests in a ``kind`` trace, ``"conversation"`` or ``"document"``, read as they are iterated."""
+    what, requests = _TRACE_KINDS[kind]
+    return _read_jsonl(path, what, lambda line: requests(json.loads(line, object_pairs_hook=json_object)))
+
+
 def read_conversations(path: str | Path) -> list[list[RequestRecord]]:
     """Each conversation line's requests, one per turn."""
-    return _read_jsonl(path, "conversation object",
-                       lambda line: _conversation(json.loads(line, object_pairs_hook=json_object)))
-
-
-def read_documents(path: str | Path) -> list[list[RequestRecord]]:
-    """Each document line's requests, one per question."""
-    return _read_jsonl(path, "document object", lambda line: _document(json.loads(line, object_pairs_hook=json_object)))
+    return list(trace_records(path, "conversation"))
 
 
 _json_str = json.encoder.encode_basestring_ascii
@@ -483,4 +503,4 @@ def _request_line(line: str) -> Optional[RequestRecord]:
 
 def read_stream(path: str | Path) -> list[RequestRecord]:
     """Read a JSON Lines stream file, skipping any manifest line."""
-    return _read_jsonl(path, "request record", _request_line)
+    return list(_read_jsonl(path, "request record", _request_line))

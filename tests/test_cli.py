@@ -20,11 +20,12 @@ import kvroof
 import kvroof.cli
 import kvroof.errors
 from kvroof.analytics import kappa_crit, kappa_hw, kappa_model
-from kvroof.catalog import by_name, default_catalog, default_catalog_text
+from kvroof.catalog import MAX_TOKENS, by_name, default_catalog, default_catalog_text
 from kvroof.cli import (EXIT_DATA, EXIT_OK, Catalog, RunManifest, _analysis_row, _load_sim_config, _write_json,
                         _write_report, main)
 from kvroof.simulator import SimConfig, compare_policies, run_sim
-from kvroof.workload import RequestRecord, read_stream
+from kvroof.errors import WorkloadError
+from kvroof.workload import PERCENTILES, RequestRecord, read_conversations, read_stream, summarize, trace_records
 
 from conftest import catalog_json, fixture_path
 from test_simulator import sim_case
@@ -227,6 +228,110 @@ class TestAnalyzeCommand:
         expected = io.StringIO()
         csv.writer(expected).writerow([source_id, cached, prefill, repr(record.kappa_ratio)])
         assert _analysis_row(record) == expected.getvalue()
+
+
+    @pytest.mark.parametrize("kind, text", [
+        ("conversation", '{"conversation_id": "c", "turns": [{"query_tokens": 3}]}\n{"conversation_id": "d"}\n'),
+        ("document", '{"doc_id": "d", "doc_tokens": 5, "question_tokens": []}\n'),
+    ], ids=["bad-line-2", "no-request"])
+    @pytest.mark.parametrize("existing", [None, "old,bytes\r\n"], ids=["new", "existing"])
+    def test_failure_leaves_out_as_it_was(self, tmp_path, capsys, kind, text, existing):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(text)
+        out = tmp_path / "analysis.csv"
+        if existing is not None:
+            out.write_text(existing, newline="")
+        code, stdout, err = run(["analyze", str(trace), "--kind", kind, "--out", str(out)], capsys)
+        assert code == EXIT_DATA
+        assert stdout == ""
+        assert err.startswith(f"error: {trace}: line 2: bad conversation object: " if kind == "conversation"
+                              else f"error: {trace}: trace produced no requests\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["trace.jsonl"] if existing is None
+                                                              else ["analysis.csv", "trace.jsonl"])
+        if existing is not None:
+            assert out.read_bytes() == existing.encode()
+
+    def test_out_replaces_an_existing_file_and_keeps_its_mode(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text('{"doc_id": "d", "doc_tokens": 5, "question_tokens": [2]}\n')
+        out = tmp_path / "analysis.csv"
+        out.write_text("old\n" * 100)
+        out.chmod(0o640)
+        code, _, _ = run(["analyze", str(trace), "--kind", "document", "--out", str(out)], capsys)
+        assert code == EXIT_OK
+        assert out.read_text().splitlines()[1:] == ["source_id,cached_tokens,prefill_tokens,kappa_ratio",
+                                                    "d/q1,5,2,2.5"]
+        assert out.stat().st_mode & 0o7777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["analysis.csv", "trace.jsonl"]
+
+    def test_out_in_a_missing_directory_fails_before_the_trace_is_read(self, tmp_path, capsys):
+        out = tmp_path / "no" / "analysis.csv"
+        code, stdout, err = run(["analyze", str(tmp_path / "no-trace.jsonl"), "--kind", "document", "--out", str(out)],
+                                capsys)
+        assert code == EXIT_DATA
+        assert stdout == ""
+        assert err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+
+
+# Token counts small and close to MAX_TOKENS: sums of the large ones pass 2**53, where float addition rounds.
+TOKEN_COUNTS = st.one_of(st.integers(1, 10**4), st.integers(MAX_TOKENS - 10**4, MAX_TOKENS))
+TRACE_IDS = st.one_of(st.text(alphabet=st.sampled_from('ab,"\r\n\u20ac'), max_size=4), st.integers(-5, 5))
+
+
+@st.composite
+def trace_text(draw, kind: str) -> str:
+    """A conversation or document trace, one JSON object per line; a conversation's history may pass MAX_TOKENS."""
+    if kind == "conversation":
+        turn = st.fixed_dictionaries({"query_tokens": TOKEN_COUNTS},
+                                     optional={"response_tokens": st.one_of(st.just(0), TOKEN_COUNTS)})
+        line = st.fixed_dictionaries({"conversation_id": TRACE_IDS, "turns": st.lists(turn, min_size=1, max_size=4)})
+    else:
+        line = st.fixed_dictionaries({"doc_id": TRACE_IDS, "doc_tokens": TOKEN_COUNTS,
+                                      "question_tokens": st.lists(TOKEN_COUNTS, max_size=6)})
+    return "".join(json.dumps(obj) + "\n" for obj in draw(st.lists(line, max_size=6)))
+
+
+def summary_lines(records) -> list[str]:
+    """The summary ``analyze`` prints for ``records``, from ``summarize``, without the manifest line."""
+    summary = summarize(records)
+    lines = [f"requests: {summary.count}"]
+    for title, stats in (("prefill_tokens (T)", summary.prefill_tokens), ("cached_tokens (K)", summary.cached_tokens),
+                         ("kappa_ratio (K/T)", summary.kappa_ratio)):
+        pcts = "  ".join(f"p{p}={stats.percentiles[p]:g}" for p in PERCENTILES)
+        lines.append(f"{title}: mean={stats.mean:.4g}  min={stats.minimum:g}  max={stats.maximum:g}  {pcts}")
+    return lines
+
+
+class TestAnalyzeDifferential:
+    """``analyze``'s one streaming pass prints and writes what ``summarize`` and ``_analysis_row`` give
+    over the records the list readers return, and fails where they fail."""
+
+    @pytest.mark.parametrize("kind", ["conversation", "document"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_the_records(self, tmp_path, capsys, kind, data):
+        trace, out = tmp_path / "trace.jsonl", tmp_path / "analysis.csv"
+        trace.write_text(data.draw(trace_text(kind)), encoding="utf-8")
+        out.unlink(missing_ok=True)
+        code, stdout, err = run(["analyze", str(trace), "--kind", kind, "--out", str(out)], capsys)
+        try:
+            lines = read_conversations(trace) if kind == "conversation" else list(trace_records(trace, kind))
+            records = [r for line in lines for r in line]
+            if not records:
+                raise WorkloadError(f"{trace}: trace produced no requests")
+        except WorkloadError as exc:
+            assert (code, stdout, err) == (EXIT_DATA, "", f"error: {exc}\n")
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.jsonl"]
+            return
+        assert (code, err) == (EXIT_OK, "")
+        assert stdout.splitlines()[:-1] == summary_lines(records)
+        assert stdout.splitlines()[-1].startswith("# manifest ")
+        head, _, body = out.read_bytes().decode("utf-8").partition("\n")
+        assert head.startswith("# manifest ")
+        assert body == "source_id,cached_tokens,prefill_tokens,kappa_ratio\r\n" + "".join(map(_analysis_row, records))
+        # the mean is the sum of the ascending floats over n, whatever rounding the sum meets past 2**53
+        cached = sorted(float(r.cached_tokens) for r in records)
+        assert summarize(records).cached_tokens.mean == sum(cached) / len(cached)
 
 
 class TestSynthCommand:

@@ -431,8 +431,8 @@ class TestRunSimInvariants:
     @pytest.mark.parametrize("order", ["ascending", "three runs", "descending"])
     @pytest.mark.parametrize("rejected", [0, 5, 60])
     def test_ids_in_any_order_are_checked_and_listed_by_id(self, order, rejected):
-        # Ascending ids take the merge with the sorted rejected ids; three runs, or ids that
-        # descend, fail to merge in order and take the sort of every id.
+        # Ascending ids take a bisect of each sorted rejected id into them; three runs, or ids
+        # that descend, take the sort of every id.
         n = 138
         ids = {"ascending": range(n), "three runs": [*range(50, n), *range(20, 50), *range(20)],
                "descending": range(n - 1, -1, -1)}[order]
@@ -447,6 +447,18 @@ class TestRunSimInvariants:
                 sid = stream[t].source_id
                 with pytest.raises(SimulationError, match=f"^duplicate source_id '{sid}'$"):
                     run_sim(unit_config(budget=4), [*stream, RequestRecord(sid, *shape, arrival_time=0.1 * n)], "fifo")
+
+    @given(accepted=st.lists(st.text("abc", max_size=3), max_size=12), rejected=st.lists(st.text("abc", max_size=3),
+                                                                                     max_size=5), ascend=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_ids_distinct_is_a_set_check(self, accepted, rejected, ascend):
+        # ids that ascend take the bisect path, others the sort of every id
+        if ascend:
+            accepted = sorted(set(accepted))
+        records = [RequestRecord(sid, 0, 1) for sid in accepted]
+        refused = [simulator.RejectedRequest(id=sid, vram_bytes=1.0) for sid in rejected]
+        ids = accepted + rejected
+        assert simulator._ids_distinct(records, refused) == (len(set(ids)) == len(ids))
 
     def test_request_ttft_is_in_finishing_order(self):
         # a's cache takes 5 s on a 4 B/s link, so b, arriving later with none, finishes first

@@ -21,16 +21,22 @@ from kvroof.workload import (
     StreamProfile,
     SynthesizedStream,
     read_conversations,
-    read_documents,
     read_stream,
     summarize,
     synthesize_stream,
+    trace_records,
     write_stream,
     _request,
     _request_line,
     _stream_line,
     _stream_line_match,
 )
+
+
+
+def read_documents(path):
+    """Each document line's requests, as ``analyze --kind document`` reads them."""
+    return list(trace_records(path, "document"))
 
 
 def read_outcome(build, line):
