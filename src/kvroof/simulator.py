@@ -50,15 +50,15 @@ the token budget could never be scheduled, so the run fails at once.
 ``run_sim`` reads the request records and never writes them. A request is
 known by its index in the accepted list, its arrival rank; ``residents``
 maps that index to the prefill tokens the request has left, and policies
-pick by position in the ready list they are given. A finished request's
-TTFT lives in two typed columns of the report, its arrival rank and its
-TTFT in finishing order (``SimReport.finished_rank`` and
-``finished_ttft``), 16 bytes per request; no structure keyed by id is kept.
-Ids are checked distinct without a set: by merging the accepted ids with
-the sorted rejected ids, which ascends when the accepted ids do, as a
-synthesized stream's do, and otherwise by a sort. Only a repeat found so,
-or another fault in the stream, makes ``run_sim`` scan the stream with a
-set, to name the fault met first.
+pick by position in the ready list they are given. A request's TTFT lives
+at its arrival rank in one typed column, NaN until it finishes: 8 bytes
+per request, and no structure keyed by id. The ranks' id order is decided
+once, before the loop: ``range`` when the ids ascend, as a synthesized
+stream's do, else one sort into an ``array('q')``. The ids are distinct,
+found without a set, if they ascend along it and bisecting the sorted
+rejected ids into it finds none. Only a repeat found so, or another fault
+in the stream, makes ``run_sim`` scan the stream with a set, to name the
+fault met first.
 
 VRAM is accounted in integer token-equivalents (K + T per request) so that
 pool arithmetic is exact; byte figures in reports are scaled back through
@@ -80,7 +80,7 @@ from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, count, islice, pairwise, starmap
+from itertools import accumulate, count, islice, pairwise, starmap
 from operator import attrgetter, lt
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -178,49 +178,41 @@ class SimReport:
 
     ``iterations`` is an ``IterationLog``. ``accepted`` is the accepted
     records in arrival order, so a request's index there is its arrival
-    rank. A finished request is one position of ``finished_rank`` (its
-    arrival rank, ``array('q')``) and of ``finished_ttft`` (its TTFT,
-    ``array('d')``), in the order the requests finished: 16 bytes per
-    request. ``request_ttft`` builds the id -> TTFT dict from them on
-    demand, in finishing order; ``ttft_by_id`` gives the same items in id
-    order without building it.
+    rank. ``ttft`` (``array('d')``) holds each request's TTFT at its rank,
+    and ``id_order`` the ranks in id order: a ``range`` when the ids
+    ascend, an ``array('q')`` otherwise. ``mean_ttft`` is the TTFTs summed
+    in finishing order, over their count. ``request_ttft`` builds the
+    id -> TTFT dict on demand; ``ttft_by_id`` gives its items without
+    building it.
     """
 
     iterations: IterationLog
     accepted: list[RequestRecord]
-    finished_rank: array
-    finished_ttft: array
+    ttft: array
+    id_order: Sequence[int]
     rejected: list[RejectedRequest]
     mean_scheduled_tokens: float
     scheduled_token_percentiles: dict[int, float]
     compute_busy_fraction: float
     transfer_busy_fraction: float
     simulated_seconds: float
-    completed: int
+    mean_ttft: float
     mean_power_watts: Optional[float] = None
 
     @property
+    def completed(self) -> int:
+        """Every accepted request has finished in a report ``run_sim`` returns."""
+        return len(self.accepted)
+
+    @property
     def request_ttft(self) -> dict[str, float]:
-        """Each finished request's TTFT by id, in finishing order."""
-        accepted = self.accepted
-        return {accepted[k].source_id: ttft for k, ttft in zip(self.finished_rank, self.finished_ttft)}
+        """Each finished request's TTFT by id, in id order."""
+        return dict(self.ttft_by_id())
 
     def ttft_by_id(self) -> Iterator[tuple[str, float]]:
-        """``request_ttft``'s items sorted by id, as ``json.dumps(..., sort_keys=True)`` orders them.
-
-        Every accepted request has finished in a report ``run_sim`` returns.
-        Holds one TTFT per accepted request meanwhile, by arrival rank. Ids
-        that ascend, as a synthesized stream's do, are listed in rank order;
-        others are sorted.
-        """
-        accepted = self.accepted
-        by_rank = array("d", [0.0]) * len(accepted)
-        for k, ttft in zip(self.finished_rank, self.finished_ttft):
-            by_rank[k] = ttft
-        ranks = range(len(accepted))
-        if not _ascend(map(attrgetter("source_id"), accepted)):
-            ranks = sorted(ranks, key=lambda k: accepted[k].source_id)
-        return ((accepted[k].source_id, by_rank[k]) for k in ranks)
+        """``request_ttft``'s items in id order, as ``json.dumps(..., sort_keys=True)`` orders them."""
+        accepted, ttft = self.accepted, self.ttft
+        return ((accepted[k].source_id, ttft[k]) for k in self.id_order)
 
     def summary(self) -> dict:
         """Every key of ``to_dict`` but ``request_ttft``."""
@@ -252,24 +244,28 @@ def _ascend(ids: Iterable[str]) -> bool:
     return all(starmap(lt, pairwise(ids)))
 
 
-def _ids_distinct(accepted: Sequence[RequestRecord], rejected: Sequence[RejectedRequest]) -> bool:
-    """Whether no id repeats among the accepted and rejected requests, found without a set.
+def _id_order(accepted: Sequence[RequestRecord], rejected: Sequence[RejectedRequest]) -> Optional[Sequence[int]]:
+    """The accepted requests' ranks in id order, or None if an id repeats among all the requests.
 
-    Accepted ids that strictly ascend, as a synthesized stream's do, are
-    distinct; then every id is distinct if the sorted rejected ids strictly
-    ascend too and ``bisect`` finds none of them among the accepted ids.
-    Otherwise all the ids are sorted.
+    Accepted ids that strictly ascend, as a synthesized stream's do, are in
+    id order already; others are sorted. No id repeats if they strictly
+    ascend along the order, the sorted rejected ids do too, and ``bisect``
+    finds none of those among them.
     """
     source_id = attrgetter("source_id")
-    rejected_ids = sorted(map(attrgetter("id"), rejected))
+    order: Sequence[int] = range(len(accepted))
     if not _ascend(map(source_id, accepted)):
-        return _ascend(sorted(chain(map(source_id, accepted), rejected_ids)))
-    n, k = len(accepted), 0
+        ids = list(map(source_id, accepted))
+        order = array("q", sorted(order, key=ids.__getitem__))
+        if not _ascend(map(ids.__getitem__, order)):
+            return None
+    rejected_ids = sorted(map(attrgetter("id"), rejected))
+    n, i = len(order), 0
     for rid in rejected_ids:
-        k = bisect_left(accepted, rid, k, key=source_id)
-        if k < n and accepted[k].source_id == rid:
-            return False
-    return _ascend(rejected_ids)
+        i = bisect_left(order, rid, i, key=lambda k: accepted[k].source_id)
+        if i < n and accepted[order[i]].source_id == rid:
+            return None
+    return order if _ascend(rejected_ids) else None
 
 
 # (position in the ready list the policy was given, tokens to run)
@@ -463,7 +459,8 @@ def run_sim(
                 fault = (f"request {quote(rec.source_id)}: prefill_tokens {rec.prefill_tokens} exceed "
                          f"token_budget {budget}, and chunked prefill is off")
                 break
-    if fault is not None or not _ids_distinct(accepted, rejected):
+    id_order = None if fault is not None else _id_order(accepted, rejected)
+    if id_order is None:
         _refuse_repeated_id(requests, len(accepted) + len(rejected))
         raise SimulationError(fault)  # with no other fault, a repeat was refused
 
@@ -471,9 +468,9 @@ def run_sim(
     # waiting, chan_req, ready, residents, finished. All hold indices into
     # accepted, the arrival rank, so sorting them gives arrival order.
     iterations = IterationLog()
-    finished_rank = array("q")  # arrival rank and TTFT of each finished request, in finishing order
-    finished_ttft = array("d")
     n_accepted = len(accepted)
+    ttft = array("d", [math.nan]) * n_accepted  # by arrival rank; NaN until the request finishes
+    ttft_sum = 0.0  # in finishing order, one addition at a time
     head = 0
     waiting: deque[int] = deque()
     chan_req: Optional[int] = None
@@ -504,8 +501,8 @@ def run_sim(
                     r = accepted[k]
                     del residents[k]
                     used_tokens -= r.vram_tokens
-                    finished_rank.append(k)
-                    finished_ttft.append(t - r.arrival_time)
+                    ttft[k] = done = t - r.arrival_time
+                    ttft_sum += done
             running = []
         rate = alpha if running else 1.0
         # Settle t: take in due arrivals, then release the transfers that are instant at rate.
@@ -581,11 +578,10 @@ def run_sim(
                 chan_active += nxt - t
             t = nxt
 
-    if len(finished_rank) < len(accepted):
-        done = set(finished_rank)
-        first = next(r.source_id for k, r in enumerate(accepted) if k not in done)
-        raise SimulationError(f"simulation ended with {len(accepted) - len(finished_rank)} unfinished request(s); "
-                              f"first: {quote(first)}")
+    unfinished = sum(map(math.isnan, ttft))
+    if unfinished:
+        first = next(r.source_id for r, done in zip(accepted, ttft) if math.isnan(done))
+        raise SimulationError(f"simulation ended with {unfinished} unfinished request(s); first: {quote(first)}")
 
     span = t - t_begin
     mean_sched, percentiles = _scheduled_token_stats(iterations.scheduled_tokens)
@@ -595,15 +591,15 @@ def run_sim(
     return SimReport(
         iterations=iterations,
         accepted=accepted,
-        finished_rank=finished_rank,
-        finished_ttft=finished_ttft,
+        ttft=ttft,
+        id_order=id_order,
         rejected=rejected,
         mean_scheduled_tokens=mean_sched,
         scheduled_token_percentiles=percentiles,
         compute_busy_fraction=compute_busy,
         transfer_busy_fraction=transfer_busy,
         simulated_seconds=span,
-        completed=len(finished_rank),
+        mean_ttft=ttft_sum / n_accepted if n_accepted else 0.0,
         mean_power_watts=_maybe_power(config, compute_busy),
     )
 
@@ -649,12 +645,12 @@ def _maybe_power(config: SimConfig, busy_fraction: float) -> Optional[float]:
 
 @dataclass
 class PolicyComparison:
-    """The same stream replayed under several policies."""
+    """The same stream replayed under several policies; each report accepts the same requests, rank for rank."""
 
     reports: list[tuple[str, SimReport]]
 
     def to_dict(self) -> dict:
-        base = self.reports[0][1].request_ttft
+        base = self.reports[0][1]
         return {
             "policies": [
                 {
@@ -662,15 +658,12 @@ class PolicyComparison:
                     "iterations": len(rep.iterations),
                     "mean_scheduled_tokens": rep.mean_scheduled_tokens,
                     "compute_busy_fraction": rep.compute_busy_fraction,
-                    # summed in finishing order, as request_ttft.values() gives them
-                    "mean_ttft": (
-                        sum(rep.finished_ttft) / len(rep.finished_ttft) if rep.finished_ttft else 0.0
-                    ),
+                    "mean_ttft": rep.mean_ttft,
                 }
                 for name, rep in self.reports
             ],
             "ttft_deltas_vs_first": [
-                {"policy": name, "deltas": {k: v - base[k] for k, v in rep.request_ttft.items() if k in base}}
+                {"policy": name, "deltas": {r.source_id: v - b for r, v, b in zip(rep.accepted, rep.ttft, base.ttft)}}
                 for name, rep in self.reports[1:]
             ],
         }

@@ -5,6 +5,7 @@ import random
 import signal
 import tracemalloc
 from array import array
+from collections import deque
 from contextlib import contextmanager
 
 import pytest
@@ -431,8 +432,8 @@ class TestRunSimInvariants:
     @pytest.mark.parametrize("order", ["ascending", "three runs", "descending"])
     @pytest.mark.parametrize("rejected", [0, 5, 60])
     def test_ids_in_any_order_are_checked_and_listed_by_id(self, order, rejected):
-        # Ascending ids take a bisect of each sorted rejected id into them; three runs, or ids
-        # that descend, take the sort of every id.
+        # Ascending ids are in id order as they are; three runs, or ids that descend, are
+        # sorted. The sorted rejected ids are bisected into either order.
         n = 138
         ids = {"ascending": range(n), "three runs": [*range(50, n), *range(20, 50), *range(20)],
                "descending": range(n - 1, -1, -1)}[order]
@@ -451,25 +452,40 @@ class TestRunSimInvariants:
     @given(accepted=st.lists(st.text("abc", max_size=3), max_size=12), rejected=st.lists(st.text("abc", max_size=3),
                                                                                      max_size=5), ascend=st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_ids_distinct_is_a_set_check(self, accepted, rejected, ascend):
-        # ids that ascend take the bisect path, others the sort of every id
+    def test_id_order_is_a_set_check_and_a_sort(self, accepted, rejected, ascend):
+        # ids that ascend are in id order as they are, others are sorted; either way the
+        # sorted rejected ids are bisected into the order
         if ascend:
             accepted = sorted(set(accepted))
         records = [RequestRecord(sid, 0, 1) for sid in accepted]
         refused = [simulator.RejectedRequest(id=sid, vram_bytes=1.0) for sid in rejected]
         ids = accepted + rejected
-        assert simulator._ids_distinct(records, refused) == (len(set(ids)) == len(ids))
+        order = simulator._id_order(records, refused)
+        assert (order is None) == (len(set(ids)) < len(ids))
+        if order is not None:
+            assert [accepted[k] for k in order] == sorted(accepted)
 
-    def test_request_ttft_is_in_finishing_order(self):
-        # a's cache takes 5 s on a 4 B/s link, so b, arriving later with none, finishes first
+    def test_mean_ttft_is_the_finishing_order_sum(self):
+        # a's cache takes 5 s on a 4 B/s link, paused while b and c compute, so b, then c,
+        # finish before a; in that order the TTFTs sum to a float other than in arrival order
         hw = HardwareSpec(name="unit-testbed", compute_throughput=2.0, link_bandwidth_peak=4.0, vram_effective=40.0)
         config = dataclasses.replace(unit_config(), hardware=hw)
-        stream = [RequestRecord("a", 5, 1, arrival_time=0.0), RequestRecord("b", 0, 1, arrival_time=0.5)]
+        stream = [RequestRecord("a", 5, 1, arrival_time=0.0), RequestRecord("b", 0, 2, arrival_time=0.8),
+                  RequestRecord("c", 0, 1, arrival_time=0.9)]
         report = run_sim(config, stream, "fifo")
-        assert list(report.request_ttft) == ["b", "a"]
-        assert list(report.finished_rank) == [1, 0]
-        assert list(report.finished_ttft) == list(report.request_ttft.values())
-        assert list(report.ttft_by_id()) == sorted(report.request_ttft.items())
+        ttft = report.request_ttft
+        assert ttft == {"a": 9.0, "b": 2.8 - 0.8, "c": 3.8 - 0.9}
+        assert report.mean_ttft == (ttft["b"] + ttft["c"] + ttft["a"]) / 3 != (ttft["a"] + ttft["b"] + ttft["c"]) / 3
+        assert compare_policies(config, stream, ["fifo"]).to_dict()["policies"][0]["mean_ttft"] == report.mean_ttft
+
+    def test_zero_ttft_counts_as_finished(self):
+        # on an infinite accelerator and link every prefill takes no time: a TTFT of 0.0 is a finished request's
+        hw = dataclasses.replace(UNIT_HW, compute_throughput=math.inf)
+        config = dataclasses.replace(unit_config(), hardware=hw)
+        stream = [RequestRecord("a", 1, 2, arrival_time=0.0), RequestRecord("b", 0, 3, arrival_time=1.0)]
+        report = run_sim(config, stream, "fifo")
+        assert report.request_ttft == {"a": 0.0, "b": 0.0}
+        assert report.completed == 2 and report.mean_ttft == 0.0
 
     def test_unschedulable_without_chunking_fails_fast(self):
         # T above the budget with chunking off can never run; say so before simulating
@@ -681,20 +697,29 @@ class TestIterationLog:
         assert n > 10_000
         assert freed / n < 64
 
-    def test_run_sim_peaks_under_96_bytes_per_request(self):
+    @pytest.mark.parametrize("ascending", [True, False], ids=["ascending ids", "other ids"])
+    def test_run_sim_peaks_under_80_bytes_per_request(self, ascending):
         # The records are the stream's; run_sim adds its accepted list, the
-        # iteration log (about one iteration per request here) and two TTFT
-        # columns, and keeps nothing per id.
+        # iteration log (about one iteration per request here), the TTFT column
+        # and, for ids that do not ascend, their order, and keeps nothing per id.
+        # Listing the TTFTs by id then allocates nothing per request.
         stream = list(synthesize_stream(SHAREGPT_LIKE, rps=200, duration_s=100, seed=1))
+        if not ascending:  # a bijection of the ranks, so the ids stay distinct
+            stream = [dataclasses.replace(r, source_id=f"r-{i * 2654435761 % 2**32:010d}") for i, r in enumerate(stream)]
         config = SimConfig(M["Qwen3-30B-A3B"], H["Unified-HBM"])
         tracemalloc.start()
         try:
-            run_sim(config, stream, "fifo")
+            report = run_sim(config, stream, "fifo")
             peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            deque(report.ttft_by_id(), maxlen=0)
+            listing = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
         assert len(stream) > 20_000
-        assert peak / len(stream) <= 96
+        assert peak / len(stream) <= 80
+        assert listing / len(stream) < 1
 
 
 class TestTransferChannel:
