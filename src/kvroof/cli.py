@@ -16,7 +16,11 @@ whatever the locale. ``analyze`` reads its trace in one pass, writing each
 line's rows as it goes, and its ``--out`` is written only on success: the
 rows go to a temporary file beside it, which replaces it at the end and is
 removed on any error, so a failed ``analyze`` makes no file and leaves an
-existing one as it was. Internals are SI units;
+existing one as it was. ``simulate`` reads its stream the same way, once
+per policy, and holds only the requests in flight; of the stream's
+faults it reports the first in stream order, whether the reader finds it
+(``<file>: line N: ...``) or the simulator (``<file>: request ...``, or
+``<file>: duplicate source_id ...``). Internals are SI units;
 tables display KB/GFLOP and GFLOP/KB unless ``--si`` is given.
 
 ``simulate --config`` takes a JSON object with these keys:
@@ -58,6 +62,7 @@ import os
 import sys
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from itertools import starmap
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional, Sequence, TextIO
@@ -264,7 +269,7 @@ def _cmd_analyze(args, catalog: Catalog, manifest: RunManifest) -> int:
                 cached.append(r.cached_tokens)
                 prefill.append(r.prefill_tokens)
             if fh is not None:
-                rows += map(_analysis_row, records)
+                rows += _analysis_rows(records)
                 if len(rows) >= ROWS_PER_WRITE:
                     fh.write("".join(rows))
                     rows.clear()
@@ -285,12 +290,21 @@ def _cmd_analyze(args, catalog: Catalog, manifest: RunManifest) -> int:
     return EXIT_OK
 
 
+def _analysis_rows(records: list[workload.RequestRecord]) -> list[str]:
+    """A trace line's ``analysis.csv`` rows as ``csv.writer`` writes them.
+
+    Only an id can need quoting, and a line's ids are its own id with
+    ``/turn<i>`` or ``/q<i>`` appended, so the first id decides for the line.
+    """
+    if records and any(c in records[0].source_id for c in ',"\r\n'):
+        return [roofline.csv_row([r.source_id, r.cached_tokens, r.prefill_tokens, repr(r.kappa_ratio)])
+                for r in records]
+    return [f"{r.source_id},{r.cached_tokens},{r.prefill_tokens},{r.kappa_ratio!r}\r\n" for r in records]
+
+
 def _analysis_row(r: workload.RequestRecord) -> str:
-    """The record's ``analysis.csv`` row as ``csv.writer`` writes it; only the id can need quoting."""
-    sid = r.source_id
-    if "," in sid or '"' in sid or "\r" in sid or "\n" in sid:
-        return roofline.csv_row([sid, r.cached_tokens, r.prefill_tokens, repr(r.kappa_ratio)])
-    return f"{sid},{r.cached_tokens},{r.prefill_tokens},{r.kappa_ratio!r}\r\n"
+    """One record's ``analysis.csv`` row: ``_analysis_rows`` of a line with one request."""
+    return _analysis_rows([r])[0]
 
 
 # --- synth --------------------------------------------------------------------
@@ -370,14 +384,14 @@ def _ttft_entry(source_id: str, ttft: float) -> str:
 
 
 def _cmd_simulate(args, catalog: Catalog, manifest: RunManifest) -> int:
+    """Each policy reads the stream anew, one record at a time, as its run reaches it."""
     config = _load_sim_config(args.config, catalog)
-    records = workload.read_stream(args.stream)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     # default None: argparse sees a given "fifo" beside --compare
     policies = tuple(POLICIES) if args.compare else (args.policy or "fifo",)
     try:
-        comparison = compare_policies(config, records, policies)
+        comparison = compare_policies(config, partial(workload.stream_records, args.stream), policies)
     except SimulationError as exc:  # a fault the simulator finds in the stream: name its file
         raise SimulationError(f"{args.stream}: {exc}") from exc
     for name, rep in comparison.reports:

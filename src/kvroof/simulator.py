@@ -43,22 +43,31 @@ transfer's end, or with nothing to run jumps to the next arrival or
 transfer end. A selection of 0 tokens, or an idle jump that would not move
 the clock, raises ``SimulationError`` instead of spinning.
 
-Requests whose footprint exceeds the whole pool are rejected at admission
-and reported. With chunked prefill off, an accepted request whose T exceeds
-the token budget could never be scheduled, so the run fails at once.
+Requests whose footprint exceeds the whole pool are rejected when they are
+read, and reported. With chunked prefill off, an accepted request whose T
+exceeds the token budget could never be scheduled, so the run fails when
+it is read.
 
-``run_sim`` reads the request records and never writes them. A request is
-known by its index in the accepted list, its arrival rank; ``residents``
-maps that index to the prefill tokens the request has left, and policies
-pick by position in the ready list they are given. A request's TTFT lives
-at its arrival rank in one typed column, NaN until it finishes: 8 bytes
-per request, and no structure keyed by id. The ranks' id order is decided
-once, before the loop: ``range`` when the ids ascend, as a synthesized
-stream's do, else one sort into an ``array('q')``. The ids are distinct,
-found without a set, if they ascend along it and bisecting the sorted
-rejected ids into it finds none. Only a repeat found so, or another fault
-in the stream, makes ``run_sim`` scan the stream with a set, to name the
-fault met first.
+``run_sim`` reads its requests once, ``READ_AHEAD`` accepted records
+ahead of the clock, never writes them, and holds a record only from its
+arrival until its prefill finishes. A request is known by its arrival
+rank; ``residents`` maps it to the prefill tokens left, and policies pick
+by position in the ready list they are given. Per accepted request the
+run keeps its id, about 80 bytes with the string, and its TTFT in a typed
+column, 8 bytes, NaN until it finishes; with the iteration log, 40 bytes
+an iteration, that is all a long run grows by. The ranks' id order is
+decided once, after the loop: ``range`` when the ids ascend, as a
+synthesized stream's do, else a sort into an ``array('q')``. The ids are
+distinct, found without a set, if they ascend along it and bisecting the
+sorted rejected ids into it finds none.
+
+The first fault in stream order is reported, whether the reader (such as
+``workload.stream_records``) or the simulator finds it; a record's own
+faults in this order: no arrival, an arrival out of order, a repeated id,
+a T that cannot run. Repeated ids are named by a scan with a set over the
+ids kept, made only after a fault or when the ids are not distinct. A
+fault of the policy is raised when the loop meets it, before a repeated
+id, found at the end, or a fault more than ``READ_AHEAD`` records ahead.
 
 VRAM is accounted in integer token-equivalents (K + T per request) so that
 pool arithmetic is exact; byte figures in reports are scaled back through
@@ -80,13 +89,14 @@ from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, count, islice, pairwise, starmap
+from heapq import merge
+from itertools import accumulate, chain, count, islice, pairwise, starmap
 from operator import attrgetter, lt
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .catalog import (HardwareSpec, ModelSpec, flops_per_token, is_count, is_number, kv_bytes_per_token, lookup,
                       quote, refuse)
-from .errors import SimulationError
+from .errors import SimulationError, WorkloadError
 from .workload import RequestRecord, nearest_rank
 
 ITERATION_CSV_COLUMNS = ["iter", "t_start", "t_end", "scheduled_tokens", "vram_used_bytes", "queue_depth"]
@@ -96,6 +106,12 @@ REPORT_PERCENTILES = (50, 90, 99)
 # The utilization-aware policy packs leftover budget by exhaustive subset
 # search when at most this many candidates remain, greedily otherwise.
 EXACT_SEARCH_LIMIT = 12
+
+# Accepted records run_sim reads at a time, ahead of the clock: read one per
+# arrival, between events, they made ``kvroof simulate`` about 6% slower.
+READ_AHEAD = 1024
+# Ids that do not ascend are put in order as this many sorted runs of ranks, merged.
+ID_SORT_RUNS = 16
 
 # An iteration schedules at most token_budget tokens, and the log keeps them
 # as 64-bit signed integers.
@@ -176,9 +192,9 @@ class RejectedRequest:
 class SimReport:
     """One run's results, kept as columns rather than one object per request or iteration.
 
-    ``iterations`` is an ``IterationLog``. ``accepted`` is the accepted
-    records in arrival order, so a request's index there is its arrival
-    rank. ``ttft`` (``array('d')``) holds each request's TTFT at its rank,
+    ``iterations`` is an ``IterationLog``. ``ids`` is the accepted
+    requests' ids in arrival order, so a request's index there is its
+    arrival rank. ``ttft`` (``array('d')``) holds each request's TTFT at its rank,
     and ``id_order`` the ranks in id order: a ``range`` when the ids
     ascend, an ``array('q')`` otherwise. ``mean_ttft`` is the TTFTs summed
     in finishing order, over their count. ``request_ttft`` builds the
@@ -187,7 +203,7 @@ class SimReport:
     """
 
     iterations: IterationLog
-    accepted: list[RequestRecord]
+    ids: list[str]
     ttft: array
     id_order: Sequence[int]
     rejected: list[RejectedRequest]
@@ -202,7 +218,7 @@ class SimReport:
     @property
     def completed(self) -> int:
         """Every accepted request has finished in a report ``run_sim`` returns."""
-        return len(self.accepted)
+        return len(self.ids)
 
     @property
     def request_ttft(self) -> dict[str, float]:
@@ -211,8 +227,8 @@ class SimReport:
 
     def ttft_by_id(self) -> Iterator[tuple[str, float]]:
         """``request_ttft``'s items in id order, as ``json.dumps(..., sort_keys=True)`` orders them."""
-        accepted, ttft = self.accepted, self.ttft
-        return ((accepted[k].source_id, ttft[k]) for k in self.id_order)
+        ids, ttft = self.ids, self.ttft
+        return ((ids[k], ttft[k]) for k in self.id_order)
 
     def summary(self) -> dict:
         """Every key of ``to_dict`` but ``request_ttft``."""
@@ -244,26 +260,31 @@ def _ascend(ids: Iterable[str]) -> bool:
     return all(starmap(lt, pairwise(ids)))
 
 
-def _id_order(accepted: Sequence[RequestRecord], rejected: Sequence[RejectedRequest]) -> Optional[Sequence[int]]:
-    """The accepted requests' ranks in id order, or None if an id repeats among all the requests.
+def _id_order(ids: Sequence[str], rejected: Sequence[RejectedRequest]) -> Optional[Sequence[int]]:
+    """The ranks of the accepted ``ids`` in id order, or None if an id repeats among all the requests.
 
     Accepted ids that strictly ascend, as a synthesized stream's do, are in
-    id order already; others are sorted. No id repeats if they strictly
-    ascend along the order, the sorted rejected ids do too, and ``bisect``
-    finds none of those among them.
+    id order already; the ranks of others are sorted in ``ID_SORT_RUNS``
+    runs, which are merged. Sorting makes an int object per rank, about 48
+    bytes with its list slots, and this runs beside the whole iteration
+    log, so only one run's ranks are objects at a time. No id repeats if
+    they strictly ascend along the order, the sorted rejected ids do too,
+    and ``bisect`` finds none of those among them.
     """
-    source_id = attrgetter("source_id")
-    order: Sequence[int] = range(len(accepted))
-    if not _ascend(map(source_id, accepted)):
-        ids = list(map(source_id, accepted))
-        order = array("q", sorted(order, key=ids.__getitem__))
-        if not _ascend(map(ids.__getitem__, order)):
+    n, key = len(ids), ids.__getitem__
+    order: Sequence[int] = range(n)
+    if not _ascend(ids):
+        step = max(1024, -(-n // ID_SORT_RUNS))
+        runs = [array("q", sorted(range(i, min(i + step, n)), key=key)) for i in range(0, n, step)]
+        order = array("q", merge(*runs, key=key))
+        del runs
+        if not _ascend(map(key, order)):
             return None
     rejected_ids = sorted(map(attrgetter("id"), rejected))
-    n, i = len(order), 0
+    i = 0
     for rid in rejected_ids:
-        i = bisect_left(order, rid, i, key=lambda k: accepted[k].source_id)
-        if i < n and accepted[order[i]].source_id == rid:
+        i = bisect_left(order, rid, i, key=key)
+        if i < n and ids[order[i]] == rid:
             return None
     return order if _ascend(rejected_ids) else None
 
@@ -418,12 +439,15 @@ POLICIES = {"fifo": schedule_fifo, "utilization": schedule_utilization_aware}
 
 def run_sim(
     config: SimConfig,
-    requests: Sequence[RequestRecord],
+    requests: Iterable[RequestRecord],
     policy: str = "fifo",
 ) -> SimReport:
     """Replay a timed request stream through the scheduler.
 
-    ``requests`` must be sorted by arrival time and carry arrival times.
+    ``requests`` must be sorted by arrival time and carry arrival times. It is
+    iterated once, ``READ_AHEAD`` accepted records at a time as the clock
+    reaches them, so a lazy reader such as ``workload.stream_records`` works
+    as a list does, and a finished record is dropped.
     """
     select = partial(lookup(POLICIES, policy, "policy", SimulationError), allow_chunking=config.allow_chunked_prefill)
     hw = config.hardware
@@ -433,59 +457,40 @@ def run_sim(
     c_eff = hw.compute_throughput
     capacity_tokens = hw.vram_effective / b_kv
     budget = config.token_budget
+    chunking = config.allow_chunked_prefill
+    inf = math.inf
 
-    # A stream's faults are reported in stream order, and each record's in this
-    # order: no arrival, an arrival out of order, a repeated id, a T that cannot
-    # run. The scan stops at its first fault, a T's after taking its record in;
-    # a repeated id among the records scanned is refused before that fault.
+    ids: list[str] = []  # by arrival rank
+    ttft = array("d")  # by arrival rank; NaN until the request finishes
     rejected: list[RejectedRequest] = []
-    accepted: list[RequestRecord] = []
-    fault: Optional[str] = None  # the message of the first fault met
-    prev = 0.0
-    for rec in requests:
-        if rec.arrival_time is None:
-            fault = f"request {quote(rec.source_id)} has no arrival_time"
-            break
-        if not prev <= rec.arrival_time:
-            fault = (f"request {quote(rec.source_id)}: arrival_time {rec.arrival_time!r} "
-                     f"must be >= 0 and sorted (not before {prev!r})")
-            break
-        prev = rec.arrival_time
-        if rec.vram_tokens > capacity_tokens:
-            rejected.append(RejectedRequest(id=rec.source_id, vram_bytes=rec.vram_tokens * b_kv))
-        else:
-            accepted.append(rec)
-            if rec.prefill_tokens > budget and not config.allow_chunked_prefill:
-                fault = (f"request {quote(rec.source_id)}: prefill_tokens {rec.prefill_tokens} exceed "
-                         f"token_budget {budget}, and chunked prefill is off")
-                break
-    id_order = None if fault is not None else _id_order(accepted, rejected)
-    if id_order is None:
-        _refuse_repeated_id(requests, len(accepted) + len(rejected))
-        raise SimulationError(fault)  # with no other fault, a repeat was refused
+    rejected_after: list[int] = []  # the accepted requests before each rejected one
 
-    # Where each request is (see the module docstring): accepted[head:],
-    # waiting, chan_req, ready, residents, finished. All hold indices into
-    # accepted, the arrival rank, so sorting them gives arrival order.
+    # Where each request is (see the module docstring): not yet read or pending,
+    # waiting, chan_req, ready, residents, finished. All hold arrival ranks, so
+    # sorting them gives arrival order; live holds the records from the first
+    # unfinished rank, or a little before it, to the last arrived.
+    batches = _accepted_batches(requests, capacity_tokens, b_kv, inf if chunking else budget, budget,
+                                ids, ttft, rejected, rejected_after)
+    batch = next(batches, [])  # accepted records read ahead: batch[pos] arrives next, at t_arr
+    pos = 0
+    t_arr = batch[0].arrival_time if batch else inf
+    t = t_begin = t_arr if batch else 0.0
     iterations = IterationLog()
-    n_accepted = len(accepted)
-    ttft = array("d", [math.nan]) * n_accepted  # by arrival rank; NaN until the request finishes
     ttft_sum = 0.0  # in finishing order, one addition at a time
-    head = 0
+    head = 0  # the rank of batch[pos]
+    live: list[Optional[RequestRecord]] = []  # records by rank - base, each None once finished
+    base = 0
+    dead = 0  # live's finished prefix, as far as it is known
     waiting: deque[int] = deque()
     chan_req: Optional[int] = None
     chan_left = 0.0  # bytes still to move for chan_req
     ready: set[int] = set()
-    residents: dict[int, int] = {}  # index -> prefill tokens left to run
+    residents: dict[int, int] = {}  # rank -> prefill tokens left to run
     used_tokens = 0  # VRAM held by residents, in token-equivalents
-    t = accepted[0].arrival_time if accepted else 0.0
-    t_begin = t
     chan_active = 0.0
     compute_active = 0.0
     alpha = config.overlap_alpha
-    inf = math.inf
-    t_arr = t if accepted else inf  # of accepted[head]
-    running: list[tuple[int, int]] = []  # (index, tokens) of the iteration in progress; it ends at until
+    running: list[tuple[int, int]] = []  # (rank, tokens) of the iteration in progress; it ends at until
 
     while True:
         # Retire the picks of an iteration that has ended.
@@ -494,11 +499,12 @@ def run_sim(
                 # get: a request a policy picked twice may have finished earlier in this loop
                 remaining = residents.get(k, 0) - n
                 if remaining < 0:
-                    raise SimulationError(f"policy over-scheduled request {quote(accepted[k].source_id)}")
+                    raise SimulationError(f"policy over-scheduled request {quote(ids[k])}")
                 if remaining:
                     residents[k] = remaining
                 else:
-                    r = accepted[k]
+                    r = live[k - base]
+                    live[k - base] = None
                     del residents[k]
                     used_tokens -= r.vram_tokens
                     ttft[k] = done = t - r.arrival_time
@@ -507,18 +513,30 @@ def run_sim(
         rate = alpha if running else 1.0
         # Settle t: take in due arrivals, then release the transfers that are instant at rate.
         while t_arr <= t:
-            if accepted[head].cached_tokens == 0:
+            rec = batch[pos]
+            live.append(rec)
+            if rec.cached_tokens == 0:
                 ready.add(head)
             else:
                 waiting.append(head)
             head += 1
-            t_arr = accepted[head].arrival_time if head < n_accepted else inf
+            pos += 1
+            if pos == len(batch):
+                batch, pos = next(batches, []), 0
+                # Drop the finished prefix once it is half of live: each slot is then moved O(1) times.
+                while dead < len(live) and live[dead] is None:
+                    dead += 1
+                if 2 * dead > len(live):
+                    del live[:dead]
+                    base += dead
+                    dead = 0
+            t_arr = batch[pos].arrival_time if batch else inf
         while rate:
             if chan_req is None:
                 if not waiting:
                     break
                 chan_req = waiting.popleft()
-                chan_left = accepted[chan_req].cached_tokens * b_kv
+                chan_left = live[chan_req - base].cached_tokens * b_kv
             if t + chan_left / (bw * rate) > t:
                 break
             # instant on an infinite link, or too little left to move the clock
@@ -535,7 +553,7 @@ def run_sim(
                 left -= n
             if left and ready:
                 keys = sorted(ready)
-                picks = select([accepted[k] for k in keys], left, capacity_tokens - used_tokens, t)
+                picks = select([live[k - base] for k in keys], left, capacity_tokens - used_tokens, t)
                 running += [(keys[i], n) for i, n in picks]
             if running:
                 depth = len(ready) + len(waiting) + (chan_req is not None)
@@ -544,8 +562,9 @@ def run_sim(
                     sched += n
                     if k in ready:
                         ready.remove(k)
-                        residents[k] = accepted[k].prefill_tokens
-                        used_tokens += accepted[k].vram_tokens
+                        rec = live[k - base]
+                        residents[k] = rec.prefill_tokens
+                        used_tokens += rec.vram_tokens
                 if sched < 1:
                     raise SimulationError(f"policy scheduled {sched} tokens at t={t!r}; the clock would stop")
                 duration = sched * f_pf / c_eff
@@ -578,11 +597,15 @@ def run_sim(
                 chan_active += nxt - t
             t = nxt
 
+    id_order = _id_order(ids, rejected)
+    if id_order is None:  # an id repeats: name the first
+        _refuse_repeated_id(ids, rejected, rejected_after)
     unfinished = sum(map(math.isnan, ttft))
     if unfinished:
-        first = next(r.source_id for r, done in zip(accepted, ttft) if math.isnan(done))
+        first = next(sid for sid, done in zip(ids, ttft) if math.isnan(done))
         raise SimulationError(f"simulation ended with {unfinished} unfinished request(s); first: {quote(first)}")
 
+    n_accepted = len(ids)
     span = t - t_begin
     mean_sched, percentiles = _scheduled_token_stats(iterations.scheduled_tokens)
     # min: the sum of iteration durations can round above the clock span
@@ -590,7 +613,7 @@ def run_sim(
     transfer_busy = chan_active / span if span > 0 else 0.0
     return SimReport(
         iterations=iterations,
-        accepted=accepted,
+        ids=ids,
         ttft=ttft,
         id_order=id_order,
         rejected=rejected,
@@ -604,16 +627,66 @@ def run_sim(
     )
 
 
-def _refuse_repeated_id(requests: Sequence[RequestRecord], stop: int) -> None:
-    """Refuse the first id, in stream order, that repeats an earlier one among the first ``stop`` records.
+def _accepted_batches(requests: Iterable[RequestRecord], capacity_tokens: float, b_kv: float, max_prefill: float,
+                      budget: int, ids: list[str], ttft: array, rejected: list[RejectedRequest],
+                      rejected_after: list[int]) -> Iterator[list[RequestRecord]]:
+    """``run_sim``'s accepted records in stream order, ``READ_AHEAD`` at a time, each checked as it is read.
 
-    A scan with a set, which ``run_sim`` makes only on its way to an error.
+    Each accepted record's id and a NaN TTFT go to ``ids`` and ``ttft``; a
+    record larger than the pool goes to ``rejected``, and the number of
+    accepted records before it to ``rejected_after``. ``max_prefill`` is the
+    budget with chunked prefill off. A fault, the reader's too, is raised
+    after any repeated id among the records taken in before it, and a T
+    fault after taking its record in (see the module docstring).
     """
+    def fault(message: str) -> None:
+        _refuse_repeated_id(ids, rejected, rejected_after)
+        raise SimulationError(message)
+
+    prev = 0.0
+    batch = []
+    try:
+        for rec in requests:
+            if rec.arrival_time is None:
+                fault(f"request {quote(rec.source_id)} has no arrival_time")
+            if not prev <= rec.arrival_time:
+                fault(f"request {quote(rec.source_id)}: arrival_time {rec.arrival_time!r} "
+                      f"must be >= 0 and sorted (not before {prev!r})")
+            prev = rec.arrival_time
+            if rec.vram_tokens > capacity_tokens:
+                rejected.append(RejectedRequest(id=rec.source_id, vram_bytes=rec.vram_tokens * b_kv))
+                rejected_after.append(len(ids))
+                continue
+            ids.append(rec.source_id)
+            ttft.append(math.nan)
+            if rec.prefill_tokens > max_prefill:
+                fault(f"request {quote(rec.source_id)}: prefill_tokens {rec.prefill_tokens} exceed "
+                      f"token_budget {budget}, and chunked prefill is off")
+            batch.append(rec)
+            if len(batch) == READ_AHEAD:
+                yield batch
+                batch = []
+    except WorkloadError:  # the reader's fault
+        _refuse_repeated_id(ids, rejected, rejected_after)
+        raise
+    if batch:
+        yield batch
+
+
+def _refuse_repeated_id(ids: Sequence[str], rejected: Sequence[RejectedRequest], after: Sequence[int]) -> None:
+    """Refuse the first id, in stream order, that repeats an earlier one.
+
+    The stream order is the accepted ``ids`` with each rejected id put back
+    after ``after`` of them. A scan with a set, which ``run_sim`` makes only
+    on its way to an error.
+    """
+    accepted = iter(ids)  # each run: the accepted ids up to a rejected one, then its id
+    runs = [chain(islice(accepted, n - m), (r.id,)) for r, n, m in zip(rejected, after, (0, *after))]
     seen: set[str] = set()
-    for rec in islice(requests, stop):
-        if rec.source_id in seen:
-            raise SimulationError(f"duplicate source_id {quote(rec.source_id)}")
-        seen.add(rec.source_id)
+    for sid in chain(*runs, accepted):
+        if sid in seen:
+            raise SimulationError(f"duplicate source_id {quote(sid)}")
+        seen.add(sid)
 
 
 def _scheduled_token_stats(scheduled: array) -> tuple[float, dict[int, float]]:
@@ -663,7 +736,7 @@ class PolicyComparison:
                 for name, rep in self.reports
             ],
             "ttft_deltas_vs_first": [
-                {"policy": name, "deltas": {r.source_id: v - b for r, v, b in zip(rep.accepted, rep.ttft, base.ttft)}}
+                {"policy": name, "deltas": {sid: v - b for sid, v, b in zip(rep.ids, rep.ttft, base.ttft)}}
                 for name, rep in self.reports[1:]
             ],
         }
@@ -671,10 +744,11 @@ class PolicyComparison:
 
 def compare_policies(
     config: SimConfig,
-    requests: Sequence[RequestRecord],
+    requests: Sequence[RequestRecord] | Callable[[], Iterable[RequestRecord]],
     policies: Sequence[str] = tuple(POLICIES),
 ) -> PolicyComparison:
-    """Replay one stream under each policy."""
+    """Replay one stream under each policy: ``requests`` is a list, or a callable that gives the stream anew for each."""
     if not policies:
         raise SimulationError("need at least one policy")
-    return PolicyComparison([(p, run_sim(config, requests, p)) for p in policies])
+    stream = requests if callable(requests) else lambda: requests
+    return PolicyComparison([(p, run_sim(config, stream(), p)) for p in policies])

@@ -30,9 +30,11 @@ A trace line reads straight into its requests: ``trace_records`` gives one
 list of ``RequestRecord`` per line, ``<id>/turn<i>`` or ``<id>/q<i>``, lazily:
 each line is read and checked only as the iteration reaches it, so a caller
 that drops each line's records, as ``kvroof analyze`` does, holds none of the
-trace. ``read_conversations`` and ``read_stream`` are the list of the same
-one-line-at-a-time reader. No trace object of its own shape is built, so the
-trace keys are the literal ``(accepted, required)`` tables
+trace. ``stream_records`` reads a stream file the same way, one record at a
+time, and ``kvroof simulate`` holds no more of it than the requests in flight.
+``read_conversations`` and ``read_stream`` are the list of these readers.
+No trace object of its own shape is built, so the trace keys are the
+literal ``(accepted, required)`` tables
 ``_CONVERSATION_KEYS``, ``_TURN_KEYS`` and ``_DOCUMENT_KEYS`` beside the
 readers; a stream line's keys come from ``RequestRecord`` through
 ``catalog.json_keys``.
@@ -430,10 +432,20 @@ def _request(obj) -> Optional[RequestRecord]:
 _TRACE_KINDS = {"conversation": ("conversation object", _conversation), "document": ("document object", _document)}
 
 
+# One decoder for every line: json.loads builds a new one, and its scanner, per call.
+_decode = json.JSONDecoder(object_pairs_hook=json_object).decode
+
+
+def _loads(line: str):
+    """``json.loads(line, object_pairs_hook=json_object)``, a repeated key refused; a line led by a BOM goes to
+    ``json.loads``, which refuses it with its own message."""
+    return json.loads(line) if line.startswith("\ufeff") else _decode(line)
+
+
 def trace_records(path: str | Path, kind: str) -> Iterator[list[RequestRecord]]:
     """Each line's requests in a ``kind`` trace, ``"conversation"`` or ``"document"``, read as they are iterated."""
     what, requests = _TRACE_KINDS[kind]
-    return _read_jsonl(path, what, lambda line: requests(json.loads(line, object_pairs_hook=json_object)))
+    return _read_jsonl(path, what, lambda line: requests(_loads(line)))
 
 
 def read_conversations(path: str | Path) -> list[list[RequestRecord]]:
@@ -496,11 +508,16 @@ def _request_line(line: str) -> Optional[RequestRecord]:
     """``_request`` of the line's JSON, a repeated key refused; the writer's own line is read without ``json.loads``."""
     m = _stream_line_match()(line)
     if m is None:
-        return _request(json.loads(line, object_pairs_hook=json_object))
+        return _request(_loads(line))
     arrival, cached, prefill, source_id = m.groups()
     return RequestRecord(source_id, int(cached), int(prefill), None if arrival is None else float(arrival))
 
 
+def stream_records(path: str | Path) -> Iterator[RequestRecord]:
+    """A JSON Lines stream file's records, skipping any manifest line, each read as the iteration reaches it."""
+    return _read_jsonl(path, "request record", _request_line)
+
+
 def read_stream(path: str | Path) -> list[RequestRecord]:
-    """Read a JSON Lines stream file, skipping any manifest line."""
-    return list(_read_jsonl(path, "request record", _request_line))
+    """Every record of a stream file: ``list(stream_records(path))``."""
+    return list(stream_records(path))

@@ -877,6 +877,46 @@ class TestErrorContract:
         assert code == EXIT_DATA
         assert err == f"error: {stream}: request 'a' has no arrival_time\n"
 
+    @pytest.mark.parametrize("lines, error", [
+        # a fault the simulator finds before a line the reader refuses: the simulator's
+        (['"a", 1, 1, 0.0', '"b", 1, 1, null', "not json"], "request 'b' has no arrival_time"),
+        (['"a", 1, 1, 0.0', '"a", 1, 1, 1.0', "not json"], "duplicate source_id 'a'"),
+        (['"a", 1, 1, 2.0', '"b", 1, 1, 1.0', '"c", 0, 1, 3.0'],
+         "request 'b': arrival_time 1.0 must be >= 0 and sorted (not before 2.0)"),
+        # a line the reader refuses before a fault the simulator would find: the reader's
+        (['"a", 1, 1, 0.0', "not json", '"b", 1, 1, null'], "line 2: invalid JSON: Expecting value"),
+        (['"a", 1, 1, 0.0', '"b", -1, 1, 1.0', '"a", 1, 1, 2.0'],
+         "line 2: bad request record: request 'b': cached_tokens must be an integer >= 0, got -1"),
+    ])
+    @pytest.mark.parametrize("compare", [False, True], ids=["one policy", "compare"])
+    def test_first_stream_fault_in_stream_order(self, tmp_path, capsys, lines, error, compare):
+        # simulate reads its stream as the run reaches it, and reports whichever fault comes first
+        config, stream = tmp_path / "config.json", tmp_path / "input.jsonl"
+        config.write_text(json.dumps(PLATFORM))
+        keys = '{{"source_id": {}, "cached_tokens": {}, "prefill_tokens": {}, "arrival_time": {}}}'
+        stream.write_text("".join((line if line == "not json" else keys.format(*line.split(", "))) + "\n"
+                                  for line in lines))
+        code, _, err = run(["simulate", "--config", str(config), "--stream", str(stream), "--out",
+                            str(tmp_path / "out"), *(["--compare"] if compare else [])], capsys)
+        assert (code, err) == (EXIT_DATA, f"error: {stream}: {error}\n")
+
+    @pytest.mark.parametrize("kind", ["conversation", "document", "stream"])
+    def test_leading_bom_is_refused_as_json_loads_refuses_it(self, tmp_path, capsys, kind):
+        # one decoder reads every line; a line led by a byte order mark keeps json.loads's refusal
+        data = tmp_path / "input.jsonl"
+        line = {"conversation": '{"conversation_id": "c", "turns": [{"query_tokens": 3}]}',
+                "document": '{"doc_id": "d", "doc_tokens": 5, "question_tokens": [1]}', "stream": GOOD_LINE}[kind]
+        data.write_text("\ufeff" + line.strip() + "\n", encoding="utf-8")
+        if kind == "stream":
+            (tmp_path / "config.json").write_text(json.dumps(PLATFORM))
+            args = ["simulate", "--config", str(tmp_path / "config.json"), "--stream", str(data),
+                    "--out", str(tmp_path / "out")]
+        else:
+            args = ["analyze", str(data), "--kind", kind]
+        code, _, err = run(args, capsys)
+        assert (code, err) == (
+            EXIT_DATA, f"error: {data}: line 1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)\n")
+
     @pytest.mark.parametrize("bad", sorted(NOT_UTF8))
     def test_bytes_that_are_not_utf8_exit_3(self, tmp_path, capsys, bad):
         good = {"stream": GOOD_LINE.encode(), "config": json.dumps(PLATFORM).encode(),

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import signal
+import sys
 import tracemalloc
 from array import array
 from collections import deque
@@ -457,13 +458,23 @@ class TestRunSimInvariants:
         # sorted rejected ids are bisected into the order
         if ascend:
             accepted = sorted(set(accepted))
-        records = [RequestRecord(sid, 0, 1) for sid in accepted]
         refused = [simulator.RejectedRequest(id=sid, vram_bytes=1.0) for sid in rejected]
         ids = accepted + rejected
-        order = simulator._id_order(records, refused)
+        order = simulator._id_order(accepted, refused)
         assert (order is None) == (len(set(ids)) < len(ids))
         if order is not None:
             assert [accepted[k] for k in order] == sorted(accepted)
+
+    def test_id_order_merges_sorted_runs(self):
+        # more ids than one run holds: each run's ranks are sorted, and the runs merged
+        n = 1024 * 5 + 7
+        ids = [f"r-{i * 2654435761 % 2**32:010d}" for i in range(n)]
+        order = simulator._id_order(ids, [simulator.RejectedRequest(id="r-", vram_bytes=1.0)])
+        assert isinstance(order, array) and [ids[k] for k in order] == sorted(ids)
+        for first, last in ((0, n - 1), (3, 4000), (2000, 2001)):  # a repeat within a run and across runs
+            repeated = ids[:last] + [ids[first]] + ids[last + 1:]
+            assert simulator._id_order(repeated, []) is None
+        assert simulator._id_order(ids, [simulator.RejectedRequest(id=ids[-1], vram_bytes=1.0)]) is None
 
     def test_mean_ttft_is_the_finishing_order_sum(self):
         # a's cache takes 5 s on a 4 B/s link, paused while b and c compute, so b, then c,
@@ -579,7 +590,47 @@ def sim_case(draw):
     return config, stream, draw(st.sampled_from(["fifo", "utilization"]))
 
 
+@st.composite
+def faulty_sim_case(draw):
+    """``sim_case`` with, half the time, one record made faulty: no arrival, an arrival before the last,
+    another record's id, or a T above the budget."""
+    config, stream, policy = draw(sim_case())
+    if stream and draw(st.booleans()):
+        i = draw(st.integers(0, len(stream) - 1))
+        r = stream[i]
+        stream[i] = draw(st.sampled_from([
+            dataclasses.replace(r, arrival_time=None),
+            dataclasses.replace(r, arrival_time=r.arrival_time - 0.5),
+            dataclasses.replace(r, source_id=stream[draw(st.integers(0, len(stream) - 1))].source_id),
+            dataclasses.replace(r, prefill_tokens=config.token_budget + 1),
+        ]))
+    return config, stream, policy
+
+
+def run_outcome(config, requests, policy):
+    """The bytes of everything a run reports, or its error text."""
+    try:
+        report = run_sim(config, requests, policy)
+    except SimulationError as exc:
+        return str(exc)
+    log = report.iterations
+    floats = array("d", [report.compute_busy_fraction, report.transfer_busy_fraction, report.mean_ttft,
+                         report.simulated_seconds, report.mean_scheduled_tokens])
+    return (report.ids, report.ttft.tobytes(), list(report.id_order), floats.tobytes(),
+            [(r.id, r.vram_bytes) for r in report.rejected],
+            *(column.tobytes() for column in (log.t_start, log.t_end, log.scheduled_tokens, log.vram_used,
+                                              log.queue_depth)))
+
+
 class TestRunSimProperties:
+    @given(faulty_sim_case())
+    @settings(max_examples=300, deadline=None)
+    def test_a_one_shot_iterator_runs_as_the_list(self, case):
+        # run_sim reads its requests once, as the clock reaches them; a generator gives the same
+        # bits as the list, and a faulty stream the same error
+        config, stream, policy = case
+        assert run_outcome(config, (r for r in stream), policy) == run_outcome(config, stream, policy)
+
     @given(sim_case())
     @settings(max_examples=300, deadline=None)
     def test_invariants(self, case):
@@ -720,6 +771,27 @@ class TestIterationLog:
         assert len(stream) > 20_000
         assert peak / len(stream) <= 80
         assert listing / len(stream) < 1
+
+
+    def test_run_sim_keeps_no_finished_record(self):
+        # A lazy stream below capacity: run_sim holds the records in flight and drops each one
+        # once it finishes. Beyond the id strings, which the report keeps, it then holds per
+        # request its id slot (8 B), its TTFT (8 B) and about one iteration (40 B), plus a few
+        # slices of the stream being built and read ahead: at most 100 B. A record kept past
+        # its finish would add about 100 B more: its object, its int and its float.
+        stream = synthesize_stream(SHAREGPT_LIKE, rps=200, duration_s=250, seed=3)
+        config = SimConfig(M["Qwen3-30B-A3B"], H["Unified-HBM"])
+        tracemalloc.start()
+        try:
+            report = run_sim(config, stream, "fifo")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = len(stream)
+        assert n > 40_000 and report.completed + len(report.rejected) == n
+        assert max(report.iterations.queue_depth) < 20  # below capacity: few requests in flight at once
+        id_bytes = sum(map(sys.getsizeof, report.ids))
+        assert (peak - id_bytes) / n < 100
 
 
 class TestTransferChannel:
