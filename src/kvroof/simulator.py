@@ -457,7 +457,6 @@ def run_sim(
     c_eff = hw.compute_throughput
     capacity_tokens = hw.vram_effective / b_kv
     budget = config.token_budget
-    chunking = config.allow_chunked_prefill
     inf = math.inf
 
     ids: list[str] = []  # by arrival rank
@@ -469,8 +468,8 @@ def run_sim(
     # waiting, chan_req, ready, residents, finished. All hold arrival ranks, so
     # sorting them gives arrival order; live holds the records from the first
     # unfinished rank, or a little before it, to the last arrived.
-    batches = _accepted_batches(requests, capacity_tokens, b_kv, inf if chunking else budget, budget,
-                                ids, ttft, rejected, rejected_after)
+    batches = _accepted_batches(requests, capacity_tokens, b_kv, inf if config.allow_chunked_prefill else budget,
+                                budget, ids, ttft, rejected, rejected_after)
     batch = next(batches, [])  # accepted records read ahead: batch[pos] arrives next, at t_arr
     pos = 0
     t_arr = batch[0].arrival_time if batch else inf
@@ -747,7 +746,10 @@ def compare_policies(
     requests: Sequence[RequestRecord] | Callable[[], Iterable[RequestRecord]],
     policies: Sequence[str] = tuple(POLICIES),
 ) -> PolicyComparison:
-    """Replay one stream under each policy: ``requests`` is a list, or a callable that gives the stream anew for each."""
+    """Replay one stream under each policy.
+
+    ``requests`` is a list, or a callable that gives the stream anew for each policy.
+    """
     if not policies:
         raise SimulationError("need at least one policy")
     stream = requests if callable(requests) else lambda: requests
