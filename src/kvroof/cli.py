@@ -17,10 +17,12 @@ line's rows as it goes, and its ``--out`` is written only on success: the
 rows go to a temporary file beside it, which replaces it at the end and is
 removed on any error, so a failed ``analyze`` makes no file and leaves an
 existing one as it was. ``simulate`` reads its stream the same way, once
-per policy, and holds only the requests in flight; of the stream's
-faults it reports the first in stream order, whether the reader finds it
-(``<file>: line N: ...``) or the simulator (``<file>: request ...``, or
-``<file>: duplicate source_id ...``). Internals are SI units;
+per policy, and holds only the requests in flight (a stream that is not a
+regular file, such as a pipe, is read once and kept for ``--compare``'s
+other policies); it makes its ``--out`` directory only after every policy
+has run. Of the stream's faults it reports the first in stream order,
+whether the reader finds it (``<file>: line N: ...``) or the simulator
+(``<file>: request ...``, or ``<file>: duplicate source_id ...``). Internals are SI units;
 tables display KB/GFLOP and GFLOP/KB unless ``--si`` is given.
 
 ``simulate --config`` takes a JSON object with these keys:
@@ -63,9 +65,9 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import starmap
+from itertools import chain, repeat, starmap
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 from . import __version__
 from . import analytics, roofline, workload
@@ -302,11 +304,6 @@ def _analysis_rows(records: list[workload.RequestRecord]) -> list[str]:
     return [f"{r.source_id},{r.cached_tokens},{r.prefill_tokens},{r.kappa_ratio!r}\r\n" for r in records]
 
 
-def _analysis_row(r: workload.RequestRecord) -> str:
-    """One record's ``analysis.csv`` row: ``_analysis_rows`` of a line with one request."""
-    return _analysis_rows([r])[0]
-
-
 # --- synth --------------------------------------------------------------------
 
 def _cmd_synth(args, catalog: Catalog, manifest: RunManifest) -> int:
@@ -383,17 +380,37 @@ def _ttft_entry(source_id: str, ttft: float) -> str:
     return f",\n      {json.encoder.encode_basestring_ascii(source_id)}: {value}"
 
 
+def _stream_reads(path: str, passes: int) -> Callable[[], Iterable[workload.RequestRecord]]:
+    """The stream for each of ``passes`` policies: the file read anew, one record at a time, as a run reaches it.
+
+    A stream that is not a regular file, such as a pipe, can be read only
+    once, so with more than one pass the first read's records are kept and
+    given to the rest.
+    """
+    read = partial(workload.stream_records, path)
+    if passes == 1 or Path(path).is_file():
+        return read
+    kept: list[workload.RequestRecord] = []
+
+    def first_read() -> Iterator[workload.RequestRecord]:
+        for record in read():
+            kept.append(record)
+            yield record
+
+    return chain([first_read()], repeat(kept)).__next__
+
+
 def _cmd_simulate(args, catalog: Catalog, manifest: RunManifest) -> int:
-    """Each policy reads the stream anew, one record at a time, as its run reaches it."""
+    """The out directory is made only once every policy has run, so a fault leaves none."""
     config = _load_sim_config(args.config, catalog)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     # default None: argparse sees a given "fifo" beside --compare
     policies = tuple(POLICIES) if args.compare else (args.policy or "fifo",)
     try:
-        comparison = compare_policies(config, partial(workload.stream_records, args.stream), policies)
+        comparison = compare_policies(config, _stream_reads(args.stream, len(policies)), policies)
     except SimulationError as exc:  # a fault the simulator finds in the stream: name its file
         raise SimulationError(f"{args.stream}: {exc}") from exc
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for name, rep in comparison.reports:
         suffix = f"_{name}" if args.compare else ""
         _write_report(out_dir / f"report{suffix}.json", manifest, rep)

@@ -89,7 +89,6 @@ from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import partial
-from heapq import merge
 from itertools import accumulate, chain, count, islice, pairwise, starmap
 from operator import attrgetter, lt
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -274,6 +273,7 @@ def _id_order(ids: Sequence[str], rejected: Sequence[RejectedRequest]) -> Option
     n, key = len(ids), ids.__getitem__
     order: Sequence[int] = range(n)
     if not _ascend(ids):
+        from heapq import merge  # here, not at module level: every cold start would pay for it
         step = max(1024, -(-n // ID_SORT_RUNS))
         runs = [array("q", sorted(range(i, min(i + step, n)), key=key)) for i in range(0, n, step)]
         order = array("q", merge(*runs, key=key))
@@ -743,14 +743,21 @@ class PolicyComparison:
 
 def compare_policies(
     config: SimConfig,
-    requests: Sequence[RequestRecord] | Callable[[], Iterable[RequestRecord]],
+    stream: Callable[[], Iterable[RequestRecord]],
     policies: Sequence[str] = tuple(POLICIES),
 ) -> PolicyComparison:
-    """Replay one stream under each policy.
+    """Replay one stream under each policy; ``stream()`` gives it anew for each.
 
-    ``requests`` is a list, or a callable that gives the stream anew for each policy.
+    Each run must read the same requests as the first, since the deltas pair
+    requests by rank: a stream that reads differently, such as a pipe opened
+    again after its end, is refused.
     """
     if not policies:
         raise SimulationError("need at least one policy")
-    stream = requests if callable(requests) else lambda: requests
-    return PolicyComparison([(p, run_sim(config, stream(), p)) for p in policies])
+    reports = [(p, run_sim(config, stream(), p)) for p in policies]
+    (first, base), *rest = reports
+    for name, rep in rest:
+        if rep.ids != base.ids or rep.rejected != base.rejected:
+            raise SimulationError(f"policy {quote(name)} read other requests than policy {quote(first)}; "
+                                  "the stream must read the same for each policy")
+    return PolicyComparison(reports)

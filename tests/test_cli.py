@@ -21,7 +21,7 @@ import kvroof.cli
 import kvroof.errors
 from kvroof.analytics import kappa_crit, kappa_hw, kappa_model
 from kvroof.catalog import MAX_TOKENS, by_name, default_catalog, default_catalog_text
-from kvroof.cli import (EXIT_DATA, EXIT_OK, Catalog, RunManifest, _analysis_row, _load_sim_config, _write_json,
+from kvroof.cli import (EXIT_DATA, EXIT_OK, Catalog, RunManifest, _analysis_rows, _load_sim_config, _write_json,
                         _write_report, main)
 from kvroof.simulator import SimConfig, compare_policies, run_sim
 from kvroof.errors import WorkloadError
@@ -227,7 +227,7 @@ class TestAnalyzeCommand:
         record = RequestRecord(source_id, cached, prefill)
         expected = io.StringIO()
         csv.writer(expected).writerow([source_id, cached, prefill, repr(record.kappa_ratio)])
-        assert _analysis_row(record) == expected.getvalue()
+        assert _analysis_rows([record]) == [expected.getvalue()]
 
 
     @pytest.mark.parametrize("kind, text", [
@@ -303,7 +303,7 @@ def summary_lines(records) -> list[str]:
 
 
 class TestAnalyzeDifferential:
-    """``analyze``'s one streaming pass prints and writes what ``summarize`` and ``_analysis_row`` give
+    """``analyze``'s one streaming pass prints and writes what ``summarize`` and ``_analysis_rows`` give
     over the records the list readers return, and fails where they fail."""
 
     @pytest.mark.parametrize("kind", ["conversation", "document"])
@@ -328,7 +328,7 @@ class TestAnalyzeDifferential:
         assert stdout.splitlines()[-1].startswith("# manifest ")
         head, _, body = out.read_bytes().decode("utf-8").partition("\n")
         assert head.startswith("# manifest ")
-        assert body == "source_id,cached_tokens,prefill_tokens,kappa_ratio\r\n" + "".join(map(_analysis_row, records))
+        assert body == "source_id,cached_tokens,prefill_tokens,kappa_ratio\r\n" + "".join(_analysis_rows([r])[0] for r in records)
         # the mean is the sum of the ascending floats over n, whatever rounding the sum meets past 2**53
         cached = sorted(float(r.cached_tokens) for r in records)
         assert summarize(records).cached_tokens.mean == sum(cached) / len(cached)
@@ -391,10 +391,29 @@ class TestSimulateCommand:
         assert iter_csv[1] == "iter,t_start,t_end,scheduled_tokens,vram_used_bytes,queue_depth"
         assert len(iter_csv) == 2 + 3
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to name a pipe by")
+    def test_compare_reads_a_pipe_once(self, tmp_path, capsys):
+        # a pipe gives its records once: --compare keeps them for the second policy
+        stream = fixture_path("scheduling_fixture_stream.jsonl")
+        read, write = os.pipe()
+        os.write(write, Path(stream).read_bytes())  # 328 bytes: within a pipe's buffer
+        os.close(write)
+        try:
+            outputs = [run(["simulate", "--config", fixture_path("scheduling_fixture_config.json"), "--stream", path,
+                            "--compare", "--out", str(tmp_path / name)], capsys)
+                       for path, name in ((f"/dev/fd/{read}", "pipe"), (stream, "file"))]
+        finally:
+            os.close(read)
+        assert outputs[0] == outputs[1] == (EXIT_OK, "iterations per policy: fifo=3, utilization=2\n", "")
+        for name in ("comparison.json", "report_fifo.json", "report_utilization.json"):
+            pipe, file = (json.loads((tmp_path / d / name).read_text()) for d in ("pipe", "file"))
+            assert pipe.pop("manifest") != file.pop("manifest")  # the command lines differ
+            assert pipe == file
+
     def test_json_outputs_are_the_bytes_of_json_dumps(self, tmp_path):
         catalog = Catalog(M, H)
         config = _load_sim_config(fixture_path("scheduling_fixture_config.json"), catalog)
-        comparison = compare_policies(config, read_stream(fixture_path("scheduling_fixture_stream.jsonl")))
+        comparison = compare_policies(config, lambda: read_stream(fixture_path("scheduling_fixture_stream.jsonl")))
         manifest = RunManifest(tool="kvroof test", command=["kvroof", "simulate", "--compare"], catalog="<bundled>",
                                catalog_sha256="0" * 64)
         for key, body in (("report", comparison.reports[0][1].to_dict()), ("comparison", comparison.to_dict())):
@@ -899,6 +918,7 @@ class TestErrorContract:
         code, _, err = run(["simulate", "--config", str(config), "--stream", str(stream), "--out",
                             str(tmp_path / "out"), *(["--compare"] if compare else [])], capsys)
         assert (code, err) == (EXIT_DATA, f"error: {stream}: {error}\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind", ["conversation", "document", "stream"])
     def test_leading_bom_is_refused_as_json_loads_refuses_it(self, tmp_path, capsys, kind):

@@ -110,7 +110,7 @@ class TestFourRequestInstance:
         assert report.iterations.vram_used[0] == 40.0
 
     def test_compare(self):
-        comparison = compare_policies(unit_config(), FOUR_REQUESTS)
+        comparison = compare_policies(unit_config(), lambda: FOUR_REQUESTS)
         assert {name: len(rep.iterations) for name, rep in comparison.reports} == {"fifo": 3, "utilization": 2}
         # reordering trades early-request latency for fewer iterations
         (deltas,) = comparison.to_dict()["ttft_deltas_vs_first"]
@@ -118,12 +118,18 @@ class TestFourRequestInstance:
         assert deltas["deltas"]["r4"] < 0
 
     def test_identical_policies_zero_deltas(self):
-        comparison = compare_policies(unit_config(), FOUR_REQUESTS, ("fifo", "fifo"))
+        comparison = compare_policies(unit_config(), lambda: FOUR_REQUESTS, ("fifo", "fifo"))
         (deltas,) = comparison.to_dict()["ttft_deltas_vs_first"]
         assert all(d == 0.0 for d in deltas["deltas"].values())
 
+    def test_a_stream_that_reads_differently_is_refused(self):
+        # the deltas pair requests by rank, so every policy must read the stream the first did
+        reads = iter([FOUR_REQUESTS, FOUR_REQUESTS[:2]])
+        with pytest.raises(SimulationError, match="^policy 'utilization' read other requests than policy 'fifo'; "):
+            compare_policies(unit_config(), reads.__next__)
+
     def test_empty_stream(self):
-        comparison = compare_policies(unit_config(), [])
+        comparison = compare_policies(unit_config(), list)
         assert all(len(rep.iterations) == 0 for _, rep in comparison.reports)
         report = run_sim(unit_config(), [], "fifo")
         assert report.completed == 0 and report.mean_scheduled_tokens == 0.0
@@ -230,7 +236,7 @@ class TestUtilizationPolicy:
             hw = HardwareSpec(name="Unified-HBM-infinite-link", compute_throughput=hw.compute_throughput,
                               link_bandwidth_peak=math.inf, vram_effective=hw.vram_effective)
         records = list(synthesize_stream(SHAREGPT_LIKE, rps=12000, duration_s=0.1, seed=3))
-        (_, fifo), (_, util) = compare_policies(SimConfig(model=M["Qwen3-30B-A3B"], hardware=hw), records).reports
+        (_, fifo), (_, util) = compare_policies(SimConfig(model=M["Qwen3-30B-A3B"], hardware=hw), lambda: records).reports
         assert len(records) == 1180
         assert (len(fifo.iterations), len(util.iterations)) == iterations
         assert sum(fifo.request_ttft[r.source_id] != util.request_ttft[r.source_id] for r in records) == differ
@@ -487,7 +493,7 @@ class TestRunSimInvariants:
         ttft = report.request_ttft
         assert ttft == {"a": 9.0, "b": 2.8 - 0.8, "c": 3.8 - 0.9}
         assert report.mean_ttft == (ttft["b"] + ttft["c"] + ttft["a"]) / 3 != (ttft["a"] + ttft["b"] + ttft["c"]) / 3
-        assert compare_policies(config, stream, ["fifo"]).to_dict()["policies"][0]["mean_ttft"] == report.mean_ttft
+        assert compare_policies(config, lambda: stream, ["fifo"]).to_dict()["policies"][0]["mean_ttft"] == report.mean_ttft
 
     def test_zero_ttft_counts_as_finished(self):
         # on an infinite accelerator and link every prefill takes no time: a TTFT of 0.0 is a finished request's
