@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .catalog import HardwareSpec, ModelSpec, flops_per_token, is_number, kv_bytes_per_token, refuse
 from .errors import CatalogError, RooflineError, SimulationError
-from .workload import RequestRecord
+
+if TYPE_CHECKING:  # importing workload costs every command that needs only the closed form
+    from .workload import RequestRecord
 
 
 def RequestShape(cached_tokens: int, prefill_tokens: int) -> RequestRecord:
@@ -33,6 +35,8 @@ def RequestShape(cached_tokens: int, prefill_tokens: int) -> RequestRecord:
     Only the name is left, for ``perfbench``, which builds ``RequestShape(K, T)``
     to call :func:`ttft`; ROADMAP item 6 removes it.
     """
+    from .workload import RequestRecord
+
     return RequestRecord("", cached_tokens, prefill_tokens)
 
 

@@ -12,6 +12,8 @@ All catalog data is immutable after load and safe to share across threads.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import sys
@@ -62,6 +64,13 @@ def json_text(value) -> str:
     except RecursionError:  # too deep for the encoder, and so for repr
         return "a value nested too deeply to show"
     return cut(text)
+
+
+def csv_row(cells: list) -> str:
+    """One row as ``csv.writer`` writes it, with its line terminator."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(cells)
+    return buf.getvalue()
 
 
 def cut(text: str) -> str:

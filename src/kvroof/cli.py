@@ -44,6 +44,16 @@ type is a data error, and so is JSON nested too deeply to parse:
 nested too deeply to read``. A JSON ``true`` or ``false`` is never a number,
 here or in a catalog.
 
+``import kvroof.cli`` loads only ``kvroof.catalog`` and ``kvroof.errors``.
+Each command imports the modules it runs, as its parser entry lists them:
+``kappa`` ``analytics``; ``roofline`` ``analytics`` and ``roofline``;
+``analyze`` and ``synth`` ``workload``; ``simulate`` ``simulator`` and
+``workload``. A process run with ``PYTHONDONTWRITEBYTECODE=1`` compiles
+every module it imports from source, so a module a command never calls
+would cost its cold start milliseconds. ``main`` imports them before it
+pauses the cyclic collector: the cyclic garbage an import leaves would
+otherwise stay in memory for the whole run.
+
 A report's ``mean_power_watts`` comes from the platform's ``idle_watts`` and
 ``tdp_watts``; it is null when the platform lacks either.
 
@@ -67,16 +77,16 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat, starmap
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 from . import __version__
-from . import analytics, roofline, workload
 from .catalog import (
     HardwareSpec,
     ModelSpec,
     build_spec,
     by_name,
     check_keys,
+    csv_row,
     default_catalog_text,
     json_keys,
     loads_catalog,
@@ -86,15 +96,15 @@ from .catalog import (
     refuse,
 )
 from .errors import KvroofError, SimulationError, WorkloadError
-from .simulator import (
-    ITERATION_CSV_COLUMNS,
-    POLICIES,
-    SimConfig,
-    SimReport,
-    compare_policies,
-)
+
+if TYPE_CHECKING:
+    from .simulator import SimConfig, SimReport
+    from .workload import RequestRecord
 
 ENV_CATALOG = "KVROOF_CATALOG"
+
+# simulator.POLICIES, which the parser offers without importing the simulator
+POLICY_NAMES = ("fifo", "utilization")
 
 EXIT_OK = 0
 EXIT_DATA = 3
@@ -162,7 +172,7 @@ def _pick(pool: dict, names: Optional[str], kind: str) -> list:
 
 def _csv_head(manifest: RunManifest, header: Sequence[str]) -> str:
     """A CSV's manifest comment line and its header row."""
-    return f"# {manifest.as_comment()}\n" + roofline.csv_row(list(header))
+    return f"# {manifest.as_comment()}\n" + csv_row(list(header))
 
 
 def _write_csv(path, manifest: RunManifest, header: Sequence[str], rows) -> None:
@@ -213,6 +223,8 @@ def _replacing(path: Optional[str]) -> Iterator[Optional[TextIO]]:
 # --- kappa ------------------------------------------------------------------
 
 def _cmd_kappa(args, catalog: Catalog, manifest: RunManifest) -> int:
+    from . import analytics
+
     chosen_models = _pick(catalog.models, args.models, "model")
     chosen_hw = _pick(catalog.hardware, args.hw, "hardware")
     use_sustained = args.bandwidth == "sustained"
@@ -242,6 +254,8 @@ def _cmd_kappa(args, catalog: Catalog, manifest: RunManifest) -> int:
 # --- roofline ----------------------------------------------------------------
 
 def _cmd_roofline(args, catalog: Catalog, manifest: RunManifest) -> int:
+    from . import roofline
+
     model = lookup(catalog.models, args.model, "model")
     chosen_hw = _pick(catalog.hardware, args.hw, "hardware")
     series = roofline.roofline_sweep(
@@ -261,6 +275,8 @@ def _cmd_roofline(args, catalog: Catalog, manifest: RunManifest) -> int:
 
 def _cmd_analyze(args, catalog: Catalog, manifest: RunManifest) -> int:
     """One pass over the trace: each line's rows go to ``--out`` and its K and T to two columns; no record is kept."""
+    from . import workload
+
     cached, prefill = array("q"), array("q")
     with _replacing(args.out) as fh:
         rows: list[str] = []
@@ -292,14 +308,14 @@ def _cmd_analyze(args, catalog: Catalog, manifest: RunManifest) -> int:
     return EXIT_OK
 
 
-def _analysis_rows(records: list[workload.RequestRecord]) -> list[str]:
+def _analysis_rows(records: list[RequestRecord]) -> list[str]:
     """A trace line's ``analysis.csv`` rows as ``csv.writer`` writes them.
 
     Only an id can need quoting, and a line's ids are its own id with
     ``/turn<i>`` or ``/q<i>`` appended, so the first id decides for the line.
     """
     if records and any(c in records[0].source_id for c in ',"\r\n'):
-        return [roofline.csv_row([r.source_id, r.cached_tokens, r.prefill_tokens, repr(r.kappa_ratio)])
+        return [csv_row([r.source_id, r.cached_tokens, r.prefill_tokens, repr(r.kappa_ratio)])
                 for r in records]
     return [f"{r.source_id},{r.cached_tokens},{r.prefill_tokens},{r.kappa_ratio!r}\r\n" for r in records]
 
@@ -307,6 +323,8 @@ def _analysis_rows(records: list[workload.RequestRecord]) -> list[str]:
 # --- synth --------------------------------------------------------------------
 
 def _cmd_synth(args, catalog: Catalog, manifest: RunManifest) -> int:
+    from . import workload
+
     # A profile may be named without its "-like" suffix.
     profiles = {**workload.PROFILES, **{n.removesuffix("-like"): p for n, p in workload.PROFILES.items()}}
     profile = lookup(profiles, args.profile, "profile")
@@ -328,6 +346,8 @@ def _resolve_spec(value, pool: dict, cls, kind: str):
 
 def _load_sim_config(path: str, catalog: Catalog) -> SimConfig:
     """The config's specs resolved against the catalog; SimConfig checks and defaults the rest."""
+    from .simulator import SimConfig
+
     doc = parse_document(read_document(path, "config"), path)
     try:
         check_keys(doc, json_keys(SimConfig, "vram_effective"), "config")
@@ -380,19 +400,21 @@ def _ttft_entry(source_id: str, ttft: float) -> str:
     return f",\n      {json.encoder.encode_basestring_ascii(source_id)}: {value}"
 
 
-def _stream_reads(path: str, passes: int) -> Callable[[], Iterable[workload.RequestRecord]]:
+def _stream_reads(path: str, passes: int) -> Callable[[], Iterable[RequestRecord]]:
     """The stream for each of ``passes`` policies: the file read anew, one record at a time, as a run reaches it.
 
     A stream that is not a regular file, such as a pipe, can be read only
     once, so with more than one pass the first read's records are kept and
     given to the rest.
     """
-    read = partial(workload.stream_records, path)
+    from .workload import stream_records
+
+    read = partial(stream_records, path)
     if passes == 1 or Path(path).is_file():
         return read
-    kept: list[workload.RequestRecord] = []
+    kept: list[RequestRecord] = []
 
-    def first_read() -> Iterator[workload.RequestRecord]:
+    def first_read() -> Iterator[RequestRecord]:
         for record in read():
             kept.append(record)
             yield record
@@ -402,6 +424,8 @@ def _stream_reads(path: str, passes: int) -> Callable[[], Iterable[workload.Requ
 
 def _cmd_simulate(args, catalog: Catalog, manifest: RunManifest) -> int:
     """The out directory is made only once every policy has run, so a fault leaves none."""
+    from .simulator import ITERATION_CSV_COLUMNS, POLICIES, compare_policies
+
     config = _load_sim_config(args.config, catalog)
     # default None: argparse sees a given "fifo" beside --compare
     policies = tuple(POLICIES) if args.compare else (args.policy or "fifo",)
@@ -456,7 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hw", default="all", help="comma-separated hardware names (default: all)")
     p.add_argument("--si", action="store_true", help="print raw byte/FLOP values instead of KB/GFLOP")
     p.add_argument("--out", help="also write the table as CSV")
-    p.set_defaults(func=_cmd_kappa)
+    p.set_defaults(func=_cmd_kappa, modules=("analytics",))
 
     p = sub.add_parser("roofline", help="write roofline sweep CSV over the K/T ratio")
     common(p, bandwidth=True)
@@ -466,14 +490,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa-max", type=float, default=1e5)
     p.add_argument("--points-per-decade", type=int, default=16)
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=_cmd_roofline)
+    p.set_defaults(func=_cmd_roofline, modules=("analytics", "roofline"))
 
     p = sub.add_parser("analyze", help="expand a trace file and summarize K, T, K/T")
     common(p)
     p.add_argument("trace", help="JSON Lines trace file")
     p.add_argument("--kind", choices=("conversation", "document"), required=True)
     p.add_argument("--out", help="write expanded request records as CSV")
-    p.set_defaults(func=_cmd_analyze)
+    p.set_defaults(func=_cmd_analyze, modules=("workload",))
 
     p = sub.add_parser("synth", help="synthesize a timed request stream")
     common(p, seed=True)
@@ -485,39 +509,41 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rps", type=float, required=True, help="mean arrival rate, requests/s")
     p.add_argument("--duration", type=float, required=True, help="stream length, seconds")
     p.add_argument("--out", required=True, help="output JSON Lines path")
-    p.set_defaults(func=_cmd_synth)
+    p.set_defaults(func=_cmd_synth, modules=("workload",))
 
     p = sub.add_parser("simulate", help="run the iteration-level scheduler simulation")
     common(p)
     p.add_argument("--config", required=True, help="simulation config JSON")
     p.add_argument("--stream", required=True, help="JSON Lines stream file")
     how = p.add_mutually_exclusive_group()
-    how.add_argument("--policy", choices=POLICIES, help="scheduling policy (default: fifo)")
+    how.add_argument("--policy", choices=POLICY_NAMES, help="scheduling policy (default: fifo)")
     how.add_argument("--compare", action="store_true", help="run every policy on the same stream")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, modules=("simulator", "workload"))
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one command. The cyclic collector pauses until it returns: a command builds
-    only acyclic records, which full collections would walk again and again."""
+    """Run one command. Its modules are imported first; then the cyclic collector pauses
+    until it returns: a command builds only acyclic records, which full collections would
+    walk again and again."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if hasattr(sys.stdout, "reconfigure"):  # what the locale cannot encode prints escaped, as on stderr
+        sys.stdout.reconfigure(errors="backslashreplace")
+    args = _build_parser().parse_args(argv)
+    for module in args.modules:  # __import__, which -X importtime reports; importlib.import_module it does not
+        __import__(f"{__package__}.{module}")
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _run(argv)
+        return _run(args, argv)
     finally:
         if collecting:
             gc.enable()
 
 
-def _run(argv: Optional[Sequence[str]]) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if hasattr(sys.stdout, "reconfigure"):  # what the locale cannot encode prints escaped, as on stderr
-        sys.stdout.reconfigure(errors="backslashreplace")
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def _run(args: argparse.Namespace, argv: list[str]) -> int:
     try:
         catalog, manifest = _load_active_catalog(
             args.catalog, ["kvroof"] + argv, getattr(args, "seed", None)

@@ -12,7 +12,6 @@ Output is tabular data (CSV), not rendered plots.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -21,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .analytics import arithmetic_intensity, kappa_crit
-from .catalog import HardwareSpec, ModelSpec, json_text, refuse
+from .catalog import HardwareSpec, ModelSpec, csv_row, json_text, refuse
 from .errors import RooflineError
 
 CSV_COLUMNS = [
@@ -175,10 +174,3 @@ def write_series_csv(
         destination.writelines(
             f"{head},{kai},{p.attainable!r},{tails[p.regime]}" for kai, p in zip(cells, s.points)
         )
-
-
-def csv_row(cells: list) -> str:
-    """One row as ``csv.writer`` writes it, with its line terminator."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow(cells)
-    return buf.getvalue()

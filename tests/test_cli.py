@@ -541,6 +541,77 @@ class TestColdStart:
         assert lines[0] == "False", "import kvroof.analytics, kvroof.roofline imported numpy"
         assert lines[-1] == f"{EXIT_OK} False", f"kvroof {args[0]} imported numpy"
 
+    @pytest.mark.parametrize(
+        "statement, modules",
+        [
+            ("import kvroof.cli", {"kvroof", "kvroof.cli", "kvroof.catalog", "kvroof.errors"}),
+            ("import kvroof.analytics", {"kvroof", "kvroof.analytics", "kvroof.catalog", "kvroof.errors"}),
+        ],
+        ids=["cli", "analytics"],
+    )
+    def test_import_loads_only_what_it_needs(self, statement, modules):
+        script = f"import sys\n{statement}\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'kvroof'))\n"
+        proc = subprocess.run([sys.executable, "-c", script], env=subprocess_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert set(ast.literal_eval(proc.stdout)) == modules
+
+    def _modules_of(self, tmp_path, args) -> tuple[list[str], list[str]]:
+        """The ``kvroof.*`` modules loaded when ``main`` pauses the collector and when it returns."""
+        (tmp_path / "conversation.jsonl").write_text(
+            '{"conversation_id": "c", "turns": [{"query_tokens": 3, "response_tokens": 1}]}\n'
+        )
+        script = (
+            "import gc, sys\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'kvroof')\n"
+            "paused, disable = [], gc.disable\n"
+            "gc.disable = lambda: paused.append(loaded()) or disable()\n"
+            "import kvroof.cli\n"
+            "code = kvroof.cli.main(sys.argv[1:])\n"
+            "print(code, paused, loaded(), sep='\\n')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *args],
+            cwd=tmp_path, env=subprocess_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, paused, at_exit = proc.stdout.splitlines()[-3:]
+        assert int(code) == EXIT_OK
+        (paused,) = ast.literal_eval(paused)  # main pauses the collector once
+        return paused, ast.literal_eval(at_exit)
+
+    COMMANDS = pytest.mark.parametrize(
+        "args, modules",
+        [
+            (["kappa"], {"analytics"}),
+            (["kappa", "--out", "kappa.csv"], {"analytics"}),
+            (["roofline", "--model", "DeepSeek-V3", "--out", "roofline.csv"], {"analytics", "roofline"}),
+            (["analyze", "conversation.jsonl", "--kind", "conversation", "--out", "records.csv"], {"workload"}),
+            (["synth", "--rps", "2", "--duration", "2", "--out", "stream.jsonl"], {"workload"}),
+            (["simulate", "--config", fixture_path("scheduling_fixture_config.json"),
+              "--stream", fixture_path("scheduling_fixture_stream.jsonl"), "--out", "sim"], {"simulator", "workload"}),
+            (["simulate", "--config", fixture_path("scheduling_fixture_config.json"),
+              "--stream", fixture_path("scheduling_fixture_stream.jsonl"), "--compare", "--out", "sim"],
+             {"simulator", "workload"}),
+        ],
+        ids=["kappa", "kappa-out", "roofline", "analyze", "synth", "simulate", "simulate-compare"],
+    )
+
+    @COMMANDS
+    def test_command_loads_only_its_modules(self, tmp_path, args, modules):
+        # each module compiles from source in every process run with PYTHONDONTWRITEBYTECODE=1
+        _, at_exit = self._modules_of(tmp_path, args)
+        assert set(at_exit) == {"kvroof", "kvroof.cli", "kvroof.catalog", "kvroof.errors"} | {
+            f"kvroof.{m}" for m in modules
+        }
+
+    @COMMANDS
+    def test_no_module_is_imported_once_the_collector_pauses(self, tmp_path, args, modules):
+        # what an import builds after the pause is not collected: it stays in the peak RSS
+        paused, at_exit = self._modules_of(tmp_path, args)
+        assert paused == at_exit
+
 
 class TestCollector:
     """``main`` pauses the cyclic collector for the command and leaves it as it found it."""
@@ -596,6 +667,20 @@ class TestOptionsPerCommand:
                   "--policy", "utilization", "--compare"])
         assert exc.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_policy_choices_are_the_simulators(self):
+        from kvroof import simulator
+
+        parser = kvroof.cli._build_parser()
+        commands = next(a for a in parser._actions if a.dest == "command").choices
+        policy = next(a for a in commands["simulate"]._actions if a.dest == "policy")
+        assert tuple(policy.choices) == tuple(simulator.POLICIES)
+
+    def test_unknown_policy_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", "c.json", "--stream", "s.jsonl", "--out", "o", "--policy", "nope"])
+        assert exc.value.code == 2
+        assert "argument --policy: invalid choice: 'nope'" in capsys.readouterr().err
 
     def test_default_policy_and_compare_are_exclusive(self, capsys):
         # "fifo" is the default policy, but given beside --compare it is still ignored
