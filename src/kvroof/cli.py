@@ -45,14 +45,12 @@ nested too deeply to read``. A JSON ``true`` or ``false`` is never a number,
 here or in a catalog.
 
 ``import kvroof.cli`` loads only ``kvroof.catalog`` and ``kvroof.errors``.
-Each command imports the modules it runs, as its parser entry lists them:
-``kappa`` ``analytics``; ``roofline`` ``analytics`` and ``roofline``;
-``analyze`` and ``synth`` ``workload``; ``simulate`` ``simulator`` and
-``workload``. A process run with ``PYTHONDONTWRITEBYTECODE=1`` compiles
-every module it imports from source, so a module a command never calls
-would cost its cold start milliseconds. ``main`` imports them before it
-pauses the cyclic collector: the cyclic garbage an import leaves would
-otherwise stay in memory for the whole run.
+Each command imports the modules it runs: ``kappa`` ``analytics``;
+``roofline`` ``analytics`` and ``roofline``; ``analyze`` and ``synth``
+``workload``; ``simulate`` ``simulator`` and ``workload``. A process run
+with ``PYTHONDONTWRITEBYTECODE=1`` compiles every module it imports from
+source, so a module a command never calls would cost its cold start
+milliseconds.
 
 A report's ``mean_power_watts`` comes from the platform's ``idle_watts`` and
 ``tdp_watts``; it is null when the platform lacks either.
@@ -480,7 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hw", default="all", help="comma-separated hardware names (default: all)")
     p.add_argument("--si", action="store_true", help="print raw byte/FLOP values instead of KB/GFLOP")
     p.add_argument("--out", help="also write the table as CSV")
-    p.set_defaults(func=_cmd_kappa, modules=("analytics",))
+    p.set_defaults(func=_cmd_kappa)
 
     p = sub.add_parser("roofline", help="write roofline sweep CSV over the K/T ratio")
     common(p, bandwidth=True)
@@ -490,14 +488,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa-max", type=float, default=1e5)
     p.add_argument("--points-per-decade", type=int, default=16)
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=_cmd_roofline, modules=("analytics", "roofline"))
+    p.set_defaults(func=_cmd_roofline)
 
     p = sub.add_parser("analyze", help="expand a trace file and summarize K, T, K/T")
     common(p)
     p.add_argument("trace", help="JSON Lines trace file")
     p.add_argument("--kind", choices=("conversation", "document"), required=True)
     p.add_argument("--out", help="write expanded request records as CSV")
-    p.set_defaults(func=_cmd_analyze, modules=("workload",))
+    p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("synth", help="synthesize a timed request stream")
     common(p, seed=True)
@@ -509,7 +507,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rps", type=float, required=True, help="mean arrival rate, requests/s")
     p.add_argument("--duration", type=float, required=True, help="stream length, seconds")
     p.add_argument("--out", required=True, help="output JSON Lines path")
-    p.set_defaults(func=_cmd_synth, modules=("workload",))
+    p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("simulate", help="run the iteration-level scheduler simulation")
     common(p)
@@ -519,21 +517,18 @@ def _build_parser() -> argparse.ArgumentParser:
     how.add_argument("--policy", choices=POLICY_NAMES, help="scheduling policy (default: fifo)")
     how.add_argument("--compare", action="store_true", help="run every policy on the same stream")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_simulate, modules=("simulator", "workload"))
+    p.set_defaults(func=_cmd_simulate)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one command. Its modules are imported first; then the cyclic collector pauses
-    until it returns: a command builds only acyclic records, which full collections would
-    walk again and again."""
+    """Run one command with the cyclic collector paused until it returns: a command builds
+    only acyclic records, which full collections would walk again and again."""
     argv = list(sys.argv[1:] if argv is None else argv)
     if hasattr(sys.stdout, "reconfigure"):  # what the locale cannot encode prints escaped, as on stderr
         sys.stdout.reconfigure(errors="backslashreplace")
     args = _build_parser().parse_args(argv)
-    for module in args.modules:  # __import__, which -X importtime reports; importlib.import_module it does not
-        __import__(f"{__package__}.{module}")
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -48,14 +48,15 @@ read, and reported. With chunked prefill off, an accepted request whose T
 exceeds the token budget could never be scheduled, so the run fails when
 it is read.
 
-``run_sim`` reads its requests once, ``READ_AHEAD`` accepted records
-ahead of the clock, never writes them, and holds a record only from its
-arrival until its prefill finishes. A request is known by its arrival
-rank; ``residents`` maps it to the prefill tokens left, and policies pick
-by position in the ready list they are given. Per accepted request the
-run keeps its id, about 80 bytes with the string, and its TTFT in a typed
-column, 8 bytes, NaN until it finishes; with the iteration log, 40 bytes
-an iteration, that is all a long run grows by. The ranks' id order is
+``run_sim`` reads its requests once, at most ``READ_AHEAD`` accepted
+records ahead of the clock, and never writes them. A request is known by
+its arrival rank, and one list by rank holds each: its record from when it
+is read until its prefill finishes, then its id, about 80 bytes with the
+string; at the end that list is the report's ids. ``residents`` maps a
+rank to the prefill tokens left, and policies pick by position in the
+ready list they are given. With the TTFT in a typed column, 8 bytes, NaN
+until it finishes, and the iteration log, 40 bytes an iteration, that is
+all a long run grows by. The ranks' id order is
 decided once, after the loop: ``range`` when the ids ascend, as a
 synthesized stream's do, else a sort into an ``array('q')``. The ids are
 distinct, found without a set, if they ascend along it and bisecting the
@@ -447,7 +448,9 @@ def run_sim(
     ``requests`` must be sorted by arrival time and carry arrival times. It is
     iterated once, ``READ_AHEAD`` accepted records at a time as the clock
     reaches them, so a lazy reader such as ``workload.stream_records`` works
-    as a list does, and a finished record is dropped.
+    as a list does. ``by_rank`` holds a request's record from when it is
+    read, at most ``READ_AHEAD`` ahead of the clock, until its prefill
+    finishes, and then its id; at the end it is the report's ``ids``.
     """
     select = partial(lookup(POLICIES, policy, "policy", SimulationError), allow_chunking=config.allow_chunked_prefill)
     hw = config.hardware
@@ -459,27 +462,22 @@ def run_sim(
     budget = config.token_budget
     inf = math.inf
 
-    ids: list[str] = []  # by arrival rank
+    by_rank: list[RequestRecord | str] = []  # a request's record until it finishes, then its id
     ttft = array("d")  # by arrival rank; NaN until the request finishes
     rejected: list[RejectedRequest] = []
     rejected_after: list[int] = []  # the accepted requests before each rejected one
 
     # Where each request is (see the module docstring): not yet read or pending,
     # waiting, chan_req, ready, residents, finished. All hold arrival ranks, so
-    # sorting them gives arrival order; live holds the records from the first
-    # unfinished rank, or a little before it, to the last arrived.
-    batches = _accepted_batches(requests, capacity_tokens, b_kv, inf if config.allow_chunked_prefill else budget,
-                                budget, ids, ttft, rejected, rejected_after)
-    batch = next(batches, [])  # accepted records read ahead: batch[pos] arrives next, at t_arr
-    pos = 0
-    t_arr = batch[0].arrival_time if batch else inf
-    t = t_begin = t_arr if batch else 0.0
+    # sorting them gives arrival order.
+    reader = _read_accepted(requests, capacity_tokens, b_kv, inf if config.allow_chunked_prefill else budget,
+                            budget, by_rank, ttft, rejected, rejected_after)
+    next(reader, None)
+    head = 0  # the rank arriving next, at t_arr; by_rank[head:] is read ahead
+    t_arr = by_rank[0].arrival_time if by_rank else inf
+    t = t_begin = t_arr if by_rank else 0.0
     iterations = IterationLog()
     ttft_sum = 0.0  # in finishing order, one addition at a time
-    head = 0  # the rank of batch[pos]
-    live: list[Optional[RequestRecord]] = []  # records by rank - base, each None once finished
-    base = 0
-    dead = 0  # live's finished prefix, as far as it is known
     waiting: deque[int] = deque()
     chan_req: Optional[int] = None
     chan_left = 0.0  # bytes still to move for chan_req
@@ -498,12 +496,12 @@ def run_sim(
                 # get: a request a policy picked twice may have finished earlier in this loop
                 remaining = residents.get(k, 0) - n
                 if remaining < 0:
-                    raise SimulationError(f"policy over-scheduled request {quote(ids[k])}")
+                    raise SimulationError(f"policy over-scheduled request {quote(_source_id(by_rank[k]))}")
                 if remaining:
                     residents[k] = remaining
                 else:
-                    r = live[k - base]
-                    live[k - base] = None
+                    r = by_rank[k]
+                    by_rank[k] = r.source_id
                     del residents[k]
                     used_tokens -= r.vram_tokens
                     ttft[k] = done = t - r.arrival_time
@@ -512,30 +510,20 @@ def run_sim(
         rate = alpha if running else 1.0
         # Settle t: take in due arrivals, then release the transfers that are instant at rate.
         while t_arr <= t:
-            rec = batch[pos]
-            live.append(rec)
-            if rec.cached_tokens == 0:
+            if by_rank[head].cached_tokens == 0:
                 ready.add(head)
             else:
                 waiting.append(head)
             head += 1
-            pos += 1
-            if pos == len(batch):
-                batch, pos = next(batches, []), 0
-                # Drop the finished prefix once it is half of live: each slot is then moved O(1) times.
-                while dead < len(live) and live[dead] is None:
-                    dead += 1
-                if 2 * dead > len(live):
-                    del live[:dead]
-                    base += dead
-                    dead = 0
-            t_arr = batch[pos].arrival_time if batch else inf
+            if head == len(by_rank):
+                next(reader, None)
+            t_arr = by_rank[head].arrival_time if head < len(by_rank) else inf
         while rate:
             if chan_req is None:
                 if not waiting:
                     break
                 chan_req = waiting.popleft()
-                chan_left = live[chan_req - base].cached_tokens * b_kv
+                chan_left = by_rank[chan_req].cached_tokens * b_kv
             if t + chan_left / (bw * rate) > t:
                 break
             # instant on an infinite link, or too little left to move the clock
@@ -552,7 +540,7 @@ def run_sim(
                 left -= n
             if left and ready:
                 keys = sorted(ready)
-                picks = select([live[k - base] for k in keys], left, capacity_tokens - used_tokens, t)
+                picks = select([by_rank[k] for k in keys], left, capacity_tokens - used_tokens, t)
                 running += [(keys[i], n) for i, n in picks]
             if running:
                 depth = len(ready) + len(waiting) + (chan_req is not None)
@@ -561,7 +549,7 @@ def run_sim(
                     sched += n
                     if k in ready:
                         ready.remove(k)
-                        rec = live[k - base]
+                        rec = by_rank[k]
                         residents[k] = rec.prefill_tokens
                         used_tokens += rec.vram_tokens
                 if sched < 1:
@@ -596,15 +584,15 @@ def run_sim(
                 chan_active += nxt - t
             t = nxt
 
-    id_order = _id_order(ids, rejected)
-    if id_order is None:  # an id repeats: name the first
-        _refuse_repeated_id(ids, rejected, rejected_after)
-    unfinished = sum(map(math.isnan, ttft))
+    unfinished = sum(map(math.isnan, ttft))  # only a broken policy leaves any, each entry still a record
+    id_order = None if unfinished else _id_order(by_rank, rejected)
+    if id_order is None:  # an id may repeat: name the first
+        _refuse_repeated_id(by_rank, rejected, rejected_after)
     if unfinished:
-        first = next(sid for sid, done in zip(ids, ttft) if math.isnan(done))
+        first = next(r.source_id for r, done in zip(by_rank, ttft) if math.isnan(done))
         raise SimulationError(f"simulation ended with {unfinished} unfinished request(s); first: {quote(first)}")
 
-    n_accepted = len(ids)
+    n_accepted = len(by_rank)
     span = t - t_begin
     mean_sched, percentiles = _scheduled_token_stats(iterations.scheduled_tokens)
     # min: the sum of iteration durations can round above the clock span
@@ -612,7 +600,7 @@ def run_sim(
     transfer_busy = chan_active / span if span > 0 else 0.0
     return SimReport(
         iterations=iterations,
-        ids=ids,
+        ids=by_rank,
         ttft=ttft,
         id_order=id_order,
         rejected=rejected,
@@ -626,60 +614,57 @@ def run_sim(
     )
 
 
-def _accepted_batches(requests: Iterable[RequestRecord], capacity_tokens: float, b_kv: float, max_prefill: float,
-                      budget: int, ids: list[str], ttft: array, rejected: list[RejectedRequest],
-                      rejected_after: list[int]) -> Iterator[list[RequestRecord]]:
-    """``run_sim``'s accepted records in stream order, ``READ_AHEAD`` at a time, each checked as it is read.
+def _read_accepted(requests: Iterable[RequestRecord], capacity_tokens: float, b_kv: float, max_prefill: float,
+                   budget: int, by_rank: list[RequestRecord | str], ttft: array, rejected: list[RejectedRequest],
+                   rejected_after: list[int]) -> Iterator[None]:
+    """Read ``run_sim``'s stream, each record checked as it is read; each step reads ``READ_AHEAD`` accepted ones.
 
-    Each accepted record's id and a NaN TTFT go to ``ids`` and ``ttft``; a
+    Each accepted record and a NaN TTFT go to ``by_rank`` and ``ttft``; a
     record larger than the pool goes to ``rejected``, and the number of
     accepted records before it to ``rejected_after``. ``max_prefill`` is the
     budget with chunked prefill off. A fault, the reader's too, is raised
     after any repeated id among the records taken in before it, and a T
     fault after taking its record in (see the module docstring).
     """
-    def fault(message: str) -> None:
-        _refuse_repeated_id(ids, rejected, rejected_after)
-        raise SimulationError(message)
-
     prev = 0.0
-    batch = []
     try:
         for rec in requests:
             if rec.arrival_time is None:
-                fault(f"request {quote(rec.source_id)} has no arrival_time")
+                raise SimulationError(f"request {quote(rec.source_id)} has no arrival_time")
             if not prev <= rec.arrival_time:
-                fault(f"request {quote(rec.source_id)}: arrival_time {rec.arrival_time!r} "
-                      f"must be >= 0 and sorted (not before {prev!r})")
+                raise SimulationError(f"request {quote(rec.source_id)}: arrival_time {rec.arrival_time!r} "
+                                      f"must be >= 0 and sorted (not before {prev!r})")
             prev = rec.arrival_time
             if rec.vram_tokens > capacity_tokens:
                 rejected.append(RejectedRequest(id=rec.source_id, vram_bytes=rec.vram_tokens * b_kv))
-                rejected_after.append(len(ids))
+                rejected_after.append(len(by_rank))
                 continue
-            ids.append(rec.source_id)
+            by_rank.append(rec)
             ttft.append(math.nan)
             if rec.prefill_tokens > max_prefill:
-                fault(f"request {quote(rec.source_id)}: prefill_tokens {rec.prefill_tokens} exceed "
-                      f"token_budget {budget}, and chunked prefill is off")
-            batch.append(rec)
-            if len(batch) == READ_AHEAD:
-                yield batch
-                batch = []
-    except WorkloadError:  # the reader's fault
-        _refuse_repeated_id(ids, rejected, rejected_after)
+                raise SimulationError(f"request {quote(rec.source_id)}: prefill_tokens {rec.prefill_tokens} "
+                                      f"exceed token_budget {budget}, and chunked prefill is off")
+            if len(by_rank) % READ_AHEAD == 0:
+                yield
+    except (SimulationError, WorkloadError):  # name an earlier repeated id instead
+        _refuse_repeated_id(by_rank, rejected, rejected_after)
         raise
-    if batch:
-        yield batch
 
 
-def _refuse_repeated_id(ids: Sequence[str], rejected: Sequence[RejectedRequest], after: Sequence[int]) -> None:
+def _source_id(entry: RequestRecord | str) -> str:
+    """The id of a ``run_sim`` rank entry: a record, or the id it leaves once it finishes."""
+    return entry if type(entry) is str else entry.source_id
+
+
+def _refuse_repeated_id(by_rank: Sequence[RequestRecord | str], rejected: Sequence[RejectedRequest],
+                        after: Sequence[int]) -> None:
     """Refuse the first id, in stream order, that repeats an earlier one.
 
-    The stream order is the accepted ``ids`` with each rejected id put back
-    after ``after`` of them. A scan with a set, which ``run_sim`` makes only
-    on its way to an error.
+    The stream order is the accepted ``by_rank`` entries' ids with each
+    rejected id put back after ``after`` of them. A scan with a set, which
+    ``run_sim`` makes only on its way to an error.
     """
-    accepted = iter(ids)  # each run: the accepted ids up to a rejected one, then its id
+    accepted = map(_source_id, by_rank)  # each run: the accepted ids up to a rejected one, then its id
     runs = [chain(islice(accepted, n - m), (r.id,)) for r, n, m in zip(rejected, after, (0, *after))]
     seen: set[str] = set()
     for sid in chain(*runs, accepted):

@@ -556,32 +556,7 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         assert set(ast.literal_eval(proc.stdout)) == modules
 
-    def _modules_of(self, tmp_path, args) -> tuple[list[str], list[str]]:
-        """The ``kvroof.*`` modules loaded when ``main`` pauses the collector and when it returns."""
-        (tmp_path / "conversation.jsonl").write_text(
-            '{"conversation_id": "c", "turns": [{"query_tokens": 3, "response_tokens": 1}]}\n'
-        )
-        script = (
-            "import gc, sys\n"
-            "def loaded():\n"
-            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'kvroof')\n"
-            "paused, disable = [], gc.disable\n"
-            "gc.disable = lambda: paused.append(loaded()) or disable()\n"
-            "import kvroof.cli\n"
-            "code = kvroof.cli.main(sys.argv[1:])\n"
-            "print(code, paused, loaded(), sep='\\n')\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script, *args],
-            cwd=tmp_path, env=subprocess_env(), capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        code, paused, at_exit = proc.stdout.splitlines()[-3:]
-        assert int(code) == EXIT_OK
-        (paused,) = ast.literal_eval(paused)  # main pauses the collector once
-        return paused, ast.literal_eval(at_exit)
-
-    COMMANDS = pytest.mark.parametrize(
+    @pytest.mark.parametrize(
         "args, modules",
         [
             (["kappa"], {"analytics"}),
@@ -597,20 +572,27 @@ class TestColdStart:
         ],
         ids=["kappa", "kappa-out", "roofline", "analyze", "synth", "simulate", "simulate-compare"],
     )
-
-    @COMMANDS
     def test_command_loads_only_its_modules(self, tmp_path, args, modules):
         # each module compiles from source in every process run with PYTHONDONTWRITEBYTECODE=1
-        _, at_exit = self._modules_of(tmp_path, args)
-        assert set(at_exit) == {"kvroof", "kvroof.cli", "kvroof.catalog", "kvroof.errors"} | {
+        (tmp_path / "conversation.jsonl").write_text(
+            '{"conversation_id": "c", "turns": [{"query_tokens": 3, "response_tokens": 1}]}\n'
+        )
+        script = (
+            "import sys\n"
+            "import kvroof.cli\n"
+            "code = kvroof.cli.main(sys.argv[1:])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'kvroof'), sep='\\n')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *args],
+            cwd=tmp_path, env=subprocess_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, at_exit = proc.stdout.splitlines()[-2:]
+        assert int(code) == EXIT_OK
+        assert set(ast.literal_eval(at_exit)) == {"kvroof", "kvroof.cli", "kvroof.catalog", "kvroof.errors"} | {
             f"kvroof.{m}" for m in modules
         }
-
-    @COMMANDS
-    def test_no_module_is_imported_once_the_collector_pauses(self, tmp_path, args, modules):
-        # what an import builds after the pause is not collected: it stays in the peak RSS
-        paused, at_exit = self._modules_of(tmp_path, args)
-        assert paused == at_exit
 
 
 class TestCollector:

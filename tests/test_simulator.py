@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from kvroof import simulator
 from kvroof.analytics import max_concurrent, ttft
 from kvroof.catalog import MAX_TOKENS, HardwareSpec, ModelSpec, by_name, default_catalog, kv_bytes_per_token
-from kvroof.errors import SimulationError
+from kvroof.errors import SimulationError, WorkloadError
 from kvroof.simulator import (
     MAX_TOKEN_BUDGET,
     REPORT_PERCENTILES,
@@ -436,6 +436,29 @@ class TestRunSimInvariants:
             run_sim(unit_config(budget=10, chunking=False, vram_tokens=20), stream, "fifo")
         assert str(info.value) == error
 
+    @pytest.mark.parametrize("repeat", [True, False], ids=["repeat", "no repeat"])
+    @pytest.mark.parametrize("fault", ["arrival", "reader"])
+    def test_a_fault_read_after_requests_finished_is_reported_in_stream_order(self, fault, repeat):
+        # Each request finishes before the next arrives, so when the fault at 2,500 is read,
+        # READ_AHEAD records at a time, the ranks before about 2,048 hold ids, not records.
+        stream = [RequestRecord("r10" if repeat and i == 1500 else f"r{i}", 0, 1, arrival_time=2.0 * i)
+                  for i in range(3000)]
+        if fault == "arrival":
+            stream[2500] = dataclasses.replace(stream[2500], arrival_time=4997.5)
+            requests = stream
+            error = SimulationError("request 'r2500': arrival_time 4997.5 must be >= 0 and sorted (not before 4998.0)")
+        else:
+            error = WorkloadError("stream.jsonl: line 2501: not JSON")
+
+            def reader():
+                yield from stream[:2500]
+                raise error
+            requests = reader()
+        expected = SimulationError("duplicate source_id 'r10'") if repeat else error
+        with pytest.raises((SimulationError, WorkloadError)) as info:
+            run_sim(unit_config(), requests, "fifo")
+        assert (type(info.value), str(info.value)) == (type(expected), str(expected))
+
     @pytest.mark.parametrize("order", ["ascending", "three runs", "descending"])
     @pytest.mark.parametrize("rejected", [0, 5, 60])
     def test_ids_in_any_order_are_checked_and_listed_by_id(self, order, rejected):
@@ -629,13 +652,17 @@ def run_outcome(config, requests, policy):
 
 
 class TestRunSimProperties:
-    @given(faulty_sim_case())
+    @given(faulty_sim_case(), st.sampled_from([1, 2, 3]))
     @settings(max_examples=300, deadline=None)
-    def test_a_one_shot_iterator_runs_as_the_list(self, case):
-        # run_sim reads its requests once, as the clock reaches them; a generator gives the same
-        # bits as the list, and a faulty stream the same error
+    def test_a_one_shot_iterator_runs_as_the_list(self, case, read_ahead):
+        # run_sim reads its requests once, READ_AHEAD at a time as the clock reaches them; a
+        # generator read a few at a time gives the same bits as the list, and a faulty stream
+        # the same error, also when faults are read after requests have finished
         config, stream, policy = case
-        assert run_outcome(config, (r for r in stream), policy) == run_outcome(config, stream, policy)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulator, "READ_AHEAD", read_ahead)
+            lazy = run_outcome(config, (r for r in stream), policy)
+        assert lazy == run_outcome(config, stream, policy)
 
     @given(sim_case())
     @settings(max_examples=300, deadline=None)
