@@ -437,16 +437,22 @@ class TestRunSimInvariants:
         assert str(info.value) == error
 
     @pytest.mark.parametrize("repeat", [True, False], ids=["repeat", "no repeat"])
-    @pytest.mark.parametrize("fault", ["arrival", "reader"])
+    @pytest.mark.parametrize("fault", ["arrival", "reader", "no arrival", "prefill"])
     def test_a_fault_read_after_requests_finished_is_reported_in_stream_order(self, fault, repeat):
         # Each request finishes before the next arrives, so when the fault at 2,500 is read,
         # READ_AHEAD records at a time, the ranks before about 2,048 hold ids, not records.
         stream = [RequestRecord("r10" if repeat and i == 1500 else f"r{i}", 0, 1, arrival_time=2.0 * i)
                   for i in range(3000)]
+        requests = stream
         if fault == "arrival":
             stream[2500] = dataclasses.replace(stream[2500], arrival_time=4997.5)
-            requests = stream
             error = SimulationError("request 'r2500': arrival_time 4997.5 must be >= 0 and sorted (not before 4998.0)")
+        elif fault == "no arrival":
+            stream[2500] = dataclasses.replace(stream[2500], arrival_time=None)
+            error = SimulationError("request 'r2500' has no arrival_time")
+        elif fault == "prefill":  # raised after its record is taken in
+            stream[2500] = dataclasses.replace(stream[2500], prefill_tokens=6)
+            error = SimulationError("request 'r2500': prefill_tokens 6 exceed token_budget 5, and chunked prefill is off")
         else:
             error = WorkloadError("stream.jsonl: line 2501: not JSON")
 
@@ -456,7 +462,7 @@ class TestRunSimInvariants:
             requests = reader()
         expected = SimulationError("duplicate source_id 'r10'") if repeat else error
         with pytest.raises((SimulationError, WorkloadError)) as info:
-            run_sim(unit_config(), requests, "fifo")
+            run_sim(unit_config(chunking=False), requests, "fifo")
         assert (type(info.value), str(info.value)) == (type(expected), str(expected))
 
     @pytest.mark.parametrize("order", ["ascending", "three runs", "descending"])
@@ -663,6 +669,24 @@ class TestRunSimProperties:
             patch.setattr(simulator, "READ_AHEAD", read_ahead)
             lazy = run_outcome(config, (r for r in stream), policy)
         assert lazy == run_outcome(config, stream, policy)
+
+    @given(sim_case(), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_ids_never_change_the_schedule(self, case, rng):
+        # the same records under other distinct ids, in another order: every bit of the run is
+        # the same, and each id is reported under its new name
+        config, stream, policy = case
+        names = [f"q{i}" for i in range(len(stream))]
+        rng.shuffle(names)
+        renamed = [dataclasses.replace(r, source_id=n) for r, n in zip(stream, names)]
+        rename = {r.source_id: n for r, n in zip(stream, names)}
+        ids, ttft, _, floats, rejected, *log = run_outcome(config, stream, policy)
+        new_ids, new_ttft, _, new_floats, new_rejected, *new_log = run_outcome(config, renamed, policy)
+        assert (new_ttft, new_floats, new_log) == (ttft, floats, log)
+        assert new_ids == [rename[sid] for sid in ids]
+        assert new_rejected == [(rename[sid], vram) for sid, vram in rejected]
+        report, new_report = run_sim(config, stream, policy), run_sim(config, renamed, policy)
+        assert new_report.request_ttft == {rename[sid]: done for sid, done in report.request_ttft.items()}
 
     @given(sim_case())
     @settings(max_examples=300, deadline=None)
