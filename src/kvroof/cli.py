@@ -16,11 +16,11 @@ whatever the locale. ``analyze`` reads its trace in one pass, writing each
 line's rows as it goes, and its ``--out`` is written only on success: the
 rows go to a temporary file beside it, which replaces it at the end and is
 removed on any error, so a failed ``analyze`` makes no file and leaves an
-existing one as it was. ``simulate`` reads its stream the same way, once
-per policy, and holds only the requests in flight (a stream that is not a
-regular file, such as a pipe, is read once and kept for ``--compare``'s
-other policies); it makes its ``--out`` directory only after every policy
-has run. Of the stream's faults it reports the first in stream order,
+existing one as it was. ``simulate`` reads its stream once, a file as a
+pipe, and holds only the requests in flight; ``--compare`` keeps the
+records its first policy reads for the others. An ``--out`` that cannot
+be a directory is refused before the stream is read, and it is made only
+after every policy has run. Of the stream's faults it reports the first in stream order,
 whether the reader finds it (``<file>: line N: ...``) or the simulator
 (``<file>: request ...``, or ``<file>: duplicate source_id ...``). Internals are SI units;
 tables display KB/GFLOP and GFLOP/KB unless ``--si`` is given.
@@ -64,6 +64,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import errno
 import gc
 import hashlib
 import json
@@ -72,10 +73,9 @@ import os
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, repeat, starmap
+from itertools import starmap
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 from . import __version__
 from .catalog import (
@@ -398,37 +398,27 @@ def _ttft_entry(source_id: str, ttft: float) -> str:
     return f",\n      {json.encoder.encode_basestring_ascii(source_id)}: {value}"
 
 
-def _stream_reads(path: str, passes: int) -> Callable[[], Iterable[RequestRecord]]:
-    """The stream for each of ``passes`` policies: the file read anew, one record at a time, as a run reaches it.
-
-    A stream that is not a regular file, such as a pipe, can be read only
-    once, so with more than one pass the first read's records are kept and
-    given to the rest.
-    """
-    from .workload import stream_records
-
-    read = partial(stream_records, path)
-    if passes == 1 or Path(path).is_file():
-        return read
-    kept: list[RequestRecord] = []
-
-    def first_read() -> Iterator[RequestRecord]:
-        for record in read():
-            kept.append(record)
-            yield record
-
-    return chain([first_read()], repeat(kept)).__next__
+def _refuse_unmakeable_dir(path: str) -> None:
+    """Refuse, with ``mkdir``'s error, a ``path`` that is no directory or whose nearest existing ancestor is none."""
+    for ancestor in (Path(path), *Path(path).parents):
+        if os.path.lexists(ancestor):
+            if not ancestor.is_dir():
+                code = errno.EEXIST if ancestor == Path(path) else errno.ENOTDIR
+                raise KvroofError(str(OSError(code, os.strerror(code), path)))
+            return
 
 
 def _cmd_simulate(args, catalog: Catalog, manifest: RunManifest) -> int:
-    """The out directory is made only once every policy has run, so a fault leaves none."""
+    """``--out`` is checked before the stream is read, and made only once every policy has run: a fault leaves none."""
     from .simulator import ITERATION_CSV_COLUMNS, POLICIES, compare_policies
+    from .workload import stream_records
 
     config = _load_sim_config(args.config, catalog)
+    _refuse_unmakeable_dir(args.out)
     # default None: argparse sees a given "fifo" beside --compare
     policies = tuple(POLICIES) if args.compare else (args.policy or "fifo",)
     try:
-        comparison = compare_policies(config, _stream_reads(args.stream, len(policies)), policies)
+        comparison = compare_policies(config, stream_records(args.stream), policies)
     except SimulationError as exc:  # a fault the simulator finds in the stream: name its file
         raise SimulationError(f"{args.stream}: {exc}") from exc
     out_dir = Path(args.out)

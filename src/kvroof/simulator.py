@@ -92,7 +92,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, count, islice, pairwise, starmap
 from operator import attrgetter, lt
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .catalog import (HardwareSpec, ModelSpec, flops_per_token, is_count, is_number, kv_bytes_per_token, lookup,
                       quote, refuse)
@@ -702,7 +702,7 @@ def _maybe_power(config: SimConfig, busy_fraction: float) -> Optional[float]:
 
 @dataclass
 class PolicyComparison:
-    """The same stream replayed under several policies; each report accepts the same requests, rank for rank."""
+    """One stream replayed under several policies; every report read the same records, so ranks pair up."""
 
     reports: list[tuple[str, SimReport]]
 
@@ -728,21 +728,20 @@ class PolicyComparison:
 
 def compare_policies(
     config: SimConfig,
-    stream: Callable[[], Iterable[RequestRecord]],
+    requests: Iterable[RequestRecord],
     policies: Sequence[str] = tuple(POLICIES),
 ) -> PolicyComparison:
-    """Replay one stream under each policy; ``stream()`` gives it anew for each.
+    """Replay one stream under each policy, reading ``requests`` once, lazily, in the first policy's run.
 
-    Each run must read the same requests as the first, since the deltas pair
-    requests by rank: a stream that reads differently, such as a pipe opened
-    again after its end, is refused.
+    With more than one policy, that run keeps each record it reads and the
+    others replay them, so every report shares the first's id strings.
     """
     if not policies:
         raise SimulationError("need at least one policy")
-    reports = [(p, run_sim(config, stream(), p)) for p in policies]
-    (first, base), *rest = reports
-    for name, rep in rest:
-        if rep.ids != base.ids or rep.rejected != base.rejected:
-            raise SimulationError(f"policy {quote(name)} read other requests than policy {quote(first)}; "
-                                  "the stream must read the same for each policy")
+    first, *rest = policies
+    kept: list[RequestRecord] = []
+    if rest:
+        requests = (kept.append(r) or r for r in requests)
+    reports = [(first, run_sim(config, requests, first))]
+    reports += [(p, run_sim(config, kept, p)) for p in rest]
     return PolicyComparison(reports)

@@ -413,7 +413,7 @@ class TestSimulateCommand:
     def test_json_outputs_are_the_bytes_of_json_dumps(self, tmp_path):
         catalog = Catalog(M, H)
         config = _load_sim_config(fixture_path("scheduling_fixture_config.json"), catalog)
-        comparison = compare_policies(config, lambda: read_stream(fixture_path("scheduling_fixture_stream.jsonl")))
+        comparison = compare_policies(config, read_stream(fixture_path("scheduling_fixture_stream.jsonl")))
         manifest = RunManifest(tool="kvroof test", command=["kvroof", "simulate", "--compare"], catalog="<bundled>",
                                catalog_sha256="0" * 64)
         for key, body in (("report", comparison.reports[0][1].to_dict()), ("comparison", comparison.to_dict())):
@@ -986,6 +986,22 @@ class TestErrorContract:
                             str(tmp_path / "out"), *(["--compare"] if compare else [])], capsys)
         assert (code, err) == (EXIT_DATA, f"error: {stream}: {error}\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("under, error", [(False, "[Errno 17] File exists"), (True, "[Errno 20] Not a directory")],
+                             ids=["a file", "under a file"])
+    @pytest.mark.parametrize("compare", [False, True], ids=["one policy", "compare"])
+    def test_out_that_cannot_be_a_directory_is_refused_before_the_stream(self, tmp_path, capsys, under, error,
+                                                                         compare):
+        # the stream's fault would be found only by reading it; --out's is reported first, and the file kept
+        config, stream, taken = tmp_path / "config.json", tmp_path / "input.jsonl", tmp_path / "taken"
+        config.write_text(json.dumps(PLATFORM))
+        stream.write_text("not json\n")
+        taken.write_text("kept\n")
+        out = taken / "sub" if under else taken
+        code, _, err = run(["simulate", "--config", str(config), "--stream", str(stream), "--out", str(out),
+                            *(["--compare"] if compare else [])], capsys)
+        assert (code, err) == (EXIT_DATA, f"error: {error}: {str(out)!r}\n")
+        assert taken.read_text() == "kept\n"
 
     @pytest.mark.parametrize("kind", ["conversation", "document", "stream"])
     def test_leading_bom_is_refused_as_json_loads_refuses_it(self, tmp_path, capsys, kind):

@@ -238,7 +238,7 @@ def test_run_sim_sweep():
     h = hashlib.sha256()
     for config, requests in sweep_cases():
         try:
-            comparison = compare_policies(config, lambda: requests)
+            comparison = compare_policies(config, requests)
         except SimulationError as exc:
             h.update(f"error: {exc}\n".encode())
             continue

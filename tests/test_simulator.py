@@ -110,7 +110,7 @@ class TestFourRequestInstance:
         assert report.iterations.vram_used[0] == 40.0
 
     def test_compare(self):
-        comparison = compare_policies(unit_config(), lambda: FOUR_REQUESTS)
+        comparison = compare_policies(unit_config(), FOUR_REQUESTS)
         assert {name: len(rep.iterations) for name, rep in comparison.reports} == {"fifo": 3, "utilization": 2}
         # reordering trades early-request latency for fewer iterations
         (deltas,) = comparison.to_dict()["ttft_deltas_vs_first"]
@@ -118,18 +118,12 @@ class TestFourRequestInstance:
         assert deltas["deltas"]["r4"] < 0
 
     def test_identical_policies_zero_deltas(self):
-        comparison = compare_policies(unit_config(), lambda: FOUR_REQUESTS, ("fifo", "fifo"))
+        comparison = compare_policies(unit_config(), FOUR_REQUESTS, ("fifo", "fifo"))
         (deltas,) = comparison.to_dict()["ttft_deltas_vs_first"]
         assert all(d == 0.0 for d in deltas["deltas"].values())
 
-    def test_a_stream_that_reads_differently_is_refused(self):
-        # the deltas pair requests by rank, so every policy must read the stream the first did
-        reads = iter([FOUR_REQUESTS, FOUR_REQUESTS[:2]])
-        with pytest.raises(SimulationError, match="^policy 'utilization' read other requests than policy 'fifo'; "):
-            compare_policies(unit_config(), reads.__next__)
-
     def test_empty_stream(self):
-        comparison = compare_policies(unit_config(), list)
+        comparison = compare_policies(unit_config(), [])
         assert all(len(rep.iterations) == 0 for _, rep in comparison.reports)
         report = run_sim(unit_config(), [], "fifo")
         assert report.completed == 0 and report.mean_scheduled_tokens == 0.0
@@ -236,7 +230,7 @@ class TestUtilizationPolicy:
             hw = HardwareSpec(name="Unified-HBM-infinite-link", compute_throughput=hw.compute_throughput,
                               link_bandwidth_peak=math.inf, vram_effective=hw.vram_effective)
         records = list(synthesize_stream(SHAREGPT_LIKE, rps=12000, duration_s=0.1, seed=3))
-        (_, fifo), (_, util) = compare_policies(SimConfig(model=M["Qwen3-30B-A3B"], hardware=hw), lambda: records).reports
+        (_, fifo), (_, util) = compare_policies(SimConfig(model=M["Qwen3-30B-A3B"], hardware=hw), records).reports
         assert len(records) == 1180
         assert (len(fifo.iterations), len(util.iterations)) == iterations
         assert sum(fifo.request_ttft[r.source_id] != util.request_ttft[r.source_id] for r in records) == differ
@@ -522,7 +516,7 @@ class TestRunSimInvariants:
         ttft = report.request_ttft
         assert ttft == {"a": 9.0, "b": 2.8 - 0.8, "c": 3.8 - 0.9}
         assert report.mean_ttft == (ttft["b"] + ttft["c"] + ttft["a"]) / 3 != (ttft["a"] + ttft["b"] + ttft["c"]) / 3
-        assert compare_policies(config, lambda: stream, ["fifo"]).to_dict()["policies"][0]["mean_ttft"] == report.mean_ttft
+        assert compare_policies(config, stream, ["fifo"]).to_dict()["policies"][0]["mean_ttft"] == report.mean_ttft
 
     def test_zero_ttft_counts_as_finished(self):
         # on an infinite accelerator and link every prefill takes no time: a TTFT of 0.0 is a finished request's
@@ -645,9 +639,13 @@ def faulty_sim_case(draw):
 def run_outcome(config, requests, policy):
     """The bytes of everything a run reports, or its error text."""
     try:
-        report = run_sim(config, requests, policy)
+        return report_outcome(run_sim(config, requests, policy))
     except SimulationError as exc:
         return str(exc)
+
+
+def report_outcome(report):
+    """The bytes of everything ``report`` holds."""
     log = report.iterations
     floats = array("d", [report.compute_busy_fraction, report.transfer_busy_fraction, report.mean_ttft,
                          report.simulated_seconds, report.mean_scheduled_tokens])
@@ -663,12 +661,25 @@ class TestRunSimProperties:
     def test_a_one_shot_iterator_runs_as_the_list(self, case, read_ahead):
         # run_sim reads its requests once, READ_AHEAD at a time as the clock reaches them; a
         # generator read a few at a time gives the same bits as the list, and a faulty stream
-        # the same error, also when faults are read after requests have finished
+        # the same error, also when faults are read after requests have finished. compare_policies
+        # reads a one-shot stream once: each policy's report is run_sim's over the list, a faulty
+        # stream raises the first error those runs give, and the later reports hold the first's ids
         config, stream, policy = case
+        outcomes = [run_outcome(config, stream, p) for p in simulator.POLICIES]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(simulator, "READ_AHEAD", read_ahead)
             lazy = run_outcome(config, (r for r in stream), policy)
+            try:
+                reports = compare_policies(config, (r for r in stream)).reports
+            except SimulationError as exc:
+                reports = str(exc)
         assert lazy == run_outcome(config, stream, policy)
+        if isinstance(reports, str):
+            assert reports == next(o for o in outcomes if isinstance(o, str))
+        else:
+            assert [report_outcome(rep) for _, rep in reports] == outcomes
+            (_, first), *rest = reports
+            assert all(sid is kept for _, rep in rest for sid, kept in zip(rep.ids, first.ids, strict=True))
 
     @given(sim_case(), st.randoms(use_true_random=False))
     @settings(max_examples=200, deadline=None)
@@ -835,20 +846,23 @@ class TestIterationLog:
         # once it finishes. Beyond the id strings, which the report keeps, it then holds per
         # request its id slot (8 B), its TTFT (8 B) and about one iteration (40 B), plus a few
         # slices of the stream being built and read ahead: at most 100 B. A record kept past
-        # its finish would add about 100 B more: its object, its int and its float.
+        # its finish would add about 100 B more: its object, its int and its float. So does
+        # compare_policies with one policy, which keeps no record for another.
         stream = synthesize_stream(SHAREGPT_LIKE, rps=200, duration_s=250, seed=3)
         config = SimConfig(M["Qwen3-30B-A3B"], H["Unified-HBM"])
-        tracemalloc.start()
-        try:
-            report = run_sim(config, stream, "fifo")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         n = len(stream)
-        assert n > 40_000 and report.completed + len(report.rejected) == n
-        assert max(report.iterations.queue_depth) < 20  # below capacity: few requests in flight at once
-        id_bytes = sum(map(sys.getsizeof, report.ids))
-        assert (peak - id_bytes) / n < 100
+        for run in (lambda: run_sim(config, stream, "fifo"),
+                    lambda: compare_policies(config, stream, ("fifo",)).reports[0][1]):
+            tracemalloc.start()
+            try:
+                report = run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert n > 40_000 and report.completed + len(report.rejected) == n
+            assert max(report.iterations.queue_depth) < 20  # below capacity: few requests in flight at once
+            id_bytes = sum(map(sys.getsizeof, report.ids))
+            assert (peak - id_bytes) / n < 100
 
 
 class TestTransferChannel:
